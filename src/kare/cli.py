@@ -16,8 +16,7 @@ validate --suite NAME --seed N
     check failure.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 validation
-failure.  KARE_THREADS caps sweep parallelism (0 or unset = auto); the
-output is byte-identical for any thread count.
+failure.
 
 Config file format: flat "key = value" lines, '#' comments.  Grids are
 "start:stop:count:log2" or "start:stop:count:log10" (count log-spaced
@@ -50,9 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,18 +274,6 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
     return subsample(ds, d["n"], d["seed"]), None
 
 
-def worker_count() -> int:
-    """Sweep parallelism from KARE_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("KARE_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"KARE_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"KARE_THREADS must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cell, in deterministic grid order.
 
@@ -297,10 +282,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
-    kernel_family = cfg.family
 
+    # One call per lengthscale, so its Gram, eigenvectors and cross-Gram
+    # are freed before the next lengthscale builds its own.
     def one_lengthscale(multiple: float) -> list[SweepRecord]:
-        kern = KernelSpec(kernel_family, multiple * dim)
+        kern = KernelSpec(cfg.family, multiple * dim)
         G = gram_matrix(kern, train.X)
         rs = RidgeScores(G, train.y)
         gs = rs.gram_spectrum()
@@ -335,13 +321,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             ))
         return records
 
-    workers = min(worker_count(), len(cfg.lengthscale_multiples))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_scale = list(pool.map(one_lengthscale, cfg.lengthscale_multiples))
-    else:
-        per_scale = [one_lengthscale(m) for m in cfg.lengthscale_multiples]
-    return [record for records in per_scale for record in records]
+    return [record for multiple in cfg.lengthscale_multiples
+            for record in one_lengthscale(multiple)]
 
 
 def _format_cell(value) -> str:

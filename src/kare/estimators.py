@@ -24,7 +24,14 @@ import numpy as np
 
 from . import krr
 from .kernels import KernelSpec, _as_points
-from .spectral import EIGENVALUE_FLOOR, SYMMETRY_TOL, GramSpectrum
+from .spectral import (
+    GramSpectrum,
+    check_ridge,
+    normalized,
+    spectrum,
+    stieltjes,
+    stieltjes_derivative,
+)
 from .sct import SctResult, Spectrum, solve_sct
 
 
@@ -51,61 +58,43 @@ class RidgeScores:
     """
 
     def __init__(self, G, y):
-        G = np.asarray(G, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
-        n = y.shape[0]
-        if G.shape != (n, n):
-            raise ValueError(f"Gram shape {G.shape} does not match {n} labels")
-        if float(np.max(np.abs(G - G.T))) > SYMMETRY_TOL:
-            raise ValueError("Gram matrix is not symmetric")
-        mu, vectors = np.linalg.eigh(G / n)
-        if mu[0] < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"Gram matrix is not positive semidefinite (min eigenvalue {mu[0]:.3e})"
-            )
-        self.n = n
-        self.mu = np.clip(mu, 0.0, None)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("labels have non-finite entries")
+        mu, vectors = np.linalg.eigh(normalized(G, y.shape[0]))
+        self._spectrum = spectrum(mu)
+        self.n = self._spectrum.n
+        self.mu = self._spectrum.eigenvalues
         self.vectors = vectors
         self.w = vectors.T @ y
         self._w2 = self.w**2
 
-    @staticmethod
-    def _check_ridge(ridge: float) -> float:
-        ridge = float(ridge)
-        if not ridge > 0:
-            raise ValueError(f"ridge must be positive, got {ridge}")
-        return ridge
-
     def gram_spectrum(self) -> GramSpectrum:
-        eigenvalues = self.mu.copy()
-        eigenvalues.flags.writeable = False
-        return GramSpectrum(eigenvalues, self.n)
+        return self._spectrum
 
     def stieltjes(self, ridge: float) -> float:
-        ridge = self._check_ridge(ridge)
-        return float(np.mean(1.0 / (self.mu + ridge)))
+        return stieltjes(self._spectrum, ridge)
 
     def stieltjes_derivative(self, ridge: float) -> float:
-        ridge = self._check_ridge(ridge)
-        return float(np.mean(1.0 / (self.mu + ridge) ** 2))
+        return stieltjes_derivative(self._spectrum, ridge)
 
     def solve(self, ridge: float) -> np.ndarray:
         """((1/n)G + ridge I)^{-1} y."""
-        ridge = self._check_ridge(ridge)
+        ridge = check_ridge(ridge)
         return self.vectors @ (self.w / (self.mu + ridge))
 
     def kare(self, ridge: float) -> float:
-        ridge = self._check_ridge(ridge)
+        ridge = check_ridge(ridge)
         numerator = float(np.mean(self._w2 / (self.mu + ridge) ** 2))
         return numerator / self.stieltjes(ridge) ** 2
 
     def varrho(self, ridge: float) -> float:
-        ridge = self._check_ridge(ridge)
+        ridge = check_ridge(ridge)
         q = (self.mu + ridge) ** 2
         return float(np.sum(self._w2 / q) / np.sum(1.0 / q))
 
     def train_error(self, ridge: float) -> float:
-        ridge = self._check_ridge(ridge)
+        ridge = check_ridge(ridge)
         return ridge**2 * float(np.mean(self._w2 / (self.mu + ridge) ** 2))
 
     def log_marginal_likelihood(self, ridge: float) -> float:
@@ -114,7 +103,7 @@ class RidgeScores:
         -(1/n) [ 1/2 y^T B^{-1} y + 1/2 log det B ]; the n log(2 pi)/2
         constant is dropped.  Higher is better.
         """
-        ridge = self._check_ridge(ridge)
+        ridge = check_ridge(ridge)
         quad = float(np.sum(self._w2 / (self.mu + ridge)))
         logdet = float(np.sum(np.log(self.mu + ridge)))
         return -0.5 * (quad + logdet) / self.n

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import KernelSpec, _as_points, cross_gram, gram_matrix
+from .spectral import check_ridge
 
 
 @dataclass(frozen=True)
@@ -28,9 +29,7 @@ class Predictor:
 
 def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
     """Solve the SPD system ((1/n)G + ridge I)(n dual) = y by Cholesky."""
-    ridge = float(ridge)
-    if not ridge > 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
+    ridge = check_ridge(ridge)
     X = _as_points(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GramSpectrum, stieltjes, stieltjes_derivative
+from .spectral import GramSpectrum, check_ridge, stieltjes, stieltjes_derivative
 
 # Multiplicities above this are no longer exactly representable once they
 # reach float arithmetic; the spectrum is truncated instead.
@@ -87,9 +87,7 @@ def solve_sct(spec: Spectrum, n: int, ridge: float) -> SctResult:
     Newton steps once inside; the residual of the returned root satisfies
     |g(theta)| <= 1e-12 * (ridge + trace/n).
     """
-    ridge = float(ridge)
-    if not ridge > 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
+    ridge = check_ridge(ridge)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     d, m = spec.arrays()

@@ -4,10 +4,15 @@ Ridge sweeps evaluate resolvent traces of (1/n) G at many ridges; one
 symmetric eigendecomposition turns each evaluation into an O(n) sum.
 The Stieltjes transform here is always evaluated on the negative real
 axis, i.e. m(-ridge) for ridge > 0.
+
+This module owns the checks every eigen view shares: ``normalized``
+validates G and forms G/n, ``spectrum`` clamps its eigenvalues, and
+``check_ridge`` validates a ridge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,20 +29,16 @@ class GramSpectrum:
     n: int
 
 
-def _check_ridge(ridge: float) -> float:
+def check_ridge(ridge: float) -> float:
+    """The ridge as a float; raises unless it is positive and finite."""
     ridge = float(ridge)
-    if not ridge > 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
+    if not 0 < ridge < math.inf:
+        raise ValueError(f"ridge must be positive and finite, got {ridge}")
     return ridge
 
 
-def decompose(G, n: int | None = None) -> GramSpectrum:
-    """Eigendecompose G/n into a GramSpectrum.
-
-    Eigenvalues in [-1e-8, 0) are floating noise on a PSD matrix and are
-    clamped to zero; anything below -1e-8 signals a broken kernel and
-    raises.
-    """
+def normalized(G, n: int | None = None) -> np.ndarray:
+    """G/n for a finite, square, symmetric G with n rows (default: its size)."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
@@ -45,26 +46,42 @@ def decompose(G, n: int | None = None) -> GramSpectrum:
         n = G.shape[0]
     elif n != G.shape[0]:
         raise ValueError(f"sample count {n} does not match matrix size {G.shape[0]}")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("matrix has non-finite entries")
     asymmetry = float(np.max(np.abs(G - G.T)))
     if asymmetry > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asymmetry:.3e})")
-    eigenvalues = np.linalg.eigvalsh(G / n)
+    return G / n
+
+
+def spectrum(eigenvalues: np.ndarray) -> GramSpectrum:
+    """Ascending eigenvalues of G/n as a read-only, nonnegative GramSpectrum.
+
+    Eigenvalues in [-1e-8, 0) are floating noise on a PSD matrix and are
+    clamped to zero; anything below -1e-8 signals a broken kernel and
+    raises.
+    """
     if eigenvalues[0] < EIGENVALUE_FLOOR:
         raise ValueError(
             f"matrix is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})"
         )
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     eigenvalues.flags.writeable = False
-    return GramSpectrum(eigenvalues, n)
+    return GramSpectrum(eigenvalues, eigenvalues.shape[0])
+
+
+def decompose(G, n: int | None = None) -> GramSpectrum:
+    """Eigenvalues of G/n as a GramSpectrum."""
+    return spectrum(np.linalg.eigvalsh(normalized(G, n)))
 
 
 def stieltjes(s: GramSpectrum, ridge: float) -> float:
     """m(-ridge) = (1/n) sum_i 1 / (mu_i + ridge); lies in (0, 1/ridge]."""
-    ridge = _check_ridge(ridge)
+    ridge = check_ridge(ridge)
     return float(np.mean(1.0 / (s.eigenvalues + ridge)))
 
 
 def stieltjes_derivative(s: GramSpectrum, ridge: float) -> float:
     """d/dz m(z) at z = -ridge, i.e. (1/n) sum_i 1 / (mu_i + ridge)^2."""
-    ridge = _check_ridge(ridge)
+    ridge = check_ridge(ridge)
     return float(np.mean(1.0 / (s.eigenvalues + ridge) ** 2))

@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import TrueFunction
 from .kernels import KernelSpec, gram_matrix
-from .spectral import GramSpectrum, decompose, stieltjes
+from .spectral import GramSpectrum, check_ridge, decompose, stieltjes
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -62,20 +62,18 @@ def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
     return ObservationDraw(O, G, y, seed)
 
 
-def _ridge_solve(dr: ObservationDraw, ridge: float) -> np.ndarray:
-    ridge = float(ridge)
-    if not ridge > 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
-    n = dr.y.shape[0]
-    B = dr.G / n
+def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
+    """((1/n)G + ridge I)^{-1} rhs by Cholesky, with n the size of G."""
+    ridge = check_ridge(ridge)
+    B = G / G.shape[0]
     B[np.diag_indices_from(B)] += ridge
-    return cho_solve(cho_factor(B, lower=True), dr.y)
+    return cho_solve(cho_factor(B, lower=True), rhs)
 
 
 def predictor_coeffs(dr: ObservationDraw, spec: Spectrum, ridge: float) -> np.ndarray:
     """Fitted predictor coefficients per mode: (d_k/n) O_k^T B^{-1} y."""
     d = _expanded(spec, None)
-    v = _ridge_solve(dr, ridge)
+    v = ridge_solve(dr.G, dr.y, ridge)
     return d * (dr.O.T @ v) / dr.y.shape[0]
 
 
@@ -89,7 +87,7 @@ def exact_risk(dr: ObservationDraw, spec: Spectrum, f: TrueFunction, ridge: floa
 
 def empirical_train_error(dr: ObservationDraw, ridge: float) -> float:
     """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw."""
-    v = _ridge_solve(dr, ridge)
+    v = ridge_solve(dr.G, dr.y, ridge)
     return ridge**2 * float(v @ v) / dr.y.shape[0]
 
 
@@ -160,13 +158,9 @@ def mc_operator_moments(
     gaps = np.empty(trials)
     for t in range(trials):
         dr = draw(spec, zero_f, n, (seed, t))
-        B = dr.G / n
-        B[np.diag_indices_from(B)] += ridge
-        factor = cho_factor(B, lower=True)
-        V = cho_solve(factor, dr.O[:, cols])
+        V = ridge_solve(dr.G, dr.O[:, cols], ridge)
         sub[t] = (d[cols][:, None] / n) * (dr.O[:, cols].T @ V)
-        mu = np.clip(np.linalg.eigvalsh(dr.G / n), 0.0, None)
-        gaps[t] = abs(1.0 / theta - float(np.mean(1.0 / (mu + ridge))))
+        gaps[t] = abs(1.0 / theta - stieltjes(decompose(dr.G), ridge))
     diag = np.einsum("tkk->tk", sub)
     pairs = tuple((a, b) for a in idx for b in idx if a != b)
     off = np.stack(
@@ -218,9 +212,7 @@ def mc_coeff_stats(
     cols = np.array(idx)
     samples = np.empty((trials, len(idx)))
     for t in range(trials):
-        dr = draw(spec, f, n, (seed, t))
-        v = _ridge_solve(dr, ridge)
-        samples[t] = d[cols] * (dr.O[:, cols].T @ v) / n
+        samples[t] = predictor_coeffs(draw(spec, f, n, (seed, t)), spec, ridge)[cols]
     return CoeffStats(
         indices=idx,
         mean=samples.mean(axis=0),
@@ -245,18 +237,3 @@ def rbf_gaussian_gram_spectrum(
     X = sigma * rng.standard_normal((n, dim))
     return decompose(gram_matrix(KernelSpec("rbf", lengthscale), X))
 
-
-def mc_stieltjes_gap(
-    spec: Spectrum, n: int, ridge: float, trials: int, seed: int
-) -> tuple[float, float]:
-    """Mean and standard error of |1/theta - m(-ridge)| over draws."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    d = _expanded(spec, None)
-    zero_f = TrueFunction(np.zeros(d.shape[0]), 0.0)
-    theta = solve_sct(spec, n, ridge).theta
-    gaps = np.empty(trials)
-    for t in range(trials):
-        dr = draw(spec, zero_f, n, (seed, t))
-        gaps[t] = abs(1.0 / theta - stieltjes(decompose(dr.G), ridge))
-    return float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(trials))

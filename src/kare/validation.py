@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import krr
 from .estimators import (
@@ -35,6 +34,7 @@ from .synthetic import (
     mc_expected_risk,
     mc_operator_moments,
     rbf_gaussian_gram_spectrum,
+    ridge_solve,
 )
 
 
@@ -105,9 +105,7 @@ def suite_identities(seed: int) -> list[Check]:
     for t in range(10):
         dr = draw(spec, zero_f, 40, (seed, 100 + t))
         n = dr.y.shape[0]
-        B = dr.G / n
-        B[np.diag_indices_from(B)] += ridge
-        V = cho_solve(cho_factor(B, lower=True), dr.O)
+        V = ridge_solve(dr.G, dr.O, ridge)
         A_direct = (d[:, None] / n) * (dr.O.T @ V)
         M = (d[:, None]) * (dr.O.T @ dr.O) / n
         A_small = np.linalg.solve((M + ridge * np.eye(30)).T, M.T).T

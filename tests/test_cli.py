@@ -110,18 +110,6 @@ def test_sweep_test_risk_matches_krr_route(tmp_path):
     assert records[0].test_risk == pytest.approx(krr.test_risk(p, test.X, test.y), rel=1e-9)
 
 
-def test_sweep_deterministic_across_thread_counts(tmp_path, monkeypatch):
-    cfg_path = _config(tmp_path, out_name="a.csv")
-    monkeypatch.setenv("KARE_THREADS", "1")
-    assert main(["sweep", "--config", cfg_path]) == 0
-    serial = (tmp_path / "a.csv").read_bytes()
-    cfg_path = _config(tmp_path, out_name="b.csv")
-    monkeypatch.setenv("KARE_THREADS", "2")
-    assert main(["sweep", "--config", cfg_path]) == 0
-    threaded = (tmp_path / "b.csv").read_bytes()
-    assert serial == threaded
-
-
 def test_sct_subcommand_monotonicity(tmp_path):
     out = tmp_path / "sct.csv"
     code = main([

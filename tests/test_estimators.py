@@ -19,6 +19,7 @@ from kare.estimators import (
 )
 from kare.kernels import KernelSpec
 from kare.sct import Spectrum, power_law_spectrum, solve_sct
+from kare.spectral import decompose
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -64,6 +65,34 @@ def test_kare_positive_finite():
     for ridge in np.logspace(-8, 4, 13):
         value = kare(y, G, float(ridge))
         assert np.isfinite(value) and value >= 0
+
+
+def test_kare_equals_generalized_cross_validation():
+    # Golub, Heath & Wahba (1979): with the hat matrix H = K (K + ridge I)^{-1},
+    # K = G/n, GCV = n ||(I - H) y||^2 / Tr(I - H)^2 equals kare exactly.  H is
+    # formed densely here, sharing no eigen code with kare.
+    rng = np.random.default_rng(11)
+    for n in (5, 17, 40):
+        G = _random_psd(rng, n)
+        y = rng.standard_normal(n)
+        K = G / n
+        for ridge in np.logspace(-4, 0, 5):
+            H = np.linalg.solve(K + ridge * np.eye(n), K)
+            R = np.eye(n) - H
+            gcv = n * float(np.sum((R @ y) ** 2)) / float(np.trace(R)) ** 2
+            assert kare(y, G, ridge) == pytest.approx(gcv, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gram_or_labels_rejected(bad):
+    G = np.eye(3)
+    G[0, 1] = G[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        decompose(G)
+    with pytest.raises(ValueError, match="non-finite"):
+        RidgeScores(G, np.ones(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        RidgeScores(np.eye(3), np.array([1.0, bad, 0.0]))
 
 
 def test_ridge_scores_match_functional_api():

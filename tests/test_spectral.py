@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kare import krr
+from kare.estimators import RidgeScores
+from kare.kernels import KernelSpec
+from kare.sct import power_law_spectrum, solve_sct
 from kare.spectral import GramSpectrum, decompose, stieltjes, stieltjes_derivative
+from kare.synthetic import ridge_solve
 
 
 def test_identity_gram():
@@ -68,6 +73,23 @@ def test_nonpositive_ridge_rejected():
             stieltjes(s, bad)
         with pytest.raises(ValueError):
             stieltjes_derivative(s, bad)
+
+
+RIDGE_ENTRY_POINTS = {
+    "stieltjes": lambda r: stieltjes(decompose(np.eye(2) * 2), r),
+    "stieltjes_derivative": lambda r: stieltjes_derivative(decompose(np.eye(2) * 2), r),
+    "RidgeScores.kare": lambda r: RidgeScores(np.eye(3), np.ones(3)).kare(r),
+    "krr.fit": lambda r: krr.fit(KernelSpec("rbf", 1.0), np.zeros((3, 2)), np.ones(3), r),
+    "solve_sct": lambda r: solve_sct(power_law_spectrum(2.0, 5), 10, r),
+    "ridge_solve": lambda r: ridge_solve(np.eye(3), np.ones(3), r),
+}
+
+
+@pytest.mark.parametrize("ridge", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(RIDGE_ENTRY_POINTS))
+def test_invalid_ridge_rejected_at_every_entry_point(entry, ridge):
+    with pytest.raises(ValueError, match="ridge must be positive and finite"):
+        RIDGE_ENTRY_POINTS[entry](ridge)
 
 
 def test_solve_vs_spectrum_equivalence():

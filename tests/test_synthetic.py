@@ -12,7 +12,6 @@ from kare.synthetic import (
     mc_coeff_stats,
     mc_expected_risk,
     mc_operator_moments,
-    mc_stieltjes_gap,
     predictor_coeffs,
     rbf_gaussian_gram_spectrum,
 )
@@ -195,8 +194,8 @@ def test_mc_coeff_stats_mean_tracks_prediction():
 
 def test_mc_stieltjes_gap_shrinks_with_n():
     spec = power_law_spectrum(2.0, 30)
-    gap_small, _ = mc_stieltjes_gap(spec, 50, 0.05, 30, 2)
-    gap_large, _ = mc_stieltjes_gap(spec, 400, 0.05, 30, 2)
+    gap_small = mc_operator_moments(spec, 50, 0.05, 30, 2, (0,)).stieltjes_gap_mean
+    gap_large = mc_operator_moments(spec, 400, 0.05, 30, 2, (0,)).stieltjes_gap_mean
     assert gap_large < gap_small
 
 
