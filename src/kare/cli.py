@@ -20,29 +20,8 @@ failure.
 
 Config file format: flat "key = value" lines, '#' comments.  Grids are
 "start:stop:count:log2" or "start:stop:count:log10" (count log-spaced
-values from start to stop inclusive).  Keys:
-
-    data.type            csv | idx | synthetic
-    data.path            CSV path                          (csv)
-    data.label_column    label column name                 (csv)
-    data.label_map       e.g. "s:1,b:-1"; numeric if unset (csv)
-    data.feature_columns comma-separated subset, optional  (csv)
-    data.sentinel_filter true|false, drop -999 rows        (csv)
-    data.images, data.labels   IDX file pair               (idx)
-    data.digits          e.g. "7,9"                        (idx)
-    data.preprocess      none | maxabs | mnist
-    data.n               training rows
-    data.test_n          held-out rows (0 disables test risk)
-    data.seed            sampling seed
-    data.dim             input dimension                   (synthetic)
-    data.noise           label noise level                 (synthetic)
-    kernel.family        rbf | laplacian | l1exp
-    grid.lengthscale     lengthscale grid, in multiples of the dimension
-    grid.ridge           ridge grid
-    scores.cv_folds      cross-validation folds (0 disables)
-    scores.loglik        true|false
-    scores.alignment     true|false
-    output               output CSV path
+values from start to stop inclusive).  The keys, their defaults and
+their meaning are the tables _REQUIRED_KEYS and _OPTIONAL_KEYS below.
 """
 
 from __future__ import annotations
@@ -50,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,18 +61,6 @@ from .sct import (
 from .synthetic import draw, rbf_gaussian_gram_spectrum
 from .spectral import decompose
 from .validation import run_suite
-
-SWEEP_COLUMNS = (
-    "lengthscale", "ridge", "train_error", "kare", "varrho", "cv_risk",
-    "loglik", "alignment", "test_risk", "sct_hat", "sct_deriv_hat",
-    "seed", "n",
-)
-
-SCT_COLUMNS = (
-    "n", "ridge", "theta", "theta_prime", "theta_est", "theta_est_stderr",
-    "theta_prime_est", "theta_prime_est_stderr", "trials", "seed",
-)
-
 
 class ConfigError(ValueError):
     """Bad sweep configuration."""
@@ -129,6 +96,24 @@ class SweepRecord:
     n: int
 
 
+@dataclass(frozen=True)
+class SctCurveRecord:
+    n: int
+    ridge: float
+    theta: float
+    theta_prime: float
+    theta_est: float
+    theta_est_stderr: float
+    theta_prime_est: float
+    theta_prime_est_stderr: float
+    trials: int
+    seed: int
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+SCT_COLUMNS = tuple(f.name for f in fields(SctCurveRecord))
+
+
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse "start:stop:count:log2|log10" into an inclusive log-spaced grid."""
     parts = text.split(":")
@@ -150,22 +135,63 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(base**e) for e in np.linspace(lo, hi, count))
 
 
-_KNOWN_KEYS = {
-    "data.type", "data.path", "data.label_column", "data.label_map",
-    "data.feature_columns", "data.sentinel_filter", "data.images",
-    "data.labels", "data.digits", "data.preprocess", "data.n",
-    "data.test_n", "data.seed", "data.dim", "data.noise",
-    "kernel.family", "grid.lengthscale", "grid.ridge",
-    "scores.cv_folds", "scores.loglik", "scores.alignment", "output",
-}
-
-
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     if value.lower() in ("true", "1", "yes"):
         return True
     if value.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected true/false, got {value!r}")
+    raise ValueError(f"expected true/false, got {value!r}")
+
+
+# The three list-valued keys read an empty value as unset.
+def _parse_label_map(text: str) -> dict[str, float] | None:
+    pairs = (pair.partition(":") for pair in text.split(",")) if text else ()
+    return {name.strip(): float(value) for name, _, value in pairs} or None
+
+
+def _parse_columns(text: str) -> list[str] | None:
+    return [c.strip() for c in text.split(",")] if text else None
+
+
+def _parse_digits(text: str) -> tuple[int, ...] | None:
+    digits = tuple(int(v) for v in text.split(",")) if text else None
+    if digits is not None and len(digits) != 2:
+        raise ValueError("must name exactly two digits")
+    return digits
+
+
+# key -> parser
+_REQUIRED_KEYS = {
+    "data.type": str,                   # csv | idx | synthetic
+    "kernel.family": str,               # rbf | laplacian | l1exp
+    "grid.lengthscale": parse_grid,     # in multiples of the input dimension
+    "grid.ridge": parse_grid,
+    "output": str,                      # output CSV path
+}
+
+# key -> (default, parser); the default is already parsed.  The data
+# type that reads a key is in brackets.
+_OPTIONAL_KEYS = {
+    "data.path": (None, str),                           # [csv]
+    "data.label_column": (None, str),                   # [csv]
+    "data.label_map": (None, _parse_label_map),         # [csv] "s:1,b:-1"; numeric if unset
+    "data.feature_columns": (None, _parse_columns),     # [csv] "a,b"; all others if unset
+    "data.sentinel_filter": (False, _parse_bool),       # [csv] drop rows with a -999 feature
+    "data.images": (None, str),                         # [idx] image file
+    "data.labels": (None, str),                         # [idx] label file
+    "data.digits": (None, _parse_digits),               # [idx] "7,9"
+    "data.preprocess": ("none", str),                   # none | maxabs | mnist
+    "data.n": (0, int),                                 # training rows, >= 1
+    "data.test_n": (0, int),                            # held-out rows; 0 disables test risk
+    "data.seed": (0, int),                              # sampling and CV fold seed
+    "data.dim": (5, int),                               # [synthetic] input dimension
+    "data.noise": (0.1, float),                         # [synthetic] label noise level
+    "scores.cv_folds": (0, int),                        # 0 disables cross-validation
+    "scores.loglik": (False, _parse_bool),
+    "scores.alignment": (False, _parse_bool),
+}
+
+_PARSERS = {**_REQUIRED_KEYS, **{key: parse for key, (_, parse) in _OPTIONAL_KEYS.items()}}
 
 
 def parse_sweep_config(path: str) -> SweepConfig:
@@ -178,47 +204,31 @@ def parse_sweep_config(path: str) -> SweepConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            if key not in _PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value
-    for key in ("data.type", "kernel.family", "grid.lengthscale", "grid.ridge", "output"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    try:
-        n = int(raw.get("data.n", "0"))
-        test_n = int(raw.get("data.test_n", "0"))
-        seed = int(raw.get("data.seed", "0"))
-        cv_folds = int(raw.get("scores.cv_folds", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if n < 1:
+    values = {key: default for key, (default, _) in _OPTIONAL_KEYS.items()}
+    for key, text in raw.items():
+        try:
+            values[key] = _PARSERS[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from None
+    if values["data.n"] < 1:
         raise ConfigError(f"{path}: data.n must be >= 1")
     return SweepConfig(
-        data={
-            "type": raw["data.type"],
-            "path": raw.get("data.path"),
-            "label_column": raw.get("data.label_column"),
-            "label_map": raw.get("data.label_map"),
-            "feature_columns": raw.get("data.feature_columns"),
-            "sentinel_filter": _parse_bool(raw.get("data.sentinel_filter", "false"), "data.sentinel_filter"),
-            "images": raw.get("data.images"),
-            "labels": raw.get("data.labels"),
-            "digits": raw.get("data.digits"),
-            "preprocess": raw.get("data.preprocess", "none"),
-            "n": n,
-            "test_n": test_n,
-            "seed": seed,
-            "dim": int(raw.get("data.dim", "5")),
-            "noise": float(raw.get("data.noise", "0.1")),
-        },
-        family=raw["kernel.family"],
-        lengthscale_multiples=parse_grid(raw["grid.lengthscale"]),
-        ridges=parse_grid(raw["grid.ridge"]),
-        cv_folds=cv_folds,
-        loglik=_parse_bool(raw.get("scores.loglik", "false"), "scores.loglik"),
-        alignment=_parse_bool(raw.get("scores.alignment", "false"), "scores.alignment"),
-        output=raw["output"],
-        seed=seed,
+        data={key[len("data."):]: value for key, value in values.items()
+              if key.startswith("data.")},
+        family=values["kernel.family"],
+        lengthscale_multiples=values["grid.lengthscale"],
+        ridges=values["grid.ridge"],
+        cv_folds=values["scores.cv_folds"],
+        loglik=values["scores.loglik"],
+        alignment=values["scores.alignment"],
+        output=values["output"],
+        seed=values["data.seed"],
     )
 
 
@@ -241,26 +251,14 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
     if d["type"] == "csv":
         if not d["path"] or not d["label_column"]:
             raise ConfigError("csv datasets need data.path and data.label_column")
-        label_map = None
-        if d["label_map"]:
-            label_map = {}
-            for pair in d["label_map"].split(","):
-                name, _, value = pair.partition(":")
-                label_map[name.strip()] = float(value)
-        features = None
-        if d["feature_columns"]:
-            features = [c.strip() for c in d["feature_columns"].split(",")]
         ds = load_csv(
-            d["path"], d["label_column"], feature_columns=features,
-            label_map=label_map, drop_sentinel=d["sentinel_filter"],
+            d["path"], d["label_column"], feature_columns=d["feature_columns"],
+            label_map=d["label_map"], drop_sentinel=d["sentinel_filter"],
         )
     elif d["type"] == "idx":
         if not d["images"] or not d["labels"] or not d["digits"]:
             raise ConfigError("idx datasets need data.images, data.labels, data.digits")
-        digits = tuple(int(v) for v in d["digits"].split(","))
-        if len(digits) != 2:
-            raise ConfigError("data.digits must name exactly two digits")
-        ds = load_mnist_idx(d["images"], d["labels"], digits)
+        ds = load_mnist_idx(d["images"], d["labels"], d["digits"])
     else:
         raise ConfigError(f"unknown data.type {d['type']!r}")
     if d["preprocess"] == "maxabs":
@@ -333,27 +331,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
+def _write_csv(path: str, columns: tuple[str, ...], records) -> None:
     with open(path, "w") as handle:
-        handle.write(",".join(SWEEP_COLUMNS) + "\n")
+        handle.write(",".join(columns) + "\n")
         for r in records:
             handle.write(",".join(
-                _format_cell(getattr(r, column)) for column in SWEEP_COLUMNS
+                _format_cell(getattr(r, column)) for column in columns
             ) + "\n")
 
 
-@dataclass(frozen=True)
-class SctCurveRecord:
-    n: int
-    ridge: float
-    theta: float
-    theta_prime: float
-    theta_est: float
-    theta_est_stderr: float
-    theta_prime_est: float
-    theta_prime_est_stderr: float
-    trials: int
-    seed: int
+def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
+    _write_csv(path, SWEEP_COLUMNS, records)
 
 
 def run_sct_curves(
@@ -369,34 +357,23 @@ def run_sct_curves(
     gram_sampler(n, seed) must return a GramSpectrum for a fresh sample
     of size n.
     """
+    def mean_and_stderr(samples) -> tuple[float, float]:
+        v = np.array(samples)
+        return float(v.mean()), float(v.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+
     records = []
     for n in n_values:
         spectra = [gram_sampler(n, (seed, n, t)) for t in range(trials)]
         for ridge in ridges:
             res = solve_sct(spectrum, n, ridge)
             estimates = [sct_from_gram(s, ridge) for s in spectra]
-            thetas = np.array([e.theta for e in estimates])
-            primes = np.array([e.theta_prime for e in estimates])
-            scale = np.sqrt(trials) if trials > 1 else 1.0
             records.append(SctCurveRecord(
-                n=n, ridge=float(ridge),
-                theta=res.theta, theta_prime=res.theta_prime,
-                theta_est=float(thetas.mean()),
-                theta_est_stderr=float(thetas.std(ddof=1) / scale) if trials > 1 else 0.0,
-                theta_prime_est=float(primes.mean()),
-                theta_prime_est_stderr=float(primes.std(ddof=1) / scale) if trials > 1 else 0.0,
-                trials=trials, seed=seed,
+                n, float(ridge), res.theta, res.theta_prime,
+                *mean_and_stderr([e.theta for e in estimates]),
+                *mean_and_stderr([e.theta_prime for e in estimates]),
+                trials, seed,
             ))
     return records
-
-
-def write_sct_csv(records: list[SctCurveRecord], path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(",".join(SCT_COLUMNS) + "\n")
-        for r in records:
-            handle.write(",".join(
-                _format_cell(getattr(r, column)) for column in SCT_COLUMNS
-            ) + "\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -424,7 +401,7 @@ def _cmd_sct(args) -> int:
             return decompose(draw(spectrum, zero_f, n, seed).G)
 
     records = run_sct_curves(spectrum, sampler, n_values, ridges, args.trials, args.seed)
-    write_sct_csv(records, args.out)
+    _write_csv(args.out, SCT_COLUMNS, records)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -498,7 +475,7 @@ def main(argv=None) -> int:
             return 1
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,8 @@ given covariance spectrum.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,28 @@ class TrueFunction:
         object.__setattr__(self, "coeffs", coeffs)
         if not self.noise >= 0:
             raise ValueError(f"noise level must be >= 0, got {self.noise}")
+
+
+def _score(formula):
+    """A RidgeScores score at a checked ridge: a finite float or ValueError.
+
+    Near the ends of the float64 range (ridge 1e-300 or 1e300 on a
+    rank-deficient Gram) the sums overflow or divide by zero; the score
+    then names itself and the ridge instead of returning inf or NaN.
+    """
+    @functools.wraps(formula)
+    def score(self, ridge: float) -> float:
+        ridge = check_ridge(ridge)
+        try:
+            with np.errstate(all="ignore"):
+                value = formula(self, ridge)
+        except ArithmeticError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{formula.__name__} is not representable in float64 "
+                             f"at ridge {ridge!r}")
+        return value
+    return score
 
 
 class RidgeScores:
@@ -83,27 +107,27 @@ class RidgeScores:
         ridge = check_ridge(ridge)
         return self.vectors @ (self.w / (self.mu + ridge))
 
+    @_score
     def kare(self, ridge: float) -> float:
-        ridge = check_ridge(ridge)
         numerator = float(np.mean(self._w2 / (self.mu + ridge) ** 2))
         return numerator / self.stieltjes(ridge) ** 2
 
+    @_score
     def varrho(self, ridge: float) -> float:
-        ridge = check_ridge(ridge)
         q = (self.mu + ridge) ** 2
         return float(np.sum(self._w2 / q) / np.sum(1.0 / q))
 
+    @_score
     def train_error(self, ridge: float) -> float:
-        ridge = check_ridge(ridge)
         return ridge**2 * float(np.mean(self._w2 / (self.mu + ridge) ** 2))
 
+    @_score
     def log_marginal_likelihood(self, ridge: float) -> float:
         """Per-sample Gaussian evidence with covariance (1/n)G + ridge I.
 
         -(1/n) [ 1/2 y^T B^{-1} y + 1/2 log det B ]; the n log(2 pi)/2
         constant is dropped.  Higher is better.
         """
-        ridge = check_ridge(ridge)
         quad = float(np.sum(self._w2 / (self.mu + ridge)))
         logdet = float(np.sum(np.log(self.mu + ridge)))
         return -0.5 * (quad + logdet) / self.n

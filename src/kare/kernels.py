@@ -26,7 +26,7 @@ _BLOCK_ELEMENTS = 4_000_000
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus positive lengthscale."""
+    """Kernel family plus positive, finite lengthscale."""
 
     family: str
     lengthscale: float
@@ -36,8 +36,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if not self.lengthscale > 0:
-            raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
+        if not 0 < self.lengthscale < np.inf:
+            raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
 
 def _as_points(X) -> np.ndarray:
@@ -46,6 +46,8 @@ def _as_points(X) -> np.ndarray:
         X = X[:, None]
     if X.ndim != 2:
         raise ValueError(f"expected an (n, d) array of points, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points have non-finite coordinates")
     return X
 
 
@@ -80,14 +82,7 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
     if x.shape != x2.shape or x.ndim != 1:
         raise ValueError(f"point dimensions differ: {x.shape} vs {x2.shape}")
-    diff = x - x2
-    if spec.family == "rbf":
-        dist = float(diff @ diff)
-    elif spec.family == "laplacian":
-        dist = float(np.sqrt(diff @ diff))
-    else:
-        dist = float(np.abs(diff).sum())
-    return float(np.exp(-dist / spec.lengthscale))
+    return float(cross_gram(spec, x[None, :], x2[None, :])[0, 0])
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:

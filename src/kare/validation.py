@@ -49,6 +49,14 @@ def _check(name: str, passed: bool, detail: str = "") -> Check:
     return Check(name, bool(passed), detail)
 
 
+def _agree(name: str, mc: float, stderr: float, predicted: float, rel: float,
+           fmt: str = ".5f") -> Check:
+    """A Monte Carlo mean within max(3 stderr, rel * predicted) of the prediction."""
+    tol = max(3 * stderr, rel * predicted)
+    return _check(name, abs(mc - predicted) <= tol,
+                  f"mc {mc:{fmt}} vs {predicted:{fmt}} (tol {tol:.2e})")
+
+
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
@@ -230,13 +238,8 @@ def suite_thm1(seed: int) -> list[Check]:
     d = spec.expand()
     checks = []
     for j, k in enumerate(idx):
-        predicted = d[k] / (theta + d[k])
-        gap = abs(om.diag_mean[j] - predicted)
-        tol = max(3 * om.diag_mean_stderr[j], 0.05 * predicted)
-        checks.append(_check(
-            f"mean diagonal entry, mode {k}",
-            gap <= tol, f"mc {om.diag_mean[j]:.5f} vs {predicted:.5f} (tol {tol:.2e})",
-        ))
+        checks.append(_agree(f"mean diagonal entry, mode {k}", om.diag_mean[j],
+                             om.diag_mean_stderr[j], d[k] / (theta + d[k]), 0.05))
     worst_ratio = max(
         abs(m) / s for m, s in zip(om.offdiag_mean, om.offdiag_stderr)
     )
@@ -254,16 +257,11 @@ def suite_thm2(seed: int) -> list[Check]:
     n, ridge, trials = 500, 1e-2, 200
     idx = (0, 1, 2)
     cs = mc_coeff_stats(spec, f, n, ridge, trials, seed, idx)
-    checks = []
-    for j, k in enumerate(idx):
-        predicted = predictor_variance_component(spec, f, n, ridge, k)
-        gap = abs(cs.var[j] - predicted)
-        tol = max(3 * cs.var_stderr[j], 0.15 * predicted)
-        checks.append(_check(
-            f"coefficient variance, mode {k}",
-            gap <= tol, f"mc {cs.var[j]:.3e} vs {predicted:.3e} (tol {tol:.2e})",
-        ))
-    return checks
+    return [
+        _agree(f"coefficient variance, mode {k}", cs.var[j], cs.var_stderr[j],
+               predictor_variance_component(spec, f, n, ridge, k), 0.15, ".3e")
+        for j, k in enumerate(idx)
+    ]
 
 
 def suite_thm6(seed: int) -> list[Check]:
@@ -271,13 +269,8 @@ def suite_thm6(seed: int) -> list[Check]:
     f = TrueFunction(1.0 / np.arange(1, 41), 0.1)
     n, ridge, trials = 500, 1e-2, 200
     mean, stderr = mc_expected_risk(spec, f, n, ridge, trials, seed)
-    predicted = theoretical_risk(spec, f, n, ridge)
-    tol = max(3 * stderr, 0.10 * predicted)
-    checks = [_check(
-        "expected risk vs closed form",
-        abs(mean - predicted) <= tol,
-        f"mc {mean:.5f} vs {predicted:.5f} (tol {tol:.2e})",
-    )]
+    checks = [_agree("expected risk vs closed form", mean, stderr,
+                     theoretical_risk(spec, f, n, ridge), 0.10)]
     risks = np.empty(trials)
     trains = np.empty(trials)
     for t in range(trials):
@@ -375,13 +368,9 @@ def suite_bayes(seed: int) -> list[Check]:
         f = TrueFunction(b, noise)
         dr = draw(spec_k, f, n, (seed, t, 1))
         risks[t] = exact_risk(dr, spec_k, f, ridge)
-    stderr = float(risks.std(ddof=1) / np.sqrt(trials))
-    tol = max(3 * stderr, 0.10 * predicted)
-    checks.append(_check(
-        "generic case vs Monte Carlo over random targets",
-        abs(float(risks.mean()) - predicted) <= tol,
-        f"mc {risks.mean():.5f} vs {predicted:.5f} (tol {tol:.2e})",
-    ))
+    checks.append(_agree("generic case vs Monte Carlo over random targets",
+                         float(risks.mean()), float(risks.std(ddof=1) / np.sqrt(trials)),
+                         predicted, 0.10))
     return checks
 
 

@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -187,3 +190,48 @@ def test_csv_dataset_sweep(tmp_path):
     assert main(["sweep", "--config", cfg]) == 0
     body = (tmp_path / "out.csv").read_text().splitlines()
     assert len(body) == 1 + 2 * 3
+
+
+def test_sct_csv_header(tmp_path):
+    out = tmp_path / "sct.csv"
+    assert main([
+        "sct", "--spectrum", "power-law", "--count", "20", "--n-grid", "50:50:1:log2",
+        "--ridge-grid", "1e-2:1e-2:1:log10", "--trials", "2", "--out", str(out),
+    ]) == 0
+    assert out.read_text().splitlines()[0] == (
+        "n,ridge,theta,theta_prime,theta_est,theta_est_stderr,"
+        "theta_prime_est,theta_prime_est_stderr,trials,seed")
+
+
+def test_sweep_csv_round_trips_exactly(tmp_path):
+    cfg = parse_sweep_config(_config(tmp_path, **{"data.test_n": "0", "scores.loglik": "false"}))
+    records = run_sweep(cfg)
+    out = tmp_path / "round.csv"
+    write_sweep_csv(records, str(out))
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(records)
+    for record, row in zip(records, rows):
+        assert tuple(row) == SWEEP_COLUMNS
+        for column in SWEEP_COLUMNS:
+            value = getattr(record, column)
+            if value is None:
+                assert row[column] == ""
+            else:
+                assert type(value)(row[column]) == value
+
+
+def test_empty_sweep_csv_has_header(tmp_path):
+    out = tmp_path / "empty.csv"
+    write_sweep_csv([], str(out))
+    assert out.read_text() == ",".join(SWEEP_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("data.dim", "x"), ("data.noise", "abc"), ("scores.cv_folds", "2.5"),
+    ("scores.loglik", "maybe"), ("data.digits", "7"), ("grid.ridge", "1:2"),
+])
+def test_malformed_config_value_names_the_key(tmp_path, key, value):
+    path = _config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {re.escape(key)}: "):
+        parse_sweep_config(path)

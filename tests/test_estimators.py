@@ -95,6 +95,20 @@ def test_non_finite_gram_or_labels_rejected(bad):
         RidgeScores(np.eye(3), np.array([1.0, bad, 0.0]))
 
 
+@pytest.mark.parametrize("ridge", [1e-320, 1e-300, 1e300])
+def test_scores_finite_or_value_error_at_float_extremes(ridge):
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((6, 4))
+    rs = RidgeScores(W @ W.T, rng.standard_normal(6))  # rank 4
+    for name in ("kare", "varrho", "train_error", "log_marginal_likelihood"):
+        try:
+            value = getattr(rs, name)(ridge)
+        except ValueError as exc:
+            assert name in str(exc) and repr(ridge) in str(exc)
+        else:
+            assert isinstance(value, float) and math.isfinite(value)
+
+
 def test_ridge_scores_match_functional_api():
     rng = np.random.default_rng(2)
     G = _random_psd(rng, 15)

@@ -128,3 +128,26 @@ def test_gram_psd_random_datasets():
             spec = KernelSpec(family, float(rng.uniform(0.2, 10)))
             eigenvalues = np.linalg.eigvalsh(gram_matrix(spec, X))
             assert eigenvalues[0] >= -1e-8 * n
+
+
+def test_non_finite_points_and_lengthscale_rejected():
+    from kare import krr
+    from kare.estimators import cross_validation_risk
+
+    spec = KernelSpec("rbf", 1.0)
+    X = np.random.default_rng(4).standard_normal((6, 2))
+    X_bad = X.copy()
+    X_bad[2, 1] = np.nan
+    y = np.ones(6)
+    for call in (
+        lambda: gram_matrix(spec, X_bad),
+        lambda: cross_gram(spec, X_bad, X),
+        lambda: cross_gram(spec, X, X_bad),
+        lambda: krr.fit(spec, X_bad, y, 0.1),
+        lambda: cross_validation_risk(spec, X_bad, y, 0.1, 2),
+    ):
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            call()
+    for lengthscale in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="lengthscale"):
+            KernelSpec("rbf", lengthscale)
