@@ -16,7 +16,9 @@ validate --suite NAME --seed N
     check failure.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 validation
-failure.
+failure, 4 numerical error (a LinAlgError or ArithmeticError, such as a
+Cholesky factorization that fails at a tiny ridge; a sweep names the
+failing lengthscale and ridge).
 
 Config file format: flat "key = value" lines, '#' comments.  Grids are
 "start:stop:count:log2" or "start:stop:count:log10" (count log-spaced
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,9 +51,10 @@ from .estimators import (
     RidgeScores,
     TrueFunction,
     classical_alignment,
-    cross_validation_risk,
+    cross_validation_risks,
 )
-from .kernels import KernelSpec, cross_gram, gram_matrix
+from .kernels import KernelSpec, distances, from_distances
+from .krr import held_out_risk
 from .sct import (
     Spectrum,
     power_law_spectrum,
@@ -64,6 +68,23 @@ from .validation import run_suite
 
 class ConfigError(ValueError):
     """Bad sweep configuration."""
+
+
+class NumericalError(ArithmeticError):
+    """A sweep cell whose linear algebra or float arithmetic failed."""
+
+
+_NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)
+
+
+@contextmanager
+def _cell(lengthscale: float, ridge: float):
+    """Re-raise a numerical failure inside the block as a NumericalError
+    naming the sweep cell."""
+    try:
+        yield
+    except _NUMERICAL_ERRORS as exc:
+        raise NumericalError(f"lengthscale {lengthscale!r}, ridge {ridge!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -275,48 +296,58 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cell, in deterministic grid order.
 
-    Each lengthscale pays one Gram construction and one
-    eigendecomposition, shared across all ridges.
+    The train-train and test-train distances are computed once per
+    sweep.  Each lengthscale turns them into its Gram and cross-Gram,
+    pays one eigendecomposition shared across all ridges, and
+    cross-validates from slices of that Gram.  A LinAlgError or
+    ArithmeticError raised for a cell becomes a NumericalError naming it.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
+    D = distances(cfg.family, train.X, train.X)
+    D_test = distances(cfg.family, test.X, train.X) if test is not None else None
+
+    def cv_risks(G, lengthscale: float) -> list:
+        if not cfg.cv_folds:
+            return [None] * len(cfg.ridges)
+        try:
+            return cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds, seed=cfg.seed)
+        except _NUMERICAL_ERRORS:
+            # Every fold runs all ridges; name the first ridge that fails alone.
+            for ridge in cfg.ridges:
+                with _cell(lengthscale, ridge):
+                    cross_validation_risks(G, train.y, (ridge,), cfg.cv_folds, seed=cfg.seed)
+            raise
 
     # One call per lengthscale, so its Gram, eigenvectors and cross-Gram
     # are freed before the next lengthscale builds its own.
     def one_lengthscale(multiple: float) -> list[SweepRecord]:
         kern = KernelSpec(cfg.family, multiple * dim)
-        G = gram_matrix(kern, train.X)
+        G = from_distances(kern, D)
         rs = RidgeScores(G, train.y)
         gs = rs.gram_spectrum()
-        K_test = cross_gram(kern, test.X, train.X) if test is not None else None
+        K_test = from_distances(kern, D_test) if D_test is not None else None
         align = classical_alignment(train.y, G) if cfg.alignment else None
         records = []
-        for ridge in cfg.ridges:
-            est = sct_from_gram(gs, ridge)
-            if K_test is not None:
-                residual = K_test @ (rs.solve(ridge) / n) - test.y
-                test_risk = float(residual @ residual) / test.y.shape[0]
-            else:
-                test_risk = None
-            records.append(SweepRecord(
-                lengthscale=kern.lengthscale,
-                ridge=float(ridge),
-                train_error=rs.train_error(ridge),
-                kare=rs.kare(ridge),
-                varrho=rs.varrho(ridge),
-                cv_risk=(
-                    cross_validation_risk(kern, train.X, train.y, ridge,
-                                          cfg.cv_folds, seed=cfg.seed)
-                    if cfg.cv_folds else None
-                ),
-                loglik=rs.log_marginal_likelihood(ridge) if cfg.loglik else None,
-                alignment=align,
-                test_risk=test_risk,
-                sct_hat=est.theta,
-                sct_deriv_hat=est.theta_prime,
-                seed=cfg.seed,
-                n=n,
-            ))
+        for ridge, cv_risk in zip(cfg.ridges, cv_risks(G, kern.lengthscale)):
+            with _cell(kern.lengthscale, ridge):
+                est = sct_from_gram(gs, ridge)
+                records.append(SweepRecord(
+                    lengthscale=kern.lengthscale,
+                    ridge=float(ridge),
+                    train_error=rs.train_error(ridge),
+                    kare=rs.kare(ridge),
+                    varrho=rs.varrho(ridge),
+                    cv_risk=cv_risk,
+                    loglik=rs.log_marginal_likelihood(ridge) if cfg.loglik else None,
+                    alignment=align,
+                    test_risk=(held_out_risk(K_test, rs.solve(ridge) / n, test.y)
+                               if K_test is not None else None),
+                    sct_hat=est.theta,
+                    sct_deriv_hat=est.theta_prime,
+                    seed=cfg.seed,
+                    n=n,
+                ))
         return records
 
     return [record for multiple in cfg.lengthscale_multiples
@@ -469,6 +500,9 @@ def main(argv=None) -> int:
     except (ParseError, FormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except _NUMERICAL_ERRORS as exc:  # before ValueError: LinAlgError is one
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     except FileNotFoundError as exc:
         if args.command == "sweep" and exc.filename == args.config:
             print(f"config error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krr
-from .kernels import KernelSpec, _as_points
+from .kernels import KernelSpec, gram_matrix
 from .spectral import (
     GramSpectrum,
     check_ridge,
@@ -254,29 +254,44 @@ def bayesian_risk(
     return n * res.theta + n * res.theta_prime * (noise**2 / n - ridge) + dtau
 
 
-def cross_validation_risk(
-    kernel: KernelSpec, X, y, ridge: float, folds: int, seed: int = 0
-) -> float:
-    """Mean held-out MSE over k folds.
+def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[float]:
+    """Mean held-out MSE over k folds at each ridge, from the Gram G of all points.
 
     Fold assignment is reproducible: a seeded shuffle of the indices,
     then equal contiguous blocks with the remainder handed out one per
-    fold from the front.
+    fold from the front.  Each fold's Gram and cross-Gram are slices of
+    G, so no kernel is evaluated; each (fold, ridge) pair is one
+    Cholesky solve.
     """
-    X = _as_points(X)
     y = np.asarray(y, dtype=float).ravel()
     n = y.shape[0]
+    G = np.asarray(G, dtype=float)
+    if G.shape != (n, n):
+        raise ValueError(f"Gram matrix of shape {G.shape} for {n} labels")
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be between 2 and {n}, got {folds}")
+    ridges = [check_ridge(ridge) for ridge in ridges]
     order = np.random.default_rng(seed).permutation(n)
     base, rem = divmod(n, folds)
-    errors = []
+    errors = [[] for _ in ridges]
     start = 0
     for i in range(folds):
         size = base + (1 if i < rem else 0)
         held = order[start:start + size]
         start += size
         rest = np.setdiff1d(order, held)
-        p = krr.fit(kernel, X[rest], y[rest], ridge)
-        errors.append(krr.test_risk(p, X[held], y[held]))
-    return float(np.mean(errors))
+        G_rest, K_held = G[np.ix_(rest, rest)], G[np.ix_(held, rest)]
+        for fold_errors, ridge in zip(errors, ridges):
+            dual = krr.solve_dual(G_rest, y[rest], ridge)
+            fold_errors.append(krr.held_out_risk(K_held, dual, y[held]))
+    return [float(np.mean(fold_errors)) for fold_errors in errors]
+
+
+def cross_validation_risk(
+    kernel: KernelSpec, X, y, ridge: float, folds: int, seed: int = 0
+) -> float:
+    """Mean held-out MSE over k folds of the points X, from one Gram matrix.
+
+    The folds are those of ``cross_validation_risks``.
+    """
+    return cross_validation_risks(gram_matrix(kernel, X), y, (ridge,), folds, seed)[0]

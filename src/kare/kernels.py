@@ -10,6 +10,11 @@ K(x, x) = 1 and 0 < K(x, x') <= 1 everywhere:
 The lengthscale divides the raw (squared) distance directly, with no
 extra factor of 2.  Callers that think in "lengthscale per input
 dimension" units multiply by the dimension before building the spec.
+
+The raw distances do not depend on the lengthscale: ``distances``
+computes them once and ``from_distances`` turns them into the kernel
+matrix at one lengthscale.  ``gram_matrix`` and ``cross_gram`` are the
+two composed.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ FAMILIES = ("rbf", "laplacian", "l1exp")
 _BLOCK_ELEMENTS = 4_000_000
 
 
+def _check_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family plus positive, finite lengthscale."""
@@ -32,10 +42,7 @@ class KernelSpec:
     lengthscale: float
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
-            )
+        _check_family(self.family)
         if not 0 < self.lengthscale < np.inf:
             raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
@@ -76,6 +83,27 @@ def _raw_distances(family: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def distances(family: str, X, Y) -> np.ndarray:
+    """Raw pairwise distances between two point sets, entry (a, i) for X[a], Y[i].
+
+    Every kernel matrix of a family at any lengthscale is
+    ``from_distances`` of these, so a caller that builds several
+    lengthscales computes them once.
+    """
+    _check_family(family)
+    X = _as_points(X)
+    Y = _as_points(Y)
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
+    return _raw_distances(family, X, Y)
+
+
+def from_distances(spec: KernelSpec, D: np.ndarray) -> np.ndarray:
+    """exp(-D / lengthscale) entry by entry, as a new array."""
+    K = np.divide(D, -spec.lengthscale)
+    return np.exp(K, out=K)
+
+
 def kernel_eval(spec: KernelSpec, x, x2) -> float:
     """Evaluate K(x, x2) for a single pair of points."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -86,24 +114,18 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
-    """Symmetric n x n matrix of pairwise kernel values, unit diagonal."""
+    """Symmetric n x n matrix of pairwise kernel values, unit diagonal.
+
+    Exactly symmetric with no symmetrization step: x - y is exactly
+    -(y - x), so (i, j) and (j, i) sum the same squares or absolute
+    values in the same order, and the diagonal distances are exactly 0.
+    """
     X = _as_points(X)
     if X.shape[0] < 1:
         raise ValueError("need at least one point")
-    G = np.exp(-_raw_distances(spec.family, X, X) / spec.lengthscale)
-    # Blockwise summation order can differ between (i, j) and (j, i);
-    # downstream eigensolvers expect exact symmetry.
-    G = 0.5 * (G + G.T)
-    np.fill_diagonal(G, 1.0)
-    return G
+    return from_distances(spec, _raw_distances(spec.family, X, X))
 
 
 def cross_gram(spec: KernelSpec, X_test, X_train) -> np.ndarray:
     """m x n matrix with entry (a, i) = K(x_test_a, x_train_i)."""
-    X_test = _as_points(X_test)
-    X_train = _as_points(X_train)
-    if X_test.shape[1] != X_train.shape[1]:
-        raise ValueError(
-            f"point dimensions differ: {X_test.shape[1]} vs {X_train.shape[1]}"
-        )
-    return np.exp(-_raw_distances(spec.family, X_test, X_train) / spec.lengthscale)
+    return from_distances(spec, distances(spec.family, X_test, X_train))

@@ -27,6 +27,19 @@ class Predictor:
     dual: np.ndarray
 
 
+def solve_dual(G: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """The dual (1/n)((1/n)G + ridge I)^{-1} y for the n x n Gram G of the
+    training points, by one Cholesky factorization.
+
+    y is a float vector of length n and ridge a checked ridge; G is not
+    modified.  ``fit`` and cross-validation both solve through here.
+    """
+    n = y.shape[0]
+    B = G / n
+    B[np.diag_indices_from(B)] += ridge
+    return cho_solve(cho_factor(B, lower=True), y) / n
+
+
 def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
     """Solve the SPD system ((1/n)G + ridge I)(n dual) = y by Cholesky."""
     ridge = check_ridge(ridge)
@@ -35,10 +48,7 @@ def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
     n = X.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"{n} points but {y.shape[0]} labels")
-    B = gram_matrix(kernel, X) / n
-    B[np.diag_indices_from(B)] += ridge
-    dual = cho_solve(cho_factor(B, lower=True), y) / n
-    return Predictor(kernel, X, ridge, dual)
+    return Predictor(kernel, X, ridge, solve_dual(gram_matrix(kernel, X), y, ridge))
 
 
 def predict(p: Predictor, X_test) -> np.ndarray:
@@ -62,10 +72,16 @@ def train_error_closed_form(p: Predictor) -> float:
     return p.ridge**2 * n * float(p.dual @ p.dual)
 
 
+def held_out_risk(K: np.ndarray, dual: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared error of the predictions K @ dual against y, where K
+    is the cross-Gram of the held-out points against the training points."""
+    r = K @ dual - y
+    return float(r @ r) / y.shape[0]
+
+
 def test_risk(p: Predictor, X_test, y_test) -> float:
     """Mean squared error on held-out data."""
     y_test = np.asarray(y_test, dtype=float).ravel()
     if y_test.shape[0] == 0:
         raise ValueError("empty test set")
-    r = predict(p, X_test) - y_test
-    return float(r @ r) / y_test.shape[0]
+    return held_out_risk(cross_gram(p.kernel, X_test, p.X_train), p.dual, y_test)

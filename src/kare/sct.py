@@ -127,10 +127,19 @@ def sct_from_gram(s: GramSpectrum, ridge: float) -> SctResult:
 
     theta = 1/m(-ridge) and theta' = m'(-ridge)/m(-ridge)^2; the bounds
     theta >= ridge and theta' >= 1 hold exactly for this estimator.
+    Where either is not representable in float64 (ridges near the ends of
+    the float range on a rank-deficient Gram), raises ValueError naming
+    it and the ridge.
     """
-    m = stieltjes(s, ridge)
-    dm = stieltjes_derivative(s, ridge)
-    return SctResult(1.0 / m, dm / (m * m))
+    ridge = check_ridge(ridge)
+    with np.errstate(all="ignore"):
+        m = stieltjes(s, ridge)
+        theta_prime = float(np.divide(stieltjes_derivative(s, ridge), m * m))
+    # An infinite m makes theta = 1/m a spurious 0.
+    for name, value in (("theta", m), ("theta_prime", theta_prime)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not representable in float64 at ridge {ridge!r}")
+    return SctResult(1.0 / m, theta_prime)
 
 
 def shell_multiplicity(dim: int, k: int) -> int:

@@ -1,3 +1,4 @@
+import collections
 import csv
 import re
 
@@ -235,3 +236,71 @@ def test_malformed_config_value_names_the_key(tmp_path, key, value):
     path = _config(tmp_path, **{key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {re.escape(key)}: "):
         parse_sweep_config(path)
+
+
+@pytest.mark.parametrize("family", ["rbf", "laplacian", "l1exp"])
+def test_sweep_cv_risk_equals_cross_validation_risk(tmp_path, family):
+    from kare.cli import _load_sweep_data
+    from kare.estimators import cross_validation_risk
+    from kare.kernels import KernelSpec
+    cfg = parse_sweep_config(_config(tmp_path, **{"kernel.family": family}))
+    train, _ = _load_sweep_data(cfg)
+    for r in run_sweep(cfg):
+        assert r.cv_risk == cross_validation_risk(
+            KernelSpec(family, r.lengthscale), train.X, train.y, r.ridge,
+            cfg.cv_folds, seed=cfg.seed)
+
+
+@pytest.mark.parametrize("lengthscales, ridges", [(1, 1), (3, 4)])
+def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
+        tmp_path, monkeypatch, lengthscales, ridges):
+    from kare import estimators, kernels, krr
+    calls = collections.Counter()
+    distance_shapes = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            result = original(*args, **kwargs)
+            if name == "_raw_distances":
+                distance_shapes.append(result.shape)
+            return result
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(kernels, "_raw_distances"), (kernels, "gram_matrix"),
+                        (kernels, "cross_gram"), (estimators, "gram_matrix"),
+                        (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
+                        (krr, "cho_factor")]:
+        count(owner, name)
+    cfg = parse_sweep_config(_config(tmp_path, **{
+        "grid.lengthscale": f"0.5:2:{lengthscales}:log2",
+        "grid.ridge": f"1e-3:1e-1:{ridges}:log10"}))
+    assert len(run_sweep(cfg)) == lengthscales * ridges
+    # One Cholesky per (lengthscale, fold, ridge), and no other kernel work.
+    assert calls == {"_raw_distances": 2, "cho_factor": lengthscales * 3 * ridges}
+    assert distance_shapes == [(40, 40), (25, 40)]
+
+
+@pytest.mark.parametrize("failure", ["cholesky", "arithmetic"])
+def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, failure):
+    # Ten points, each four times: at ridge 1e-19 a fold's (1/n)G + ridge I
+    # is singular in float64 and its Cholesky factorization fails.
+    rng = np.random.default_rng(0)
+    X = np.repeat(rng.standard_normal((10, 2)), 4, axis=0)
+    data = tmp_path / "dup.csv"
+    data.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{a + b!r}\n" for a, b in X.tolist()))
+    cfg = _config(tmp_path, **{
+        "data.type": "csv", "data.path": str(data), "data.label_column": "y",
+        "data.test_n": "0", "grid.lengthscale": "1:1:1:log2",
+        "grid.ridge": "1e-19:1e-19:1:log10",
+        "scores.cv_folds": "4" if failure == "cholesky" else "0"})
+    if failure == "arithmetic":
+        def divide(*args):
+            raise ZeroDivisionError("float division by zero")
+        monkeypatch.setattr("kare.cli.sct_from_gram", divide)
+    assert main(["sweep", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: lengthscale 2.0, ridge 1e-19: ")
+    assert ("not positive definite" if failure == "cholesky" else "division by zero") in err

@@ -9,6 +9,7 @@ from kare.estimators import (
     bayesian_risk,
     classical_alignment,
     cross_validation_risk,
+    cross_validation_risks,
     kare,
     log_marginal_likelihood,
     mean_predictor_coeffs,
@@ -17,7 +18,8 @@ from kare.estimators import (
     theoretical_train_error,
     varrho,
 )
-from kare.kernels import KernelSpec
+from kare import krr
+from kare.kernels import FAMILIES, KernelSpec, gram_matrix
 from kare.sct import Spectrum, power_law_spectrum, solve_sct
 from kare.spectral import decompose
 
@@ -300,6 +302,46 @@ def test_cross_validation_deterministic_per_seed():
     c = cross_validation_risk(kern, X, y, 0.05, 4, seed=12)
     assert a == b
     assert a != c
+
+
+def _cv_by_refitting(kern, X, y, ridge, folds, seed):
+    # The route that refits on each fold's points: krr.fit on the rest,
+    # krr.test_risk on the held-out block, averaged over folds.
+    n = y.shape[0]
+    order = np.random.default_rng(seed).permutation(n)
+    errors, start = [], 0
+    for i in range(folds):
+        size = n // folds + (1 if i < n % folds else 0)
+        held = order[start:start + size]
+        start += size
+        rest = np.setdiff1d(order, held)
+        p = krr.fit(kern, X[rest], y[rest], ridge)
+        errors.append(krr.test_risk(p, X[held], y[held]))
+    return float(np.mean(errors))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_cross_validation_equals_refitting_each_fold(family, duplicates):
+    # Slicing the full Gram gives the fold Grams bit for bit, so the two
+    # routes agree exactly, not to a tolerance.
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((13, 3))
+    if duplicates:
+        X = np.repeat(X[:5], [3, 3, 3, 2, 2], axis=0)
+    y = rng.standard_normal(13)
+    kern = KernelSpec(family, 2.5)
+    for folds in (2, 3, 13):
+        for ridge in (1e-3, 0.3):
+            assert (cross_validation_risk(kern, X, y, ridge, folds, seed=4)
+                    == _cv_by_refitting(kern, X, y, ridge, folds, 4))
+        assert cross_validation_risks(gram_matrix(kern, X), y, (1e-3, 0.3), folds, 4) == [
+            cross_validation_risk(kern, X, y, ridge, folds, seed=4) for ridge in (1e-3, 0.3)]
+
+
+def test_cross_validation_risks_rejects_a_mismatched_gram():
+    with pytest.raises(ValueError, match="labels"):
+        cross_validation_risks(np.eye(4), np.zeros(5), (0.1,), 2)
 
 
 def test_true_function_validation():

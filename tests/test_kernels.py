@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kare.kernels import FAMILIES, KernelSpec, cross_gram, gram_matrix, kernel_eval
+from kare import kernels
+from kare.kernels import (
+    FAMILIES,
+    KernelSpec,
+    cross_gram,
+    distances,
+    from_distances,
+    gram_matrix,
+    kernel_eval,
+)
 
 
 def test_same_point_is_one():
@@ -34,6 +43,8 @@ def test_bad_family_and_lengthscale():
         KernelSpec("cosine", 1.0)
     with pytest.raises(ValueError):
         KernelSpec("rbf", 0.0)
+    with pytest.raises(ValueError, match="unknown kernel family 'cosine'"):
+        distances("cosine", np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 def test_dimension_mismatch():
@@ -68,6 +79,26 @@ def test_cross_gram_matches_gram():
         spec = KernelSpec(family, 2.0)
         np.testing.assert_allclose(cross_gram(spec, X, X), gram_matrix(spec, X),
                                    rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 3, 20])
+def test_raw_distances_exactly_symmetric(monkeypatch, family, dim):
+    # gram_matrix relies on this instead of symmetrizing.  A small block
+    # size puts (i, j) and (j, i) in different distance blocks.
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 2 * 11 * dim)
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((8, dim)) * 10.0 ** rng.integers(-3, 4, (8, 1))
+    X = np.vstack([X, X[[0, 0, 5]]])  # duplicate rows
+    D = distances(family, X, X)
+    assert np.array_equal(D, D.T)
+    assert np.all(np.diag(D) == 0.0)
+    assert D[0, 8] == D[8, 9] == D[5, 10] == 0.0
+    spec = KernelSpec(family, 1.3)
+    G = gram_matrix(spec, X)
+    assert np.array_equal(G, G.T) and np.all(np.diag(G) == 1.0)
+    assert np.array_equal(G, from_distances(spec, D))
+    assert np.array_equal(cross_gram(spec, X, X), G)
 
 
 def test_cross_gram_single_test_point():

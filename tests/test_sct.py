@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kare.spectral import GramSpectrum
+from kare.spectral import GramSpectrum, decompose, stieltjes, stieltjes_derivative
 from kare.sct import (
     Spectrum,
     power_law_spectrum,
@@ -129,6 +131,21 @@ def test_sct_from_gram_bounds_hold():
         res = sct_from_gram(s, ridge)
         assert res.theta >= ridge
         assert res.theta_prime >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("ridge, name", [
+    (1e-320, "theta"), (1e-300, "theta_prime"), (1e300, "theta_prime")])
+def test_sct_from_gram_rejects_non_finite_results(ridge, name):
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((6, 4))
+    s = decompose(W @ W.T)  # rank 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} is not representable .* {re.escape(repr(ridge))}$"):
+            sct_from_gram(s, ridge)
+        res = sct_from_gram(s, 1e-2)
+    m = stieltjes(s, 1e-2)
+    assert (res.theta, res.theta_prime) == (1.0 / m, stieltjes_derivative(s, 1e-2) / (m * m))
 
 
 def test_rbf_gaussian_unit_case_exact():
