@@ -17,8 +17,9 @@ validate --suite NAME --seed N
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 validation
 failure, 4 numerical error (a LinAlgError or ArithmeticError, such as a
-Cholesky factorization that fails at a tiny ridge; a sweep names the
-failing lengthscale and ridge).
+Cholesky factorization that fails at a tiny ridge, a score or threshold
+estimate not representable in float64, or a Gram matrix that is not
+positive semidefinite; a sweep names the failing lengthscale and ridge).
 
 Config file format: flat "key = value" lines, '#' comments.  Grids are
 "start:stop:count:log2" or "start:stop:count:log10" (count log-spaced
@@ -63,15 +64,11 @@ from .sct import (
     solve_sct,
 )
 from .synthetic import draw, rbf_gaussian_gram_spectrum
-from .spectral import decompose
+from .spectral import NumericalError, decompose
 from .validation import run_suite
 
 class ConfigError(ValueError):
     """Bad sweep configuration."""
-
-
-class NumericalError(ArithmeticError):
-    """A sweep cell whose linear algebra or float arithmetic failed."""
 
 
 _NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)

@@ -28,6 +28,7 @@ from . import krr
 from .kernels import KernelSpec, gram_matrix
 from .spectral import (
     GramSpectrum,
+    NumericalError,
     check_ridge,
     normalized,
     spectrum,
@@ -52,7 +53,7 @@ class TrueFunction:
 
 
 def _score(formula):
-    """A RidgeScores score at a checked ridge: a finite float or ValueError.
+    """A RidgeScores score at a checked ridge: a finite float or NumericalError.
 
     Near the ends of the float64 range (ridge 1e-300 or 1e300 on a
     rank-deficient Gram) the sums overflow or divide by zero; the score
@@ -67,8 +68,8 @@ def _score(formula):
         except ArithmeticError:
             value = math.nan
         if not math.isfinite(value):
-            raise ValueError(f"{formula.__name__} is not representable in float64 "
-                             f"at ridge {ridge!r}")
+            raise NumericalError(f"{formula.__name__} is not representable in float64 "
+                                 f"at ridge {ridge!r}")
         return value
     return score
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GramSpectrum, check_ridge, stieltjes, stieltjes_derivative
+from .spectral import GramSpectrum, NumericalError, check_ridge, stieltjes, stieltjes_derivative
 
 # Multiplicities above this are no longer exactly representable once they
 # reach float arithmetic; the spectrum is truncated instead.
@@ -128,8 +128,8 @@ def sct_from_gram(s: GramSpectrum, ridge: float) -> SctResult:
     theta = 1/m(-ridge) and theta' = m'(-ridge)/m(-ridge)^2; the bounds
     theta >= ridge and theta' >= 1 hold exactly for this estimator.
     Where either is not representable in float64 (ridges near the ends of
-    the float range on a rank-deficient Gram), raises ValueError naming
-    it and the ridge.
+    the float range on a rank-deficient Gram), raises NumericalError
+    naming it and the ridge.
     """
     ridge = check_ridge(ridge)
     with np.errstate(all="ignore"):
@@ -138,7 +138,7 @@ def sct_from_gram(s: GramSpectrum, ridge: float) -> SctResult:
     # An infinite m makes theta = 1/m a spurious 0.
     for name, value in (("theta", m), ("theta_prime", theta_prime)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} is not representable in float64 at ridge {ridge!r}")
+            raise NumericalError(f"{name} is not representable in float64 at ridge {ridge!r}")
     return SctResult(1.0 / m, theta_prime)
 
 

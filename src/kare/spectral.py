@@ -7,7 +7,9 @@ axis, i.e. m(-ridge) for ridge > 0.
 
 This module owns the checks every eigen view shares: ``normalized``
 validates G and forms G/n, ``spectrum`` clamps its eigenvalues, and
-``check_ridge`` validates a ridge.
+``check_ridge`` validates a ridge.  ``NumericalError`` is the one error
+for a spectral quantity that float64 cannot represent and for a Gram
+matrix that is not positive semidefinite.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
+
+
+class NumericalError(ValueError, ArithmeticError):
+    """A failed numerical computation: a Gram matrix that is not positive
+    semidefinite, or a score or threshold estimate that float64 cannot
+    represent.
+
+    A ValueError, as these failures were before, and an ArithmeticError,
+    so the CLI reports it as a numerical error (exit 4).
+    """
 
 
 @dataclass(frozen=True)
@@ -62,7 +74,7 @@ def spectrum(eigenvalues: np.ndarray) -> GramSpectrum:
     raises.
     """
     if eigenvalues[0] < EIGENVALUE_FLOOR:
-        raise ValueError(
+        raise NumericalError(
             f"matrix is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})"
         )
     eigenvalues = np.clip(eigenvalues, 0.0, None)

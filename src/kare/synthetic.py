@@ -5,6 +5,12 @@ observation matrix O has iid standard normal entries (one column per
 expanded spectrum mode), the Gram matrix is O diag(d) O^T, and labels are
 O b + noise * e.  Risks are then exact sums over modes, no test sampling.
 
+The oracles never form the n x n Gram.  With U = O diag(sqrt d) and
+K = U^T U / n + ridge I (M x M), the push-through identity
+U^T ((1/n)G + ridge I)^{-1} = K^{-1} U^T makes every oracle quantity exact
+from one M x M Cholesky factorization, in O(n M^2 + M^3).  A draw builds
+G only when ``.G`` is read; ``ridge_solve`` is the full-n reference route.
+
 Reproducibility rule: trial t of a Monte Carlo run draws from
 numpy's default_rng seeded with (seed, t), so results are independent of
 execution order and thread count.
@@ -13,13 +19,14 @@ execution order and thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import TrueFunction
 from .kernels import KernelSpec, gram_matrix
-from .spectral import GramSpectrum, check_ridge, decompose, stieltjes
+from .spectral import GramSpectrum, check_ridge, decompose, spectrum, stieltjes
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -29,10 +36,24 @@ MAX_MODES = 5000
 
 @dataclass(frozen=True)
 class ObservationDraw:
+    """One sample (O, y) of the model with the expanded spectrum d it used."""
+
     O: np.ndarray
-    G: np.ndarray
+    d: np.ndarray
     y: np.ndarray
     seed: object
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """The n x n Gram matrix O diag(d) O^T, built on first read."""
+        G = (self.O * self.d) @ self.O.T
+        return 0.5 * (G + G.T)
+
+    @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray]:
+        # U = O diag(sqrt d) and the M x M mode Gram U^T U / n.
+        U = self.O * np.sqrt(self.d)
+        return U, (U.T @ U) / U.shape[0]
 
 
 def _expanded(spec: Spectrum, f: TrueFunction | None) -> np.ndarray:
@@ -50,45 +71,80 @@ def _expanded(spec: Spectrum, f: TrueFunction | None) -> np.ndarray:
     return d
 
 
+def _check_spectrum(dr: ObservationDraw, spec: Spectrum, f: TrueFunction | None) -> None:
+    if not np.array_equal(_expanded(spec, f), dr.d):
+        raise ValueError("spectrum does not match the one the draw was sampled from")
+
+
 def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
-    """One draw of (O, G, y); deterministic given the seed."""
+    """One draw of (O, y); deterministic given the seed.
+
+    The draw keeps the expanded spectrum d; its Gram matrix G is built
+    only when ``.G`` is read, and no oracle reads it.
+    """
     d = _expanded(spec, f)
     rng = np.random.default_rng(seed)
     O = rng.standard_normal((n, d.shape[0]))
     e = rng.standard_normal(n)
-    G = (O * d) @ O.T
-    G = 0.5 * (G + G.T)
     y = O @ f.coeffs + f.noise * e
-    return ObservationDraw(O, G, y, seed)
+    return ObservationDraw(O, d, y, seed)
 
 
 def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
-    """((1/n)G + ridge I)^{-1} rhs by Cholesky, with n the size of G."""
+    """((1/n)G + ridge I)^{-1} rhs by Cholesky, with n the size of G.
+
+    The full-n reference route for the oracles' M x M solves.
+    """
     ridge = check_ridge(ridge)
     B = G / G.shape[0]
     B[np.diag_indices_from(B)] += ridge
     return cho_solve(cho_factor(B, lower=True), rhs)
 
 
+def _mode_solve(dr: ObservationDraw, rhs, ridge: float) -> np.ndarray:
+    """K^{-1} rhs for K = U^T U / n + ridge I, the M x M system of the draw."""
+    ridge = check_ridge(ridge)
+    K = dr._modes[1].copy()
+    K[np.diag_indices_from(K)] += ridge
+    return cho_solve(cho_factor(K, lower=True), rhs)
+
+
+def _fit(dr: ObservationDraw, ridge: float) -> np.ndarray:
+    # K^{-1} U^T y / n: the fitted predictor is U times this.
+    return _mode_solve(dr, dr._modes[0].T @ dr.y, ridge) / dr.y.shape[0]
+
+
 def predictor_coeffs(dr: ObservationDraw, spec: Spectrum, ridge: float) -> np.ndarray:
-    """Fitted predictor coefficients per mode: (d_k/n) O_k^T B^{-1} y."""
-    d = _expanded(spec, None)
-    v = ridge_solve(dr.G, dr.y, ridge)
-    return d * (dr.O.T @ v) / dr.y.shape[0]
+    """Fitted predictor coefficients per mode: (d_k/n) O_k^T B^{-1} y.
+
+    Computed as sqrt(d) * K^{-1} U^T y / n; spec must be the draw's.
+    """
+    _check_spectrum(dr, spec, None)
+    return np.sqrt(dr.d) * _fit(dr, ridge)
 
 
 def exact_risk(dr: ObservationDraw, spec: Spectrum, f: TrueFunction, ridge: float) -> float:
     """sum_k (a_k - b_k)^2 + noise^2, computed exactly in the eigenbasis."""
-    d = _expanded(spec, f)
-    a = predictor_coeffs(dr, spec, ridge)
-    r = a - f.coeffs
+    _check_spectrum(dr, spec, f)
+    r = np.sqrt(dr.d) * _fit(dr, ridge) - f.coeffs
     return float(r @ r) + f.noise**2
 
 
 def empirical_train_error(dr: ObservationDraw, ridge: float) -> float:
-    """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw."""
-    v = ridge_solve(dr.G, dr.y, ridge)
-    return ridge**2 * float(v @ v) / dr.y.shape[0]
+    """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw.
+
+    By Woodbury, ridge B^{-1} y = y - U K^{-1} U^T y / n.
+    """
+    r = dr.y - dr._modes[0] @ _fit(dr, ridge)
+    return float(r @ r) / dr.y.shape[0]
+
+
+def _gram_spectrum(dr: ObservationDraw) -> GramSpectrum:
+    """Eigenvalues of G/n: those of the mode Gram, with n - M zeros added
+    (n >= M) or its M - n smallest dropped (n < M)."""
+    n = dr.y.shape[0]
+    mu = np.linalg.eigvalsh(dr._modes[1])
+    return spectrum(np.sort(np.concatenate([np.zeros(max(n - mu.shape[0], 0)), mu]))[-n:])
 
 
 def mc_expected_risk(
@@ -158,9 +214,10 @@ def mc_operator_moments(
     gaps = np.empty(trials)
     for t in range(trials):
         dr = draw(spec, zero_f, n, (seed, t))
-        V = ridge_solve(dr.G, dr.O[:, cols], ridge)
-        sub[t] = (d[cols][:, None] / n) * (dr.O[:, cols].T @ V)
-        gaps[t] = abs(1.0 / theta - stieltjes(decompose(dr.G), ridge))
+        # A_kl = (sqrt(d_k)/n) (K^{-1} U^T O_l)_k
+        W = _mode_solve(dr, dr._modes[0].T @ dr.O[:, cols], ridge)
+        sub[t] = (np.sqrt(d[cols])[:, None] / n) * W[cols]
+        gaps[t] = abs(1.0 / theta - stieltjes(_gram_spectrum(dr), ridge))
     diag = np.einsum("tkk->tk", sub)
     pairs = tuple((a, b) for a in idx for b in idx if a != b)
     off = np.stack(

@@ -283,18 +283,20 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     assert distance_shapes == [(40, 40), (25, 40)]
 
 
-@pytest.mark.parametrize("failure", ["cholesky", "arithmetic"])
+@pytest.mark.parametrize("failure", ["cholesky", "arithmetic", "representable"])
 def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, failure):
     # Ten points, each four times: at ridge 1e-19 a fold's (1/n)G + ridge I
-    # is singular in float64 and its Cholesky factorization fails.
+    # is singular in float64 and its Cholesky factorization fails; at
+    # ridge 1e-320 the Stieltjes transform of this rank-10 Gram overflows.
     rng = np.random.default_rng(0)
     X = np.repeat(rng.standard_normal((10, 2)), 4, axis=0)
     data = tmp_path / "dup.csv"
     data.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{a + b!r}\n" for a, b in X.tolist()))
+    ridge = "1e-320" if failure == "representable" else "1e-19"
     cfg = _config(tmp_path, **{
         "data.type": "csv", "data.path": str(data), "data.label_column": "y",
         "data.test_n": "0", "grid.lengthscale": "1:1:1:log2",
-        "grid.ridge": "1e-19:1e-19:1:log10",
+        "grid.ridge": f"{ridge}:{ridge}:1:log10",
         "scores.cv_folds": "4" if failure == "cholesky" else "0"})
     if failure == "arithmetic":
         def divide(*args):
@@ -302,5 +304,6 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
         monkeypatch.setattr("kare.cli.sct_from_gram", divide)
     assert main(["sweep", "--config", cfg]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical error: lengthscale 2.0, ridge 1e-19: ")
-    assert ("not positive definite" if failure == "cholesky" else "division by zero") in err
+    assert err.startswith(f"numerical error: lengthscale 2.0, ridge {ridge}: ")
+    assert {"cholesky": "not positive definite", "arithmetic": "division by zero",
+            "representable": "theta is not representable in float64"}[failure] in err

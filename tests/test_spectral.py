@@ -5,8 +5,14 @@ from hypothesis import given, settings, strategies as st
 from kare import krr
 from kare.estimators import RidgeScores
 from kare.kernels import KernelSpec
-from kare.sct import power_law_spectrum, solve_sct
-from kare.spectral import GramSpectrum, decompose, stieltjes, stieltjes_derivative
+from kare.sct import power_law_spectrum, sct_from_gram, solve_sct
+from kare.spectral import (
+    GramSpectrum,
+    NumericalError,
+    decompose,
+    stieltjes,
+    stieltjes_derivative,
+)
 from kare.synthetic import ridge_solve
 
 
@@ -64,6 +70,21 @@ def test_small_negative_clamped_large_rejected():
     assert np.all(decompose(np.diag([-5e-9, 1.0, 2.0]) * 3).eigenvalues >= 0)
     with pytest.raises(ValueError, match="semidefinite"):
         decompose(np.diag([-1e-3, 1.0, 2.0]) * 3)
+
+
+def test_numerical_failures_raise_one_error_class():
+    # A ValueError, as before, and an ArithmeticError, which the CLI
+    # reports as a numerical error.
+    assert issubclass(NumericalError, ValueError)
+    assert issubclass(NumericalError, ArithmeticError)
+    W = np.random.default_rng(5).standard_normal((6, 4))
+    G = W @ W.T  # rank 4
+    with pytest.raises(NumericalError, match="semidefinite"):
+        decompose(np.diag([-1e-3, 1.0, 2.0]) * 3)
+    with pytest.raises(NumericalError, match="theta is not representable"):
+        sct_from_gram(decompose(G), 1e-320)
+    with pytest.raises(NumericalError, match="kare is not representable"):
+        RidgeScores(G, np.ones(6)).kare(1e300)
 
 
 def test_nonpositive_ridge_rejected():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from kare.estimators import TrueFunction
 from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, solve_sct
+from kare.spectral import decompose, stieltjes
 from kare.synthetic import (
     MAX_MODES,
+    ObservationDraw,
     draw,
     empirical_train_error,
     exact_risk,
@@ -14,6 +17,7 @@ from kare.synthetic import (
     mc_operator_moments,
     predictor_coeffs,
     rbf_gaussian_gram_spectrum,
+    ridge_solve,
 )
 
 
@@ -204,3 +208,98 @@ def test_rbf_gaussian_gram_spectrum_shape():
     assert gs.n == 50 and gs.eigenvalues.shape == (50,)
     assert float(gs.eigenvalues.sum()) == pytest.approx(1.0, rel=1e-6)
     assert MAX_MODES == 5000
+
+
+def test_draw_builds_the_gram_only_when_read():
+    spec = power_law_spectrum(2.0, 6)
+    f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
+    dr = draw(spec, f, 30, 4)
+    exact_risk(dr, spec, f, 0.05)
+    empirical_train_error(dr, 0.05)
+    assert "G" not in vars(dr)
+    A = (dr.O * dr.d) @ dr.O.T
+    assert np.array_equal(dr.G, 0.5 * (A + A.T))
+    assert dr.G is dr.G
+
+
+def test_monte_carlo_oracles_never_read_the_gram(monkeypatch):
+    def unread(self):
+        raise AssertionError("an oracle built the n x n Gram")
+
+    monkeypatch.setattr(ObservationDraw, "G", property(unread))
+    spec = power_law_spectrum(2.0, 6)
+    f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
+    mc_expected_risk(spec, f, 20, 0.05, 3, 0)
+    mc_coeff_stats(spec, f, 20, 0.05, 3, 0, (0, 1))
+    mc_operator_moments(spec, 20, 0.05, 3, 0, (0, 1))
+
+
+def test_spectrum_must_match_the_draw():
+    spec = power_law_spectrum(2.0, 4)
+    f = TrueFunction(np.ones(4), 0.1)
+    dr = draw(spec, f, 10, 0)
+    other = power_law_spectrum(3.0, 4)  # same size, other eigenvalues
+    with pytest.raises(ValueError, match="does not match"):
+        predictor_coeffs(dr, other, 0.1)
+    with pytest.raises(ValueError, match="does not match"):
+        exact_risk(dr, other, f, 0.1)
+
+
+@st.composite
+def _spectra(pick):
+    if pick(st.booleans()):
+        return power_law_spectrum(pick(st.floats(1.1, 4.0)), pick(st.integers(1, 40)))
+    entries = pick(st.lists(st.tuples(st.floats(1e-3, 10.0), st.integers(1, 4)),
+                            min_size=1, max_size=10))
+    return Spectrum(tuple(entries))
+
+
+_ROUTES = dict(
+    spec=_spectra(),
+    n=st.sampled_from((1, 5, 40, 400)),  # n = 5 has fewer samples than modes
+    ridge=st.floats(-4.0, 2.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(noise=st.floats(0.0, 1.0), **_ROUTES)
+def test_low_rank_oracles_match_the_dense_route(spec, n, ridge, seed, noise):
+    m = spec.expanded_size
+    f = TrueFunction(np.random.default_rng(seed).standard_normal(m), noise)
+    dr = draw(spec, f, n, seed)
+    v = ridge_solve(dr.G, dr.y, ridge)
+    coeffs = dr.d * (dr.O.T @ v) / n
+    # Vectors are compared in norm: a small entry carries the error of
+    # the large ones.
+    gap = np.linalg.norm(predictor_coeffs(dr, spec, ridge) - coeffs)
+    assert gap <= 1e-9 * np.linalg.norm(coeffs)
+    assert empirical_train_error(dr, ridge) == pytest.approx(
+        ridge**2 * float(v @ v) / n, rel=1e-9)
+    r = coeffs - f.coeffs
+    assert exact_risk(dr, spec, f, ridge) == pytest.approx(
+        float(r @ r) + noise**2, rel=1e-9)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(**_ROUTES)
+def test_operator_moments_match_the_dense_route(spec, n, ridge, seed):
+    m = spec.expanded_size
+    idx = tuple(range(min(m, 3)))
+    om = mc_operator_moments(spec, n, ridge, 2, seed, idx)
+    theta = solve_sct(spec, n, ridge).theta
+    entries, transforms = [], []
+    for t in range(2):
+        dr = draw(spec, TrueFunction(np.zeros(m), 0.0), n, (seed, t))
+        O = dr.O[:, idx]
+        entries.append((dr.d[:len(idx), None] / n) * (O.T @ ridge_solve(dr.G, O, ridge)))
+        transforms.append(stieltjes(decompose(dr.G), ridge))
+    A = np.mean(entries, axis=0)
+    A_low = np.diag(om.diag_mean)
+    for (k, l), value in zip(om.pairs, om.offdiag_mean):
+        A_low[k, l] = value
+    assert np.linalg.norm(A_low - A) <= 1e-9 * np.linalg.norm(A)
+    # The gap |1/theta - m| is a difference of two numbers near m, so it
+    # carries the absolute error of m; compare it on m's scale.
+    gap = np.mean([abs(1.0 / theta - s) for s in transforms])
+    assert abs(om.stieltjes_gap_mean - gap) <= 1e-9 * max(transforms)
