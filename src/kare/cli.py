@@ -294,39 +294,60 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cell, in deterministic grid order.
 
     The train-train and test-train distances are computed once per
-    sweep.  Each lengthscale turns them into its Gram and cross-Gram,
-    pays one eigendecomposition shared across all ridges, and
-    cross-validates from slices of that Gram.  A LinAlgError or
-    ArithmeticError raised for a cell becomes a NumericalError naming it.
+    sweep, and each lengthscale turns them into its Gram and cross-Gram.
+    With CV on, the sweep makes two passes over the lengthscales:
+
+    1. CV: each Gram is cross-validated from its own slices (one
+       Cholesky per fold and ridge, in SciPy), keeping only the risks.
+    2. Scores: each Gram is rebuilt and pays one eigendecomposition
+       (in NumPy) shared across all ridges, then the scores and the
+       test risk.
+
+    NumPy and SciPy each bring their own OpenBLAS with its own thread
+    pool, whose workers busy-wait after every call.  Alternating the two
+    once per lengthscale made each library's calls compete with the
+    other pool's spinning threads: on 2 cores, 40 Choleskys of size 375
+    took 0.14-0.22 s right after an eigh against 0.070-0.097 s with
+    NumPy's pool idle, and a 500 x 500 eigh 0.054-0.141 s right after
+    the Choleskys against 0.036-0.044 s.  The passes make the same calls
+    on the same inputs as one interleaved pass, so every result keeps its
+    bits; the cost is one more exp per lengthscale.  A CV failure at any
+    lengthscale is therefore reported (exit 4, naming its cell) before a
+    second-pass failure at an earlier lengthscale.
+
+    A LinAlgError or ArithmeticError raised for a cell becomes a
+    NumericalError naming it.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
     D = distances(cfg.family, train.X, train.X)
     D_test = distances(cfg.family, test.X, train.X) if test is not None else None
+    kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
 
-    def cv_risks(G, lengthscale: float) -> list:
-        if not cfg.cv_folds:
-            return [None] * len(cfg.ridges)
+    def cv_risks(kern: KernelSpec) -> list[float]:
+        G = from_distances(kern, D)
         try:
             return cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds, seed=cfg.seed)
         except _NUMERICAL_ERRORS:
             # Every fold runs all ridges; name the first ridge that fails alone.
             for ridge in cfg.ridges:
-                with _cell(lengthscale, ridge):
+                with _cell(kern.lengthscale, ridge):
                     cross_validation_risks(G, train.y, (ridge,), cfg.cv_folds, seed=cfg.seed)
             raise
 
-    # One call per lengthscale, so its Gram, eigenvectors and cross-Gram
-    # are freed before the next lengthscale builds its own.
-    def one_lengthscale(multiple: float) -> list[SweepRecord]:
-        kern = KernelSpec(cfg.family, multiple * dim)
+    # One call per lengthscale in each pass, so its Gram, eigenvectors
+    # and cross-Gram are freed before the next lengthscale builds its own.
+    cv = ([cv_risks(kern) for kern in kerns] if cfg.cv_folds
+          else [[None] * len(cfg.ridges)] * len(kerns))
+
+    def one_lengthscale(kern: KernelSpec, cv_row: list) -> list[SweepRecord]:
         G = from_distances(kern, D)
         rs = RidgeScores(G, train.y)
         gs = rs.gram_spectrum()
         K_test = from_distances(kern, D_test) if D_test is not None else None
         align = classical_alignment(train.y, G) if cfg.alignment else None
         records = []
-        for ridge, cv_risk in zip(cfg.ridges, cv_risks(G, kern.lengthscale)):
+        for ridge, cv_risk in zip(cfg.ridges, cv_row):
             with _cell(kern.lengthscale, ridge):
                 est = sct_from_gram(gs, ridge)
                 records.append(SweepRecord(
@@ -347,8 +368,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
                 ))
         return records
 
-    return [record for multiple in cfg.lengthscale_multiples
-            for record in one_lengthscale(multiple)]
+    return [record for kern, cv_row in zip(kerns, cv)
+            for record in one_lengthscale(kern, cv_row)]
 
 
 def _format_cell(value) -> str:

@@ -52,6 +52,15 @@ class TrueFunction:
             raise ValueError(f"noise level must be >= 0, got {self.noise}")
 
 
+def _labels(y) -> np.ndarray:
+    """The labels as a flat float vector; raises ValueError unless every
+    entry is finite."""
+    y = np.asarray(y, dtype=float).ravel()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("labels have non-finite entries")
+    return y
+
+
 def _score(formula):
     """A RidgeScores score at a checked ridge: a finite float or NumericalError.
 
@@ -83,9 +92,7 @@ class RidgeScores:
     """
 
     def __init__(self, G, y):
-        y = np.asarray(y, dtype=float).ravel()
-        if not np.all(np.isfinite(y)):
-            raise ValueError("labels have non-finite entries")
+        y = _labels(y)
         mu, vectors = np.linalg.eigh(normalized(G, y.shape[0]))
         self._spectrum = spectrum(mu)
         self.n = self._spectrum.n
@@ -150,8 +157,10 @@ def log_marginal_likelihood(y, G, ridge: float) -> float:
 
 def classical_alignment(y, G) -> float:
     """y^T G y / (||G||_F ||y||^2), in [-1, 1]."""
-    y = np.asarray(y, dtype=float).ravel()
+    y = _labels(y)
     G = np.asarray(G, dtype=float)
+    if not np.all(np.isfinite(G)):
+        raise ValueError("Gram matrix has non-finite entries")
     gnorm = float(np.linalg.norm(G))
     ynorm2 = float(y @ y)
     if ynorm2 == 0.0:
@@ -264,7 +273,7 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     G, so no kernel is evaluated; each (fold, ridge) pair is one
     Cholesky solve.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = _labels(y)
     n = y.shape[0]
     G = np.asarray(G, dtype=float)
     if G.shape != (n, n):

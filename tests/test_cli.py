@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import re
 
 import numpy as np
@@ -244,17 +245,24 @@ def test_sweep_cv_risk_equals_cross_validation_risk(tmp_path, family):
     from kare.estimators import cross_validation_risk
     from kare.kernels import KernelSpec
     cfg = parse_sweep_config(_config(tmp_path, **{"kernel.family": family}))
+    assert len(cfg.lengthscale_multiples) >= 2
     train, _ = _load_sweep_data(cfg)
-    for r in run_sweep(cfg):
+    records = run_sweep(cfg)
+    for r in records:
         assert r.cv_risk == cross_validation_risk(
             KernelSpec(family, r.lengthscale), train.X, train.y, r.ridge,
             cfg.cv_folds, seed=cfg.seed)
+    # The CV pass leaves every other column as the sweep without CV has it.
+    without_cv = run_sweep(dataclasses.replace(cfg, cv_folds=0))
+    assert [dataclasses.replace(r, cv_risk=None) for r in records] == without_cv
 
 
-@pytest.mark.parametrize("lengthscales, ridges", [(1, 1), (3, 4)])
+@pytest.mark.parametrize("lengthscales, ridges, folds", [
+    pytest.param(1, 1, 3, id="1-1"), pytest.param(3, 4, 3, id="3-4"),
+    pytest.param(3, 4, 0, id="3-4-no-cv")])
 def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
-        tmp_path, monkeypatch, lengthscales, ridges):
-    from kare import estimators, kernels, krr
+        tmp_path, monkeypatch, lengthscales, ridges, folds):
+    from kare import cli, estimators, kernels, krr
     calls = collections.Counter()
     distance_shapes = []
 
@@ -272,15 +280,41 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     for owner, name in [(kernels, "_raw_distances"), (kernels, "gram_matrix"),
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
-                        (krr, "cho_factor")]:
+                        (krr, "cho_factor"), (cli, "from_distances")]:
         count(owner, name)
     cfg = parse_sweep_config(_config(tmp_path, **{
         "grid.lengthscale": f"0.5:2:{lengthscales}:log2",
-        "grid.ridge": f"1e-3:1e-1:{ridges}:log10"}))
+        "grid.ridge": f"1e-3:1e-1:{ridges}:log10",
+        "scores.cv_folds": str(folds)}))
     assert len(run_sweep(cfg)) == lengthscales * ridges
     # One Cholesky per (lengthscale, fold, ridge), and no other kernel work.
-    assert calls == {"_raw_distances": 2, "cho_factor": lengthscales * 3 * ridges}
+    # Each lengthscale applies exp to the Gram's distances twice with CV
+    # (once per pass) and once without, plus once to the test distances.
+    assert calls == {"_raw_distances": 2, "from_distances": lengthscales * (3 if folds else 2),
+                     **({"cho_factor": lengthscales * folds * ridges} if folds else {})}
     assert distance_shapes == [(40, 40), (25, 40)]
+
+
+def test_sweep_cross_validates_every_lengthscale_before_the_first_eigh(
+        tmp_path, monkeypatch):
+    # NumPy (eigh) and SciPy (Cholesky) each run their own OpenBLAS
+    # thread pool; the sweep runs all of one library's work, then the
+    # other's, instead of alternating them per lengthscale.
+    from kare import cli
+    events = []
+
+    def logged(event, original):
+        def call(*args, **kwargs):
+            events.append(event)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "cross_validation_risks",
+                        logged("cv", cli.cross_validation_risks))
+    monkeypatch.setattr(cli, "RidgeScores", logged("eigh", cli.RidgeScores))
+    cfg = parse_sweep_config(_config(tmp_path, **{"grid.lengthscale": "0.5:2:3:log2"}))
+    assert len(run_sweep(cfg)) == 3 * 3
+    assert events == ["cv"] * 3 + ["eigh"] * 3
 
 
 @pytest.mark.parametrize("failure", ["cholesky", "arithmetic", "representable"])

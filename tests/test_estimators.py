@@ -97,6 +97,26 @@ def test_non_finite_gram_or_labels_rejected(bad):
         RidgeScores(np.eye(3), np.array([1.0, bad, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_alignment_and_cross_validation_reject_non_finite_inputs(bad):
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((8, 2))
+    G = gram_matrix(KernelSpec("rbf", 2.0), X)
+    y = rng.standard_normal(8)
+    y_bad = y.copy()
+    y_bad[3] = bad
+    G_bad = G.copy()
+    G_bad[0, 1] = G_bad[1, 0] = bad
+    with pytest.raises(ValueError, match="^labels have non-finite entries$"):
+        classical_alignment(y_bad, G)
+    with pytest.raises(ValueError, match="^Gram matrix has non-finite entries$"):
+        classical_alignment(y, G_bad)
+    with pytest.raises(ValueError, match="^labels have non-finite entries$"):
+        cross_validation_risks(G, y_bad, (0.1,), 4)
+    with pytest.raises(ValueError, match="^labels have non-finite entries$"):
+        cross_validation_risk(KernelSpec("rbf", 2.0), X, y_bad, 0.1, 4)
+
+
 @pytest.mark.parametrize("ridge", [1e-320, 1e-300, 1e300])
 def test_scores_finite_or_value_error_at_float_extremes(ridge):
     rng = np.random.default_rng(5)
