@@ -75,13 +75,15 @@ _NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)
 
 
 @contextmanager
-def _cell(lengthscale: float, ridge: float):
+def _cell(lengthscale: float, ridge: float | None = None):
     """Re-raise a numerical failure inside the block as a NumericalError
-    naming the sweep cell."""
+    naming the sweep cell.  Without a ridge, the failure names its own
+    (as a failed ``krr.ridge_solve`` does)."""
     try:
         yield
     except _NUMERICAL_ERRORS as exc:
-        raise NumericalError(f"lengthscale {lengthscale!r}, ridge {ridge!r}: {exc}") from exc
+        cell = f"lengthscale {lengthscale!r}, " + ("" if ridge is None else f"ridge {ridge!r}: ")
+        raise NumericalError(f"{cell}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     second-pass failure at an earlier lengthscale.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
-    NumericalError naming it.
+    NumericalError naming it.  CV runs once per lengthscale, with no
+    retry per ridge: a failed fold solve names its own ridge.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
@@ -325,15 +328,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
 
     def cv_risks(kern: KernelSpec) -> list[float]:
-        G = from_distances(kern, D)
-        try:
-            return cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds, seed=cfg.seed)
-        except _NUMERICAL_ERRORS:
-            # Every fold runs all ridges; name the first ridge that fails alone.
-            for ridge in cfg.ridges:
-                with _cell(kern.lengthscale, ridge):
-                    cross_validation_risks(G, train.y, (ridge,), cfg.cv_folds, seed=cfg.seed)
-            raise
+        with _cell(kern.lengthscale):
+            return cross_validation_risks(from_distances(kern, D), train.y, cfg.ridges,
+                                          cfg.cv_folds, seed=cfg.seed)
 
     # One call per lengthscale in each pass, so its Gram, eigenvectors
     # and cross-Gram are freed before the next lengthscale builds its own.

@@ -29,11 +29,11 @@ from .kernels import KernelSpec, gram_matrix
 from .spectral import (
     GramSpectrum,
     NumericalError,
+    check_gram,
     check_ridge,
     normalized,
     spectrum,
     stieltjes,
-    stieltjes_derivative,
 )
 from .sct import SctResult, Spectrum, solve_sct
 
@@ -104,12 +104,6 @@ class RidgeScores:
     def gram_spectrum(self) -> GramSpectrum:
         return self._spectrum
 
-    def stieltjes(self, ridge: float) -> float:
-        return stieltjes(self._spectrum, ridge)
-
-    def stieltjes_derivative(self, ridge: float) -> float:
-        return stieltjes_derivative(self._spectrum, ridge)
-
     def solve(self, ridge: float) -> np.ndarray:
         """((1/n)G + ridge I)^{-1} y."""
         ridge = check_ridge(ridge)
@@ -118,7 +112,7 @@ class RidgeScores:
     @_score
     def kare(self, ridge: float) -> float:
         numerator = float(np.mean(self._w2 / (self.mu + ridge) ** 2))
-        return numerator / self.stieltjes(ridge) ** 2
+        return numerator / stieltjes(self._spectrum, ridge) ** 2
 
     @_score
     def varrho(self, ridge: float) -> float:
@@ -271,13 +265,16 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     then equal contiguous blocks with the remainder handed out one per
     fold from the front.  Each fold's Gram and cross-Gram are slices of
     G, so no kernel is evaluated; each (fold, ridge) pair is one
-    Cholesky solve.
+    Cholesky solve.  G must be finite and symmetric (the factorization
+    reads one triangle); a failed solve raises NumericalError naming
+    its ridge.
     """
     y = _labels(y)
     n = y.shape[0]
     G = np.asarray(G, dtype=float)
     if G.shape != (n, n):
         raise ValueError(f"Gram matrix of shape {G.shape} for {n} labels")
+    check_gram(G)
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be between 2 and {n}, got {folds}")
     ridges = [check_ridge(ridge) for ridge in ridges]
@@ -292,7 +289,7 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
         rest = np.setdiff1d(order, held)
         G_rest, K_held = G[np.ix_(rest, rest)], G[np.ix_(held, rest)]
         for fold_errors, ridge in zip(errors, ridges):
-            dual = krr.solve_dual(G_rest, y[rest], ridge)
+            dual = krr.ridge_solve(G_rest, y[rest], ridge) / rest.size
             fold_errors.append(krr.held_out_risk(K_held, dual, y[held]))
     return [float(np.mean(fold_errors)) for fold_errors in errors]
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import KernelSpec, _as_points, cross_gram, gram_matrix
-from .spectral import check_ridge
+from .spectral import NumericalError, check_ridge
 
 
 @dataclass(frozen=True)
@@ -27,28 +27,39 @@ class Predictor:
     dual: np.ndarray
 
 
-def solve_dual(G: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """The dual (1/n)((1/n)G + ridge I)^{-1} y for the n x n Gram G of the
-    training points, by one Cholesky factorization.
+def ridge_solve(G, rhs, ridge: float, n: int | None = None) -> np.ndarray:
+    """((1/n)G + ridge I)^{-1} rhs by one Cholesky factorization, with n
+    the size of the square matrix G unless given.
 
-    y is a float vector of length n and ridge a checked ridge; G is not
-    modified.  ``fit`` and cross-validation both solve through here.
+    G is not modified.  The one Cholesky solve of the package: ``fit``,
+    cross-validation and the Monte Carlo oracles all solve through here.
+    A factorization that fails (the matrix is not positive definite in
+    float64, as at a tiny ridge on a rank-deficient G) raises
+    NumericalError naming the ridge.
     """
-    n = y.shape[0]
-    B = G / n
+    ridge = check_ridge(ridge)
+    B = G / (G.shape[0] if n is None else n)
     B[np.diag_indices_from(B)] += ridge
-    return cho_solve(cho_factor(B, lower=True), y) / n
+    try:
+        factor = cho_factor(B, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"ridge {ridge!r}: {exc}") from exc
+    return cho_solve(factor, rhs)
 
 
 def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
-    """Solve the SPD system ((1/n)G + ridge I)(n dual) = y by Cholesky."""
+    """Solve the SPD system ((1/n)G + ridge I)(n dual) = y by Cholesky.
+
+    Raises NumericalError, a ValueError, naming the ridge when the
+    factorization fails.
+    """
     ridge = check_ridge(ridge)
     X = _as_points(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"{n} points but {y.shape[0]} labels")
-    return Predictor(kernel, X, ridge, solve_dual(gram_matrix(kernel, X), y, ridge))
+    return Predictor(kernel, X, ridge, ridge_solve(gram_matrix(kernel, X), y, ridge) / n)
 
 
 def predict(p: Predictor, X_test) -> np.ndarray:

@@ -5,8 +5,9 @@ symmetric eigendecomposition turns each evaluation into an O(n) sum.
 The Stieltjes transform here is always evaluated on the negative real
 axis, i.e. m(-ridge) for ridge > 0.
 
-This module owns the checks every eigen view shares: ``normalized``
-validates G and forms G/n, ``spectrum`` clamps its eigenvalues, and
+This module owns the checks every eigen view shares: ``check_gram``
+validates G (cross-validation calls it too), ``normalized`` forms G/n
+from a checked G, ``spectrum`` clamps its eigenvalues, and
 ``check_ridge`` validates a ridge.  ``NumericalError`` is the one error
 for a spectral quantity that float64 cannot represent and for a Gram
 matrix that is not positive semidefinite.
@@ -49,21 +50,26 @@ def check_ridge(ridge: float) -> float:
     return ridge
 
 
-def normalized(G, n: int | None = None) -> np.ndarray:
-    """G/n for a finite, square, symmetric G with n rows (default: its size)."""
+def check_gram(G, n: int | None = None) -> np.ndarray:
+    """G as a float array; raises ValueError unless it is finite, square,
+    symmetric and has n rows (default: its size)."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
-    if n is None:
-        n = G.shape[0]
-    elif n != G.shape[0]:
+    if n is not None and n != G.shape[0]:
         raise ValueError(f"sample count {n} does not match matrix size {G.shape[0]}")
     if not np.all(np.isfinite(G)):
         raise ValueError("matrix has non-finite entries")
     asymmetry = float(np.max(np.abs(G - G.T)))
     if asymmetry > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asymmetry:.3e})")
-    return G / n
+    return G
+
+
+def normalized(G, n: int | None = None) -> np.ndarray:
+    """G/n for a G that passes ``check_gram``."""
+    G = check_gram(G, n)
+    return G / G.shape[0]
 
 
 def spectrum(eigenvalues: np.ndarray) -> GramSpectrum:

@@ -8,8 +8,9 @@ O b + noise * e.  Risks are then exact sums over modes, no test sampling.
 The oracles never form the n x n Gram.  With U = O diag(sqrt d) and
 K = U^T U / n + ridge I (M x M), the push-through identity
 U^T ((1/n)G + ridge I)^{-1} = K^{-1} U^T makes every oracle quantity exact
-from one M x M Cholesky factorization, in O(n M^2 + M^3).  A draw builds
-G only when ``.G`` is read; ``ridge_solve`` is the full-n reference route.
+from one M x M Cholesky factorization (``krr.ridge_solve`` on U^T U), in
+O(n M^2 + M^3).  A draw builds G only when ``.G`` is read, for the full-n
+reference route ``krr.ridge_solve(dr.G, ...)``.
 
 Reproducibility rule: trial t of a Monte Carlo run draws from
 numpy's default_rng seeded with (seed, t), so results are independent of
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import TrueFunction
 from .kernels import KernelSpec, gram_matrix
-from .spectral import GramSpectrum, check_ridge, decompose, spectrum, stieltjes
+from .krr import ridge_solve
+from .spectral import GramSpectrum, decompose, spectrum, stieltjes
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -51,9 +52,10 @@ class ObservationDraw:
 
     @cached_property
     def _modes(self) -> tuple[np.ndarray, np.ndarray]:
-        # U = O diag(sqrt d) and the M x M mode Gram U^T U / n.
+        # U = O diag(sqrt d) and the M x M product U^T U (n times the
+        # mode Gram).
         U = self.O * np.sqrt(self.d)
-        return U, (U.T @ U) / U.shape[0]
+        return U, U.T @ U
 
 
 def _expanded(spec: Spectrum, f: TrueFunction | None) -> np.ndarray:
@@ -90,28 +92,11 @@ def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
     return ObservationDraw(O, d, y, seed)
 
 
-def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
-    """((1/n)G + ridge I)^{-1} rhs by Cholesky, with n the size of G.
-
-    The full-n reference route for the oracles' M x M solves.
-    """
-    ridge = check_ridge(ridge)
-    B = G / G.shape[0]
-    B[np.diag_indices_from(B)] += ridge
-    return cho_solve(cho_factor(B, lower=True), rhs)
-
-
-def _mode_solve(dr: ObservationDraw, rhs, ridge: float) -> np.ndarray:
-    """K^{-1} rhs for K = U^T U / n + ridge I, the M x M system of the draw."""
-    ridge = check_ridge(ridge)
-    K = dr._modes[1].copy()
-    K[np.diag_indices_from(K)] += ridge
-    return cho_solve(cho_factor(K, lower=True), rhs)
-
-
 def _fit(dr: ObservationDraw, ridge: float) -> np.ndarray:
     # K^{-1} U^T y / n: the fitted predictor is U times this.
-    return _mode_solve(dr, dr._modes[0].T @ dr.y, ridge) / dr.y.shape[0]
+    n = dr.y.shape[0]
+    U, UtU = dr._modes
+    return ridge_solve(UtU, U.T @ dr.y, ridge, n) / n
 
 
 def predictor_coeffs(dr: ObservationDraw, spec: Spectrum, ridge: float) -> np.ndarray:
@@ -143,7 +128,7 @@ def _gram_spectrum(dr: ObservationDraw) -> GramSpectrum:
     """Eigenvalues of G/n: those of the mode Gram, with n - M zeros added
     (n >= M) or its M - n smallest dropped (n < M)."""
     n = dr.y.shape[0]
-    mu = np.linalg.eigvalsh(dr._modes[1])
+    mu = np.linalg.eigvalsh(dr._modes[1] / n)
     return spectrum(np.sort(np.concatenate([np.zeros(max(n - mu.shape[0], 0)), mu]))[-n:])
 
 
@@ -159,6 +144,18 @@ def mc_expected_risk(
     return float(risks.mean()), float(risks.std(ddof=1) / np.sqrt(trials))
 
 
+def _mode_indices(d: np.ndarray, k_indices, trials: int) -> tuple[int, ...]:
+    """The mode indices as ints; raises unless there are at least two
+    trials and every index names one of the d.shape[0] modes."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    idx = tuple(int(k) for k in k_indices)
+    for k in idx:
+        if not 0 <= k < d.shape[0]:
+            raise ValueError(f"mode index {k} out of range for {d.shape[0]} modes")
+    return idx
+
+
 def _variance_stderr(samples: np.ndarray) -> float:
     # Asymptotic standard error of the sample variance via the fourth
     # central moment; no normality assumed.
@@ -167,6 +164,18 @@ def _variance_stderr(samples: np.ndarray) -> float:
     s2 = float(centered @ centered) / (n - 1)
     m4 = float(np.mean(centered**4))
     return float(np.sqrt(max(m4 - s2**2, 0.0) / n))
+
+
+def _moments(samples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per column of a (trials, k) sample array: the mean, its standard
+    error, the variance and the variance's standard error."""
+    trials = samples.shape[0]
+    return (
+        samples.mean(axis=0),
+        samples.std(axis=0, ddof=1) / np.sqrt(trials),
+        samples.var(axis=0, ddof=1),
+        np.array([_variance_stderr(column) for column in samples.T]),
+    )
 
 
 @dataclass(frozen=True)
@@ -200,13 +209,8 @@ def mc_operator_moments(
     |1/theta - m(-ridge)| between the solved threshold and the Gram
     Stieltjes transform.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
     d = _expanded(spec, None)
-    idx = tuple(int(k) for k in k_indices)
-    for k in idx:
-        if not 0 <= k < d.shape[0]:
-            raise ValueError(f"mode index {k} out of range for {d.shape[0]} modes")
+    idx = _mode_indices(d, k_indices, trials)
     zero_f = TrueFunction(np.zeros(d.shape[0]), 0.0)
     theta = solve_sct(spec, n, ridge).theta
     cols = np.array(idx)
@@ -215,26 +219,16 @@ def mc_operator_moments(
     for t in range(trials):
         dr = draw(spec, zero_f, n, (seed, t))
         # A_kl = (sqrt(d_k)/n) (K^{-1} U^T O_l)_k
-        W = _mode_solve(dr, dr._modes[0].T @ dr.O[:, cols], ridge)
+        U, UtU = dr._modes
+        W = ridge_solve(UtU, U.T @ dr.O[:, cols], ridge, n)
         sub[t] = (np.sqrt(d[cols])[:, None] / n) * W[cols]
         gaps[t] = abs(1.0 / theta - stieltjes(_gram_spectrum(dr), ridge))
-    diag = np.einsum("tkk->tk", sub)
     pairs = tuple((a, b) for a in idx for b in idx if a != b)
     off = np.stack(
         [sub[:, idx.index(a), idx.index(b)] for a, b in pairs], axis=1
     ) if pairs else np.empty((trials, 0))
-    return OperatorMoments(
-        indices=idx,
-        diag_mean=diag.mean(axis=0),
-        diag_mean_stderr=diag.std(axis=0, ddof=1) / np.sqrt(trials),
-        diag_var=diag.var(axis=0, ddof=1),
-        diag_var_stderr=np.array([_variance_stderr(diag[:, j]) for j in range(len(idx))]),
-        pairs=pairs,
-        offdiag_mean=off.mean(axis=0) if pairs else np.empty(0),
-        offdiag_stderr=(off.std(axis=0, ddof=1) / np.sqrt(trials)) if pairs else np.empty(0),
-        stieltjes_gap_mean=float(gaps.mean()),
-        trials=trials,
-    )
+    return OperatorMoments(idx, *_moments(np.einsum("tkk->tk", sub)), pairs,
+                           *_moments(off)[:2], float(gaps.mean()), trials)
 
 
 @dataclass(frozen=True)
@@ -259,25 +253,12 @@ def mc_coeff_stats(
     k_indices: tuple[int, ...],
 ) -> CoeffStats:
     """Sample the predictor coefficients a_k over independent draws."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    d = _expanded(spec, f)
-    idx = tuple(int(k) for k in k_indices)
-    for k in idx:
-        if not 0 <= k < d.shape[0]:
-            raise ValueError(f"mode index {k} out of range for {d.shape[0]} modes")
+    idx = _mode_indices(_expanded(spec, f), k_indices, trials)
     cols = np.array(idx)
     samples = np.empty((trials, len(idx)))
     for t in range(trials):
         samples[t] = predictor_coeffs(draw(spec, f, n, (seed, t)), spec, ridge)[cols]
-    return CoeffStats(
-        indices=idx,
-        mean=samples.mean(axis=0),
-        mean_stderr=samples.std(axis=0, ddof=1) / np.sqrt(trials),
-        var=samples.var(axis=0, ddof=1),
-        var_stderr=np.array([_variance_stderr(samples[:, j]) for j in range(len(idx))]),
-        trials=trials,
-    )
+    return CoeffStats(idx, *_moments(samples), trials)
 
 
 def rbf_gaussian_gram_spectrum(

@@ -317,27 +317,41 @@ def test_sweep_cross_validates_every_lengthscale_before_the_first_eigh(
     assert events == ["cv"] * 3 + ["eigh"] * 3
 
 
-@pytest.mark.parametrize("failure", ["cholesky", "arithmetic", "representable"])
+@pytest.mark.parametrize("failure", ["cholesky", "cholesky-grid", "arithmetic",
+                                     "representable"])
 def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, failure):
     # Ten points, each four times: at ridge 1e-19 a fold's (1/n)G + ridge I
     # is singular in float64 and its Cholesky factorization fails; at
     # ridge 1e-320 the Stieltjes transform of this rank-10 Gram overflows.
+    # The failed fold solve names its ridge, so CV runs once per
+    # lengthscale even when only one ridge of the grid fails.
+    from kare import cli
     rng = np.random.default_rng(0)
     X = np.repeat(rng.standard_normal((10, 2)), 4, axis=0)
     data = tmp_path / "dup.csv"
     data.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{a + b!r}\n" for a, b in X.tolist()))
     ridge = "1e-320" if failure == "representable" else "1e-19"
+    cv = failure.startswith("cholesky")
     cfg = _config(tmp_path, **{
         "data.type": "csv", "data.path": str(data), "data.label_column": "y",
         "data.test_n": "0", "grid.lengthscale": "1:1:1:log2",
-        "grid.ridge": f"{ridge}:{ridge}:1:log10",
-        "scores.cv_folds": "4" if failure == "cholesky" else "0"})
+        "grid.ridge": (f"1e-2:{ridge}:2:log10" if failure == "cholesky-grid"
+                       else f"{ridge}:{ridge}:1:log10"),
+        "scores.cv_folds": "4" if cv else "0"})
     if failure == "arithmetic":
         def divide(*args):
             raise ZeroDivisionError("float division by zero")
         monkeypatch.setattr("kare.cli.sct_from_gram", divide)
+    cv_calls, original = [], cli.cross_validation_risks
+
+    def cross_validation_risks(*args, **kwargs):
+        cv_calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, "cross_validation_risks", cross_validation_risks)
     assert main(["sweep", "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"numerical error: lengthscale 2.0, ridge {ridge}: ")
-    assert {"cholesky": "not positive definite", "arithmetic": "division by zero",
+    assert {"cholesky": "not positive definite", "cholesky-grid": "not positive definite",
+            "arithmetic": "division by zero",
             "representable": "theta is not representable in float64"}[failure] in err
+    assert len(cv_calls) == (1 if cv else 0)

@@ -364,6 +364,21 @@ def test_cross_validation_risks_rejects_a_mismatched_gram():
         cross_validation_risks(np.eye(4), np.zeros(5), (0.1,), 2)
 
 
+def test_cross_validation_risks_rejects_an_asymmetric_or_non_finite_gram():
+    # The fold factorizations read one triangle, so an asymmetric Gram
+    # would otherwise give a risk without complaint.
+    y = np.random.default_rng(3).standard_normal(8)
+    G = np.eye(8)
+    G[0, 1] = 0.5
+    with pytest.raises(ValueError, match="not symmetric"):
+        cross_validation_risks(G, y, (0.1,), 4)
+    G[1, 0] = 0.5
+    cross_validation_risks(G, y, (0.1,), 4)
+    G[0, 1] = G[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        cross_validation_risks(G, y, (0.1,), 4)
+
+
 def test_true_function_validation():
     with pytest.raises(ValueError):
         TrueFunction(np.zeros(3), -0.1)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kare import krr
-from kare.estimators import RidgeScores
+from kare.estimators import RidgeScores, cross_validation_risk
 from kare.kernels import KernelSpec
+from kare.krr import ridge_solve
 from kare.sct import power_law_spectrum, sct_from_gram, solve_sct
 from kare.spectral import (
     GramSpectrum,
@@ -13,7 +14,6 @@ from kare.spectral import (
     stieltjes,
     stieltjes_derivative,
 )
-from kare.synthetic import ridge_solve
 
 
 def test_identity_gram():
@@ -85,6 +85,14 @@ def test_numerical_failures_raise_one_error_class():
         sct_from_gram(decompose(G), 1e-320)
     with pytest.raises(NumericalError, match="kare is not representable"):
         RidgeScores(G, np.ones(6)).kare(1e300)
+    # Ten points, each four times: (1/n)G + 1e-19 I is singular in
+    # float64, and the failed Cholesky factorization names the ridge.
+    X = np.repeat(np.random.default_rng(0).standard_normal((10, 2)), 4, axis=0)
+    kern = KernelSpec("rbf", 2.0)
+    with pytest.raises(NumericalError, match="^ridge 1e-19: .*not positive definite"):
+        krr.fit(kern, X, X.sum(axis=1), 1e-19)
+    with pytest.raises(NumericalError, match="^ridge 1e-19: .*not positive definite"):
+        cross_validation_risk(kern, X, X.sum(axis=1), 1e-19, 4)
 
 
 def test_nonpositive_ridge_rejected():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from kare.estimators import TrueFunction
+from kare.krr import ridge_solve
 from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, solve_sct
 from kare.spectral import decompose, stieltjes
 from kare.synthetic import (
@@ -17,7 +18,6 @@ from kare.synthetic import (
     mc_operator_moments,
     predictor_coeffs,
     rbf_gaussian_gram_spectrum,
-    ridge_solve,
 )
 
 
@@ -232,6 +232,46 @@ def test_monte_carlo_oracles_never_read_the_gram(monkeypatch):
     mc_expected_risk(spec, f, 20, 0.05, 3, 0)
     mc_coeff_stats(spec, f, 20, 0.05, 3, 0, (0, 1))
     mc_operator_moments(spec, 20, 0.05, 3, 0, (0, 1))
+
+
+def test_monte_carlo_oracles_factor_through_krr_once_per_trial(monkeypatch):
+    # Every oracle solves its M x M mode system with krr.ridge_solve, the
+    # package's one Cholesky route: one factorization per trial.
+    shapes = []
+
+    def counted(B, **kwargs):
+        shapes.append(B.shape)
+        return cho_factor(B, **kwargs)
+
+    monkeypatch.setattr("kare.krr.cho_factor", counted)
+    spec = power_law_spectrum(2.0, 6)
+    f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
+    for oracle in (lambda: mc_expected_risk(spec, f, 20, 0.05, 3, 0),
+                   lambda: mc_coeff_stats(spec, f, 20, 0.05, 3, 0, (0, 1)),
+                   lambda: mc_operator_moments(spec, 20, 0.05, 3, 0, (0, 1))):
+        shapes.clear()
+        oracle()
+        assert shapes == [(6, 6)] * 3
+
+
+def test_mc_moments_match_the_sample_formulas():
+    spec = power_law_spectrum(2.0, 6)
+    f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
+    cs = mc_coeff_stats(spec, f, 20, 0.05, 5, 3, (0, 2))
+    a = np.array([predictor_coeffs(draw(spec, f, 20, (3, t)), spec, 0.05)[[0, 2]]
+                  for t in range(5)])
+    np.testing.assert_allclose(cs.mean, a.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(cs.mean_stderr, a.std(axis=0, ddof=1) / np.sqrt(5), rtol=1e-12)
+    np.testing.assert_allclose(cs.var, a.var(axis=0, ddof=1), rtol=1e-12)
+    assert cs.var_stderr.shape == (2,) and np.all(cs.var_stderr >= 0)
+    om = mc_operator_moments(spec, 20, 0.05, 4, 0, (1,))
+    assert om.pairs == () and om.offdiag_mean.shape == om.offdiag_stderr.shape == (0,)
+    for bad in (dict(trials=1), dict(k_indices=(6,)), dict(k_indices=(-1,))):
+        args = dict(trials=4, k_indices=(0,)) | bad
+        with pytest.raises(ValueError):
+            mc_coeff_stats(spec, f, 20, 0.05, args["trials"], 0, args["k_indices"])
+        with pytest.raises(ValueError):
+            mc_operator_moments(spec, 20, 0.05, args["trials"], 0, args["k_indices"])
 
 
 def test_spectrum_must_match_the_draw():
