@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -63,7 +64,7 @@ from .sct import (
     sct_from_gram,
     solve_sct,
 )
-from .synthetic import draw, rbf_gaussian_gram_spectrum
+from .synthetic import draw, mean_and_stderr, rbf_gaussian_gram_spectrum
 from .spectral import NumericalError, decompose
 from .validation import run_suite
 
@@ -236,8 +237,16 @@ def parse_sweep_config(path: str) -> SweepConfig:
             values[key] = _PARSERS[key](text)
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from None
-    if values["data.n"] < 1:
-        raise ConfigError(f"{path}: data.n must be >= 1")
+    n, folds = values["data.n"], values["scores.cv_folds"]
+    for key, within, bound in (
+        ("data.n", n >= 1, ">= 1"),
+        ("data.test_n", values["data.test_n"] >= 0, ">= 0"),
+        ("data.dim", values["data.dim"] >= 1, ">= 1"),
+        ("data.noise", 0 <= values["data.noise"] < math.inf, ">= 0 and finite"),
+        ("scores.cv_folds", folds == 0 or 2 <= folds <= n, f"0 or between 2 and data.n = {n}"),
+    ):
+        if not within:
+            raise ConfigError(f"{path}: {key} must be {bound}")
     return SweepConfig(
         data={key[len("data."):]: value for key, value in values.items()
               if key.startswith("data.")},
@@ -403,10 +412,8 @@ def run_sct_curves(
     gram_sampler(n, seed) must return a GramSpectrum for a fresh sample
     of size n.
     """
-    def mean_and_stderr(samples) -> tuple[float, float]:
-        v = np.array(samples)
-        return float(v.mean()), float(v.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     records = []
     for n in n_values:
         spectra = [gram_sampler(n, (seed, n, t)) for t in range(trials)]
@@ -415,8 +422,8 @@ def run_sct_curves(
             estimates = [sct_from_gram(s, ridge) for s in spectra]
             records.append(SctCurveRecord(
                 n, float(ridge), res.theta, res.theta_prime,
-                *mean_and_stderr([e.theta for e in estimates]),
-                *mean_and_stderr([e.theta_prime for e in estimates]),
+                *map(float, mean_and_stderr([e.theta for e in estimates])),
+                *map(float, mean_and_stderr([e.theta_prime for e in estimates])),
                 trials, seed,
             ))
     return records

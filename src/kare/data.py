@@ -156,12 +156,11 @@ def load_mnist_idx(
     images_path,
     labels_path,
     digits: tuple[int, int],
-    label_map: dict[int, float] | None = None,
 ) -> Dataset:
     """Load an IDX image/label pair filtered to two digits mapped onto +-1.
 
-    The default map sends the first digit to +1 and the second to -1.
-    Images are flattened row-major with raw 0..255 values.
+    The first digit maps to +1 and the second to -1.  Images are
+    flattened row-major with raw 0..255 values.
     """
     (n_images, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3)
     (n_labels,), labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1)
@@ -170,11 +169,9 @@ def load_mnist_idx(
             f"{images_path}: {n_images} images but {n_labels} labels"
         )
     a, b = int(digits[0]), int(digits[1])
-    if label_map is None:
-        label_map = {a: 1.0, b: -1.0}
     keep = (labels == a) | (labels == b)
     X = pixels.reshape(n_images, rows * cols)[keep].astype(float)
-    y = np.array([float(label_map[int(v)]) for v in labels[keep]])
+    y = np.where(labels[keep] == b, -1.0, 1.0)
     _check_finite(X, y, str(images_path))
     meta = {
         "source": str(images_path),

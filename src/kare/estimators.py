@@ -19,7 +19,6 @@ given covariance spectrum.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +27,10 @@ from . import krr
 from .kernels import KernelSpec, gram_matrix
 from .spectral import (
     GramSpectrum,
-    NumericalError,
     check_gram,
     check_ridge,
     normalized,
+    representable,
     spectrum,
     stieltjes,
 )
@@ -62,24 +61,17 @@ def _labels(y) -> np.ndarray:
 
 
 def _score(formula):
-    """A RidgeScores score at a checked ridge: a finite float or NumericalError.
+    """A RidgeScores quantity at a checked ridge, guarded by ``representable``.
 
     Near the ends of the float64 range (ridge 1e-300 or 1e300 on a
-    rank-deficient Gram) the sums overflow or divide by zero; the score
-    then names itself and the ridge instead of returning inf or NaN.
+    rank-deficient Gram) the sums overflow or divide by zero; the
+    quantity then names itself and the ridge in a NumericalError instead
+    of returning inf or NaN.
     """
     @functools.wraps(formula)
-    def score(self, ridge: float) -> float:
+    def score(self, ridge: float):
         ridge = check_ridge(ridge)
-        try:
-            with np.errstate(all="ignore"):
-                value = formula(self, ridge)
-        except ArithmeticError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise NumericalError(f"{formula.__name__} is not representable in float64 "
-                                 f"at ridge {ridge!r}")
-        return value
+        return representable(formula.__name__, ridge, lambda: formula(self, ridge))
     return score
 
 
@@ -104,9 +96,9 @@ class RidgeScores:
     def gram_spectrum(self) -> GramSpectrum:
         return self._spectrum
 
+    @_score
     def solve(self, ridge: float) -> np.ndarray:
         """((1/n)G + ridge I)^{-1} y."""
-        ridge = check_ridge(ridge)
         return self.vectors @ (self.w / (self.mu + ridge))
 
     @_score
@@ -164,25 +156,35 @@ def classical_alignment(y, G) -> float:
     return float(y @ G @ y) / (gnorm * ynorm2)
 
 
-def _sct_and_bias(
-    spec: Spectrum, f: TrueFunction, n: int, ridge: float
-) -> tuple[SctResult, float]:
+def checked_modes(spec: Spectrum, f: TrueFunction | None = None, indices=()) -> np.ndarray:
+    """The spectrum's expanded eigenvalues, one per mode.
+
+    Raises ValueError unless the target f (if given) has one coefficient
+    per mode and every mode index in indices names one of the modes.
+    """
     d = spec.expand()
-    if f.coeffs.shape[0] != d.shape[0]:
+    if f is not None and f.coeffs.shape[0] != d.shape[0]:
         raise ValueError(
             f"{f.coeffs.shape[0]} coefficients but {d.shape[0]} expanded modes"
         )
+    for k in indices:
+        if not 0 <= k < d.shape[0]:
+            raise ValueError(f"mode index {k} out of range for {d.shape[0]} modes")
+    return d
+
+
+def _sct_and_bias(
+    spec: Spectrum, f: TrueFunction, n: int, ridge: float, indices=()
+) -> tuple[np.ndarray, SctResult, float]:
+    # The checked modes d, the SCT, and the bias sum_k b_k^2 theta^2/(theta+d_k)^2.
+    d = checked_modes(spec, f, indices)
     res = solve_sct(spec, n, ridge)
-    if d.size:
-        bias = float(np.sum(f.coeffs**2 * (res.theta / (res.theta + d)) ** 2))
-    else:
-        bias = 0.0
-    return res, bias
+    return d, res, float(np.sum(f.coeffs**2 * (res.theta / (res.theta + d)) ** 2))
 
 
 def theoretical_risk(spec: Spectrum, f: TrueFunction, n: int, ridge: float) -> float:
     """theta' * (sum_k b_k^2 theta^2/(theta+d_k)^2 + noise^2)."""
-    res, bias = _sct_and_bias(spec, f, n, ridge)
+    _, res, bias = _sct_and_bias(spec, f, n, ridge)
     return res.theta_prime * (bias + f.noise**2)
 
 
@@ -190,7 +192,7 @@ def theoretical_train_error(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float
 ) -> float:
     """(ridge/theta)^2 times the theoretical risk."""
-    res, bias = _sct_and_bias(spec, f, n, ridge)
+    _, res, bias = _sct_and_bias(spec, f, n, ridge)
     return (ridge / res.theta) ** 2 * res.theta_prime * (bias + f.noise**2)
 
 
@@ -198,11 +200,7 @@ def mean_predictor_coeffs(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float
 ) -> np.ndarray:
     """Expected predictor coefficient per mode: b_k * d_k / (theta + d_k)."""
-    d = spec.expand()
-    if f.coeffs.shape[0] != d.shape[0]:
-        raise ValueError(
-            f"{f.coeffs.shape[0]} coefficients but {d.shape[0]} expanded modes"
-        )
+    d = checked_modes(spec, f)
     theta = solve_sct(spec, n, ridge).theta
     return f.coeffs * d / (theta + d)
 
@@ -211,10 +209,7 @@ def predictor_variance_component(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float, k: int
 ) -> float:
     """Predicted variance of the predictor coefficient along expanded mode k."""
-    d = spec.expand()
-    if not 0 <= k < d.shape[0]:
-        raise ValueError(f"mode index {k} out of range for {d.shape[0]} modes")
-    res, bias = _sct_and_bias(spec, f, n, ridge)
+    d, res, bias = _sct_and_bias(spec, f, n, ridge, (k,))
     theta = res.theta
     own = f.coeffs[k] ** 2 * (theta / (theta + d[k])) ** 2
     return (
@@ -247,14 +242,7 @@ def bayesian_risk(
     res = solve_sct(spec_k, n, ridge)
     d, m = spec_k.arrays()
     s = np.array([sv for sv, _ in spec_sigma.entries])
-    if d.size:
-        dtau = (
-            res.theta_prime
-            * res.theta**2
-            * float(np.sum(m * (s - d) / (d + res.theta) ** 2))
-        )
-    else:
-        dtau = 0.0
+    dtau = res.theta_prime * res.theta**2 * float(np.sum(m * (s - d) / (d + res.theta) ** 2))
     return n * res.theta + n * res.theta_prime * (noise**2 / n - ridge) + dtau
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GramSpectrum, NumericalError, check_ridge, stieltjes, stieltjes_derivative
+from .spectral import GramSpectrum, check_ridge, representable, stieltjes, stieltjes_derivative
 
 # Multiplicities above this are no longer exactly representable once they
 # reach float arithmetic; the spectrum is truncated instead.
@@ -60,15 +60,11 @@ class Spectrum:
 
     def expand(self) -> np.ndarray:
         """Eigenvalues repeated per multiplicity, one slot per mode."""
-        if not self.entries:
-            return np.empty(0)
         return np.repeat(
             [d for d, _ in self.entries], [m for _, m in self.entries]
         ).astype(float)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.entries:
-            return np.empty(0), np.empty(0)
         d = np.array([d for d, _ in self.entries])
         m = np.array([float(m) for _, m in self.entries])
         return d, m
@@ -91,7 +87,7 @@ def solve_sct(spec: Spectrum, n: int, ridge: float) -> SctResult:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     d, m = spec.arrays()
-    trace = float(m @ d) if d.size else 0.0
+    trace = float(m @ d)
     if trace == 0.0:
         return SctResult(ridge, 1.0)
 
@@ -132,13 +128,10 @@ def sct_from_gram(s: GramSpectrum, ridge: float) -> SctResult:
     naming it and the ridge.
     """
     ridge = check_ridge(ridge)
-    with np.errstate(all="ignore"):
-        m = stieltjes(s, ridge)
-        theta_prime = float(np.divide(stieltjes_derivative(s, ridge), m * m))
-    # An infinite m makes theta = 1/m a spurious 0.
-    for name, value in (("theta", m), ("theta_prime", theta_prime)):
-        if not math.isfinite(value):
-            raise NumericalError(f"{name} is not representable in float64 at ridge {ridge!r}")
+    # An infinite m would make theta = 1/m a spurious 0.
+    m = representable("theta", ridge, lambda: stieltjes(s, ridge))
+    theta_prime = representable("theta_prime", ridge,
+                                lambda: stieltjes_derivative(s, ridge) / (m * m))
     return SctResult(1.0 / m, theta_prime)
 
 

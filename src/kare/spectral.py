@@ -7,10 +7,11 @@ axis, i.e. m(-ridge) for ridge > 0.
 
 This module owns the checks every eigen view shares: ``check_gram``
 validates G (cross-validation calls it too), ``normalized`` forms G/n
-from a checked G, ``spectrum`` clamps its eigenvalues, and
-``check_ridge`` validates a ridge.  ``NumericalError`` is the one error
-for a spectral quantity that float64 cannot represent and for a Gram
-matrix that is not positive semidefinite.
+from a checked G, ``spectrum`` clamps its eigenvalues, ``check_ridge``
+validates a ridge, and ``representable`` is the one float64 guard on a
+quantity computed at a ridge.  ``NumericalError`` is the one error for
+a quantity that float64 cannot represent and for a Gram matrix that is
+not positive semidefinite.
 """
 
 from __future__ import annotations
@@ -48,6 +49,21 @@ def check_ridge(ridge: float) -> float:
     if not 0 < ridge < math.inf:
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
     return ridge
+
+
+def representable(name: str, ridge: float, compute):
+    """compute() if all its entries are finite, else NumericalError naming
+    the quantity and the ridge.  NumPy float warnings are silenced, and an
+    ArithmeticError inside compute() (a float overflow, or an inner
+    quantity's NumericalError) counts as non-finite."""
+    try:
+        with np.errstate(all="ignore"):
+            value = compute()
+    except ArithmeticError:
+        value = math.nan
+    if not np.all(np.isfinite(value)):
+        raise NumericalError(f"{name} is not representable in float64 at ridge {ridge!r}")
+    return value
 
 
 def check_gram(G, n: int | None = None) -> np.ndarray:
@@ -88,18 +104,22 @@ def spectrum(eigenvalues: np.ndarray) -> GramSpectrum:
     return GramSpectrum(eigenvalues, eigenvalues.shape[0])
 
 
-def decompose(G, n: int | None = None) -> GramSpectrum:
+def decompose(G) -> GramSpectrum:
     """Eigenvalues of G/n as a GramSpectrum."""
-    return spectrum(np.linalg.eigvalsh(normalized(G, n)))
+    return spectrum(np.linalg.eigvalsh(normalized(G)))
 
 
 def stieltjes(s: GramSpectrum, ridge: float) -> float:
-    """m(-ridge) = (1/n) sum_i 1 / (mu_i + ridge); lies in (0, 1/ridge]."""
+    """m(-ridge) = (1/n) sum_i 1 / (mu_i + ridge); lies in (0, 1/ridge].
+    Raises NumericalError below ridge ~1e-308 on a rank-deficient Gram."""
     ridge = check_ridge(ridge)
-    return float(np.mean(1.0 / (s.eigenvalues + ridge)))
+    return representable("stieltjes", ridge,
+                         lambda: float(np.mean(1.0 / (s.eigenvalues + ridge))))
 
 
 def stieltjes_derivative(s: GramSpectrum, ridge: float) -> float:
-    """d/dz m(z) at z = -ridge, i.e. (1/n) sum_i 1 / (mu_i + ridge)^2."""
+    """d/dz m(z) at z = -ridge, i.e. (1/n) sum_i 1 / (mu_i + ridge)^2.
+    Raises NumericalError below ridge ~1e-154 on a rank-deficient Gram."""
     ridge = check_ridge(ridge)
-    return float(np.mean(1.0 / (s.eigenvalues + ridge) ** 2))
+    return representable("stieltjes_derivative", ridge,
+                         lambda: float(np.mean(1.0 / (s.eigenvalues + ridge) ** 2)))

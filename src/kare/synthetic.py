@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimators import TrueFunction
+from .estimators import TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
 from .krr import ridge_solve
 from .spectral import GramSpectrum, decompose, spectrum, stieltjes
@@ -58,19 +58,14 @@ class ObservationDraw:
         return U, U.T @ U
 
 
-def _expanded(spec: Spectrum, f: TrueFunction | None) -> np.ndarray:
-    d = spec.expand()
-    if d.shape[0] < 1:
+def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> np.ndarray:
+    # The sampling checks; checked_modes checks the target and indices.
+    size = spec.expanded_size
+    if size < 1:
         raise ValueError("cannot sample from an empty spectrum")
-    if d.shape[0] > MAX_MODES:
-        raise ValueError(
-            f"expanded spectrum has {d.shape[0]} modes, above the {MAX_MODES} cap"
-        )
-    if f is not None and f.coeffs.shape[0] != d.shape[0]:
-        raise ValueError(
-            f"{f.coeffs.shape[0]} coefficients but {d.shape[0]} expanded modes"
-        )
-    return d
+    if size > MAX_MODES:
+        raise ValueError(f"expanded spectrum has {size} modes, above the {MAX_MODES} cap")
+    return checked_modes(spec, f, indices)
 
 
 def _check_spectrum(dr: ObservationDraw, spec: Spectrum, f: TrueFunction | None) -> None:
@@ -132,28 +127,29 @@ def _gram_spectrum(dr: ObservationDraw) -> GramSpectrum:
     return spectrum(np.sort(np.concatenate([np.zeros(max(n - mu.shape[0], 0)), mu]))[-n:])
 
 
+def mean_and_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo mean and its standard error std(ddof=1)/sqrt(k) along
+    the first axis of k samples; the standard error of one sample is 0."""
+    samples = np.asarray(samples, dtype=float)
+    k = samples.shape[0]
+    spread = samples.std(axis=0, ddof=1) if k > 1 else np.zeros(samples.shape[1:])
+    return samples.mean(axis=0), spread / np.sqrt(k)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+
+
 def mc_expected_risk(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float, trials: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of exact_risk over independent draws."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    risks = np.array(
+    _check_trials(trials)
+    mean, stderr = mean_and_stderr(
         [exact_risk(draw(spec, f, n, (seed, t)), spec, f, ridge) for t in range(trials)]
     )
-    return float(risks.mean()), float(risks.std(ddof=1) / np.sqrt(trials))
-
-
-def _mode_indices(d: np.ndarray, k_indices, trials: int) -> tuple[int, ...]:
-    """The mode indices as ints; raises unless there are at least two
-    trials and every index names one of the d.shape[0] modes."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    idx = tuple(int(k) for k in k_indices)
-    for k in idx:
-        if not 0 <= k < d.shape[0]:
-            raise ValueError(f"mode index {k} out of range for {d.shape[0]} modes")
-    return idx
+    return float(mean), float(stderr)
 
 
 def _variance_stderr(samples: np.ndarray) -> float:
@@ -169,10 +165,8 @@ def _variance_stderr(samples: np.ndarray) -> float:
 def _moments(samples: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per column of a (trials, k) sample array: the mean, its standard
     error, the variance and the variance's standard error."""
-    trials = samples.shape[0]
     return (
-        samples.mean(axis=0),
-        samples.std(axis=0, ddof=1) / np.sqrt(trials),
+        *mean_and_stderr(samples),
         samples.var(axis=0, ddof=1),
         np.array([_variance_stderr(column) for column in samples.T]),
     )
@@ -209,8 +203,9 @@ def mc_operator_moments(
     |1/theta - m(-ridge)| between the solved threshold and the Gram
     Stieltjes transform.
     """
-    d = _expanded(spec, None)
-    idx = _mode_indices(d, k_indices, trials)
+    _check_trials(trials)
+    idx = tuple(int(k) for k in k_indices)
+    d = _expanded(spec, None, idx)
     zero_f = TrueFunction(np.zeros(d.shape[0]), 0.0)
     theta = solve_sct(spec, n, ridge).theta
     cols = np.array(idx)
@@ -253,7 +248,9 @@ def mc_coeff_stats(
     k_indices: tuple[int, ...],
 ) -> CoeffStats:
     """Sample the predictor coefficients a_k over independent draws."""
-    idx = _mode_indices(_expanded(spec, f), k_indices, trials)
+    _check_trials(trials)
+    idx = tuple(int(k) for k in k_indices)
+    _expanded(spec, f, idx)
     cols = np.array(idx)
     samples = np.empty((trials, len(idx)))
     for t in range(trials):

@@ -33,6 +33,7 @@ from .synthetic import (
     mc_coeff_stats,
     mc_expected_risk,
     mc_operator_moments,
+    mean_and_stderr,
     rbf_gaussian_gram_spectrum,
 )
 
@@ -290,50 +291,43 @@ def suite_thm6(seed: int) -> list[Check]:
 def suite_kare(seed: int) -> list[Check]:
     spec = power_law_spectrum(2.0, 40)
     b = 1.0 / np.arange(1, 41)
-    f = TrueFunction(b, 0.1)
-    n, trials = 1000, 50
     ridges = (1e-3, 1e-2, 1e-1)
     grid = np.logspace(-4, 0, 12)
-    within = {r: 0 for r in ridges}
-    kare_means = np.zeros(grid.size)
-    risk_means = np.zeros(grid.size)
-    for t in range(trials):
-        dr = draw(spec, f, n, (seed, t))
-        rs = RidgeScores(dr.G, dr.y)
-        for r in ridges:
-            score = rs.kare(r)
-            risk = exact_risk(dr, spec, f, r)
-            if abs(score - risk) / risk <= 0.20:
-                within[r] += 1
-        for i, r in enumerate(grid):
-            kare_means[i] += rs.kare(r) / trials
-            risk_means[i] += exact_risk(dr, spec, f, r) / trials
+
+    def scores_and_risks(f, n, trials, draw_seed, at):
+        """Per-trial kare and exact risk at the ridges at, each (trials, len(at))."""
+        scores, risks = np.empty((trials, len(at))), np.empty((trials, len(at)))
+        for t in range(trials):
+            dr = draw(spec, f, n, (draw_seed, t))
+            rs = RidgeScores(dr.G, dr.y)
+            for i, r in enumerate(at):
+                scores[t, i] = rs.kare(r)
+                risks[t, i] = exact_risk(dr, spec, f, r)
+        return scores, risks
+
+    f = TrueFunction(b, 0.1)
+    trials = 50
+    scores, risks = scores_and_risks(f, 1000, trials, seed, (*ridges, *grid))
+    within = np.sum(np.abs(scores - risks) / risks <= 0.20, axis=0)
     checks = []
-    for r in ridges:
+    for r, count in zip(ridges, within):
         checks.append(_check(
             f"per-trial score within 20% of risk for >=90% of trials, ridge={r:g}",
-            within[r] >= int(np.ceil(0.9 * trials)),
-            f"{within[r]}/{trials} trials within 20%",
+            count >= int(np.ceil(0.9 * trials)),
+            f"{count}/{trials} trials within 20%",
         ))
-    gap = abs(int(np.argmin(kare_means)) - int(np.argmin(risk_means)))
+    i_kare = int(np.argmin(scores[:, len(ridges):].mean(axis=0)))
+    i_risk = int(np.argmin(risks[:, len(ridges):].mean(axis=0)))
     checks.append(_check(
         "grid argmin of mean score matches argmin of mean risk",
-        gap <= 1,
-        f"indices {int(np.argmin(kare_means))} vs {int(np.argmin(risk_means))}",
+        abs(i_kare - i_risk) <= 1,
+        f"indices {i_kare} vs {i_risk}",
     ))
 
     # higher-noise variant where the minimizing ridge is interior
-    f_noisy = TrueFunction(b, 1.0)
-    n2, trials2 = 200, 50
-    kare_means2 = np.zeros(grid.size)
-    risk_means2 = np.zeros(grid.size)
-    for t in range(trials2):
-        dr = draw(spec, f_noisy, n2, (seed + 1, t))
-        rs = RidgeScores(dr.G, dr.y)
-        for i, r in enumerate(grid):
-            kare_means2[i] += rs.kare(r) / trials2
-            risk_means2[i] += exact_risk(dr, spec, f_noisy, r) / trials2
-    i_kare, i_risk = int(np.argmin(kare_means2)), int(np.argmin(risk_means2))
+    scores, risks = scores_and_risks(TrueFunction(b, 1.0), 200, 50, seed + 1, grid)
+    i_kare = int(np.argmin(scores.mean(axis=0)))
+    i_risk = int(np.argmin(risks.mean(axis=0)))
     checks.append(_check(
         "interior-minimum argmin agreement (noise 1.0, n=200)",
         abs(i_kare - i_risk) <= 1 and 0 < i_risk < grid.size - 1,
@@ -367,9 +361,9 @@ def suite_bayes(seed: int) -> list[Check]:
         f = TrueFunction(b, noise)
         dr = draw(spec_k, f, n, (seed, t, 1))
         risks[t] = exact_risk(dr, spec_k, f, ridge)
+    mean, stderr = mean_and_stderr(risks)
     checks.append(_agree("generic case vs Monte Carlo over random targets",
-                         float(risks.mean()), float(risks.std(ddof=1) / np.sqrt(trials)),
-                         predicted, 0.10))
+                         float(mean), float(stderr), predicted, 0.10))
     return checks
 
 

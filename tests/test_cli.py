@@ -2,6 +2,7 @@ import collections
 import csv
 import dataclasses
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -167,6 +168,9 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["nope"]) == 1
     assert main(["--help"]) == 0
+    # no Monte Carlo trials would leave every estimate NaN
+    assert main(["sct", "--spectrum", "power-law", "--trials", "0",
+                 "--out", str(tmp_path / "sct.csv")]) == 1
     # csv dataset pointing at a missing file is a data error
     cfg = _config(tmp_path, **{
         "data.type": "csv", "data.path": str(tmp_path / "none.csv"),
@@ -192,6 +196,26 @@ def test_csv_dataset_sweep(tmp_path):
     assert main(["sweep", "--config", cfg]) == 0
     body = (tmp_path / "out.csv").read_text().splitlines()
     assert len(body) == 1 + 2 * 3
+
+
+def test_idx_dataset_sweep(tmp_path):
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, (20, 28, 28), dtype=np.uint8)
+    labels = np.array([7, 9] * 10, dtype=np.uint8)
+    image_path, label_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+    image_path.write_bytes(struct.pack(">IIII", 2051, 20, 28, 28) + images.tobytes())
+    label_path.write_bytes(struct.pack(">II", 2049, 20) + labels.tobytes())
+    cfg = _config(tmp_path, **{
+        "data.type": "idx", "data.images": str(image_path), "data.labels": str(label_path),
+        "data.digits": "7,9", "data.preprocess": "mnist",
+        "data.n": "12", "data.test_n": "6", "scores.cv_folds": "3",
+        "grid.ridge": "1e-2:1e-1:2:log10",
+    })
+    assert main(["sweep", "--config", cfg]) == 0
+    with open(tmp_path / "out.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 4
+    assert all(np.isfinite(float(row["kare"])) for row in rows)
 
 
 def test_sct_csv_header(tmp_path):
@@ -237,6 +261,20 @@ def test_malformed_config_value_names_the_key(tmp_path, key, value):
     path = _config(tmp_path, **{key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {re.escape(key)}: "):
         parse_sweep_config(path)
+
+
+@pytest.mark.parametrize("key, value, bound", [
+    ("data.n", "0", ">= 1"), ("data.dim", "0", ">= 1"), ("data.test_n", "-5", ">= 0"),
+    ("data.noise", "-1", ">= 0 and finite"), ("data.noise", "inf", ">= 0 and finite"),
+    ("scores.cv_folds", "1", "0 or between 2 and data.n = 40"),
+    ("scores.cv_folds", "41", "0 or between 2 and data.n = 40"),
+])
+def test_out_of_range_config_value_names_the_key(tmp_path, capsys, key, value, bound):
+    path = _config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {key} must be {bound}')}$"):
+        parse_sweep_config(path)
+    assert main(["sweep", "--config", path]) == 1
+    assert f"config error: {path}: {key} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["rbf", "laplacian", "l1exp"])

@@ -248,6 +248,8 @@ def test_mean_predictor_coeffs():
     assert coeffs[0] == pytest.approx(2.0, rel=1e-5)
     assert abs(coeffs[1]) < 1e-11
     assert coeffs[2] == pytest.approx(2.0, rel=1e-5)  # 4 * d/(theta+d) with theta ~ 1
+    with pytest.raises(ValueError, match="^2 coefficients but 3 expanded modes$"):
+        mean_predictor_coeffs(spec, TrueFunction(np.array([2.0, 3.0]), 0.0), 10, 1.0)
 
 
 def test_variance_component_golden_case():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,8 +64,9 @@ def test_non_symmetric_rejected():
 
 
 def test_sample_count_mismatch_rejected():
-    with pytest.raises(ValueError):
-        decompose(np.eye(3), n=4)
+    # The label count must match the size of G.
+    with pytest.raises(ValueError, match="sample count 4 does not match matrix size 3"):
+        RidgeScores(np.eye(3), np.ones(4))
 
 
 def test_small_negative_clamped_large_rejected():
@@ -85,6 +88,19 @@ def test_numerical_failures_raise_one_error_class():
         sct_from_gram(decompose(G), 1e-320)
     with pytest.raises(NumericalError, match="kare is not representable"):
         RidgeScores(G, np.ones(6)).kare(1e300)
+    # The spectral sums and the resolvent solve name themselves too,
+    # without a NumPy RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name, ridge in (
+            (lambda r: stieltjes(decompose(G), r), "stieltjes", 1e-320),
+            (lambda r: stieltjes_derivative(decompose(G), r), "stieltjes_derivative", 1e-300),
+            (lambda r: RidgeScores(np.diag([3.0, 0.0, 0.0]), np.ones(3)).solve(r),
+             "solve", 1e-320),
+        ):
+            with pytest.raises(NumericalError,
+                               match=f"^{name} is not representable in float64 at ridge {ridge!r}$"):
+                call(ridge)
     # Ten points, each four times: (1/n)G + 1e-19 I is singular in
     # float64, and the failed Cholesky factorization names the ridge.
     X = np.repeat(np.random.default_rng(0).standard_normal((10, 2)), 4, axis=0)
