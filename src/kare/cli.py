@@ -147,8 +147,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
     scale = parts[3]
     if scale not in ("log2", "log10"):
         raise ConfigError(f"grid {text!r}: scale must be log2 or log10")
-    if count < 1 or start <= 0 or stop <= 0:
-        raise ConfigError(f"grid {text!r}: need positive bounds and count >= 1")
+    if count < 1 or not 0 < start < math.inf or not 0 < stop < math.inf:
+        raise ConfigError(f"grid {text!r}: need positive finite bounds and count >= 1")
     if count == 1:
         return (start,)
     base = 2.0 if scale == "log2" else 10.0
@@ -176,8 +176,8 @@ def _parse_columns(text: str) -> list[str] | None:
 
 def _parse_digits(text: str) -> tuple[int, ...] | None:
     digits = tuple(int(v) for v in text.split(",")) if text else None
-    if digits is not None and len(digits) != 2:
-        raise ValueError("must name exactly two digits")
+    if digits is not None and (len(digits) != 2 or digits[0] == digits[1]):
+        raise ValueError("must name exactly two distinct digits")
     return digits
 
 
@@ -349,13 +349,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     def one_lengthscale(kern: KernelSpec, cv_row: list) -> list[SweepRecord]:
         G = from_distances(kern, D)
         rs = RidgeScores(G, train.y)
-        gs = rs.gram_spectrum()
         K_test = from_distances(kern, D_test) if D_test is not None else None
         align = classical_alignment(train.y, G) if cfg.alignment else None
         records = []
         for ridge, cv_risk in zip(cfg.ridges, cv_row):
             with _cell(kern.lengthscale, ridge):
-                est = sct_from_gram(gs, ridge)
+                est = sct_from_gram(rs, ridge)
                 records.append(SweepRecord(
                     lengthscale=kern.lengthscale,
                     ridge=float(ridge),

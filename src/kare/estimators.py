@@ -19,6 +19,7 @@ given covariance spectrum.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,10 @@ from .kernels import KernelSpec, gram_matrix
 from .spectral import (
     GramSpectrum,
     check_gram,
+    check_labels,
     check_ridge,
     normalized,
     representable,
-    spectrum,
     stieltjes,
 )
 from .sct import SctResult, Spectrum, solve_sct
@@ -47,17 +48,10 @@ class TrueFunction:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float).ravel()
         object.__setattr__(self, "coeffs", coeffs)
-        if not self.noise >= 0:
-            raise ValueError(f"noise level must be >= 0, got {self.noise}")
-
-
-def _labels(y) -> np.ndarray:
-    """The labels as a flat float vector; raises ValueError unless every
-    entry is finite."""
-    y = np.asarray(y, dtype=float).ravel()
-    if not np.all(np.isfinite(y)):
-        raise ValueError("labels have non-finite entries")
-    return y
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("target coefficients have non-finite entries")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"noise level must be finite and >= 0, got {self.noise}")
 
 
 def _score(formula):
@@ -75,8 +69,9 @@ def _score(formula):
     return score
 
 
-class RidgeScores:
-    """Every label-dependent ridge score from one eigendecomposition of (1/n)G.
+class RidgeScores(GramSpectrum):
+    """The GramSpectrum of (1/n)G with the labels rotated into its
+    eigenbasis, and every label-dependent ridge score from it.
 
     Grid sweeps evaluate many ridges per dataset; after rotating the
     labels into the eigenbasis each score is an O(n) sum over
@@ -84,36 +79,31 @@ class RidgeScores:
     """
 
     def __init__(self, G, y):
-        y = _labels(y)
+        y = check_labels(y)
         mu, vectors = np.linalg.eigh(normalized(G, y.shape[0]))
-        self._spectrum = spectrum(mu)
-        self.n = self._spectrum.n
-        self.mu = self._spectrum.eigenvalues
+        super().__init__(mu)
         self.vectors = vectors
         self.w = vectors.T @ y
         self._w2 = self.w**2
 
-    def gram_spectrum(self) -> GramSpectrum:
-        return self._spectrum
-
     @_score
     def solve(self, ridge: float) -> np.ndarray:
         """((1/n)G + ridge I)^{-1} y."""
-        return self.vectors @ (self.w / (self.mu + ridge))
+        return self.vectors @ (self.w / (self.eigenvalues + ridge))
 
     @_score
     def kare(self, ridge: float) -> float:
-        numerator = float(np.mean(self._w2 / (self.mu + ridge) ** 2))
-        return numerator / stieltjes(self._spectrum, ridge) ** 2
+        numerator = float(np.mean(self._w2 / (self.eigenvalues + ridge) ** 2))
+        return numerator / stieltjes(self, ridge) ** 2
 
     @_score
     def varrho(self, ridge: float) -> float:
-        q = (self.mu + ridge) ** 2
+        q = (self.eigenvalues + ridge) ** 2
         return float(np.sum(self._w2 / q) / np.sum(1.0 / q))
 
     @_score
     def train_error(self, ridge: float) -> float:
-        return ridge**2 * float(np.mean(self._w2 / (self.mu + ridge) ** 2))
+        return ridge**2 * float(np.mean(self._w2 / (self.eigenvalues + ridge) ** 2))
 
     @_score
     def log_marginal_likelihood(self, ridge: float) -> float:
@@ -122,8 +112,8 @@ class RidgeScores:
         -(1/n) [ 1/2 y^T B^{-1} y + 1/2 log det B ]; the n log(2 pi)/2
         constant is dropped.  Higher is better.
         """
-        quad = float(np.sum(self._w2 / (self.mu + ridge)))
-        logdet = float(np.sum(np.log(self.mu + ridge)))
+        quad = float(np.sum(self._w2 / (self.eigenvalues + ridge)))
+        logdet = float(np.sum(np.log(self.eigenvalues + ridge)))
         return -0.5 * (quad + logdet) / self.n
 
 
@@ -143,7 +133,7 @@ def log_marginal_likelihood(y, G, ridge: float) -> float:
 
 def classical_alignment(y, G) -> float:
     """y^T G y / (||G||_F ||y||^2), in [-1, 1]."""
-    y = _labels(y)
+    y = check_labels(y)
     G = np.asarray(G, dtype=float)
     if not np.all(np.isfinite(G)):
         raise ValueError("Gram matrix has non-finite entries")
@@ -232,8 +222,8 @@ def bayesian_risk(
     spec_sigma = spec_k and ridge = noise^2/n this collapses to
     n*theta(noise^2/n), the optimal configuration.
     """
-    if not noise >= 0:
-        raise ValueError(f"noise level must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise level must be finite and >= 0, got {noise}")
     if len(spec_k.entries) != len(spec_sigma.entries) or any(
         mk != ms
         for (_, mk), (_, ms) in zip(spec_k.entries, spec_sigma.entries)
@@ -257,7 +247,7 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     reads one triangle); a failed solve raises NumericalError naming
     its ridge.
     """
-    y = _labels(y)
+    y = check_labels(y)
     n = y.shape[0]
     G = np.asarray(G, dtype=float)
     if G.shape != (n, n):
@@ -267,13 +257,8 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
         raise ValueError(f"folds must be between 2 and {n}, got {folds}")
     ridges = [check_ridge(ridge) for ridge in ridges]
     order = np.random.default_rng(seed).permutation(n)
-    base, rem = divmod(n, folds)
     errors = [[] for _ in ridges]
-    start = 0
-    for i in range(folds):
-        size = base + (1 if i < rem else 0)
-        held = order[start:start + size]
-        start += size
+    for held in np.array_split(order, folds):
         rest = np.setdiff1d(order, held)
         G_rest, K_held = G[np.ix_(rest, rest)], G[np.ix_(held, rest)]
         for fold_errors, ridge in zip(errors, ridges):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import KernelSpec, _as_points, cross_gram, gram_matrix
-from .spectral import NumericalError, check_ridge
+from .spectral import NumericalError, check_labels, check_ridge
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
     """
     ridge = check_ridge(ridge)
     X = _as_points(X)
-    y = np.asarray(y, dtype=float).ravel()
+    y = check_labels(y)
     n = X.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"{n} points but {y.shape[0]} labels")
@@ -92,7 +92,7 @@ def held_out_risk(K: np.ndarray, dual: np.ndarray, y: np.ndarray) -> float:
 
 def test_risk(p: Predictor, X_test, y_test) -> float:
     """Mean squared error on held-out data."""
-    y_test = np.asarray(y_test, dtype=float).ravel()
+    y_test = check_labels(y_test)
     if y_test.shape[0] == 0:
         raise ValueError("empty test set")
     return held_out_risk(cross_gram(p.kernel, X_test, p.X_train), p.dual, y_test)

@@ -44,8 +44,8 @@ class Spectrum:
     def __post_init__(self):
         entries = tuple((float(d), int(m)) for d, m in self.entries)
         for d, m in entries:
-            if not d > 0:
-                raise ValueError(f"eigenvalues must be positive, got {d}")
+            if not 0 < d < math.inf:
+                raise ValueError(f"eigenvalues must be positive and finite, got {d}")
             if m < 1:
                 raise ValueError(f"multiplicities must be >= 1, got {m}")
         object.__setattr__(self, "entries", entries)
@@ -84,7 +84,7 @@ def solve_sct(spec: Spectrum, n: int, ridge: float) -> SctResult:
     |g(theta)| <= 1e-12 * (ridge + trace/n).
     """
     ridge = check_ridge(ridge)
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     d, m = spec.arrays()
     trace = float(m @ d)
@@ -160,8 +160,8 @@ def rbf_gaussian_spectrum(
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if not lengthscale > 0 or not sigma > 0:
-        raise ValueError("lengthscale and sigma must be positive")
+    if not 0 < lengthscale < math.inf or not 0 < sigma < math.inf:
+        raise ValueError("lengthscale and sigma must be positive and finite")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     var = sigma * sigma

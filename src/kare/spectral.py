@@ -7,17 +7,17 @@ axis, i.e. m(-ridge) for ridge > 0.
 
 This module owns the checks every eigen view shares: ``check_gram``
 validates G (cross-validation calls it too), ``normalized`` forms G/n
-from a checked G, ``spectrum`` clamps its eigenvalues, ``check_ridge``
-validates a ridge, and ``representable`` is the one float64 guard on a
-quantity computed at a ridge.  ``NumericalError`` is the one error for
-a quantity that float64 cannot represent and for a Gram matrix that is
-not positive semidefinite.
+from a checked G, ``GramSpectrum`` checks and clamps its eigenvalues,
+``check_ridge`` validates a ridge, ``check_labels`` validates labels,
+and ``representable`` is the one float64 guard on a quantity computed
+at a ridge.  ``NumericalError`` is the one error for a quantity that
+float64 cannot represent and for a Gram matrix that is not positive
+semidefinite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,25 @@ class NumericalError(ValueError, ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
 class GramSpectrum:
-    """Eigenvalues of (1/n) G, ascending and clamped to be nonnegative."""
+    """Eigenvalues of (1/n) G, ascending, as a read-only nonnegative array.
 
-    eigenvalues: np.ndarray
-    n: int
+    The one eigen view of a Gram matrix.  Eigenvalues in [-1e-8, 0) are
+    floating noise on a PSD matrix and are clamped to zero; a minimum
+    below -1e-8 (or NaN) signals a broken kernel and raises
+    NumericalError.  n is the number of eigenvalues.
+    """
+
+    def __init__(self, eigenvalues):
+        eigenvalues = np.asarray(eigenvalues, dtype=float)
+        lowest = np.min(eigenvalues)
+        if not lowest >= EIGENVALUE_FLOOR:
+            raise NumericalError(
+                f"matrix is not positive semidefinite (min eigenvalue {lowest:.3e})"
+            )
+        self.eigenvalues = np.clip(eigenvalues, 0.0, None)
+        self.eigenvalues.flags.writeable = False
+        self.n = self.eigenvalues.shape[0]
 
 
 def check_ridge(ridge: float) -> float:
@@ -88,25 +101,18 @@ def normalized(G, n: int | None = None) -> np.ndarray:
     return G / G.shape[0]
 
 
-def spectrum(eigenvalues: np.ndarray) -> GramSpectrum:
-    """Ascending eigenvalues of G/n as a read-only, nonnegative GramSpectrum.
-
-    Eigenvalues in [-1e-8, 0) are floating noise on a PSD matrix and are
-    clamped to zero; anything below -1e-8 signals a broken kernel and
-    raises.
-    """
-    if eigenvalues[0] < EIGENVALUE_FLOOR:
-        raise NumericalError(
-            f"matrix is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})"
-        )
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    eigenvalues.flags.writeable = False
-    return GramSpectrum(eigenvalues, eigenvalues.shape[0])
+def check_labels(y) -> np.ndarray:
+    """The labels as a flat float vector; raises ValueError unless every
+    entry is finite."""
+    y = np.asarray(y, dtype=float).ravel()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("labels have non-finite entries")
+    return y
 
 
 def decompose(G) -> GramSpectrum:
     """Eigenvalues of G/n as a GramSpectrum."""
-    return spectrum(np.linalg.eigvalsh(normalized(G)))
+    return GramSpectrum(np.linalg.eigvalsh(normalized(G)))
 
 
 def stieltjes(s: GramSpectrum, ridge: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from .estimators import TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
 from .krr import ridge_solve
-from .spectral import GramSpectrum, decompose, spectrum, stieltjes
+from .spectral import GramSpectrum, decompose, stieltjes
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -79,6 +79,8 @@ def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
     The draw keeps the expanded spectrum d; its Gram matrix G is built
     only when ``.G`` is read, and no oracle reads it.
     """
+    if not n >= 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
     d = _expanded(spec, f)
     rng = np.random.default_rng(seed)
     O = rng.standard_normal((n, d.shape[0]))
@@ -124,7 +126,7 @@ def _gram_spectrum(dr: ObservationDraw) -> GramSpectrum:
     (n >= M) or its M - n smallest dropped (n < M)."""
     n = dr.y.shape[0]
     mu = np.linalg.eigvalsh(dr._modes[1] / n)
-    return spectrum(np.sort(np.concatenate([np.zeros(max(n - mu.shape[0], 0)), mu]))[-n:])
+    return GramSpectrum(np.sort(np.concatenate([np.zeros(max(n - mu.shape[0], 0)), mu]))[-n:])
 
 
 def mean_and_stderr(samples) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,8 @@ def test_parse_grid():
     assert parse_grid("1:8:4:log2") == pytest.approx((1.0, 2.0, 4.0, 8.0))
     assert parse_grid("1e-2:1:3:log10") == pytest.approx((0.01, 0.1, 1.0))
     assert parse_grid("0.5:9:1:log2") == (0.5,)
-    for bad in ("1:2:3", "1:2:0:log2", "-1:2:3:log2", "1:2:3:linear"):
+    for bad in ("1:2:3", "1:2:0:log2", "-1:2:3:log2", "1:2:3:linear",
+                "nan:1:3:log10", "1:inf:3:log10", "1e-3:1e400:3:log10"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
 
@@ -198,7 +199,7 @@ def test_csv_dataset_sweep(tmp_path):
     assert len(body) == 1 + 2 * 3
 
 
-def test_idx_dataset_sweep(tmp_path):
+def test_idx_dataset_sweep(tmp_path, capsys):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, (20, 28, 28), dtype=np.uint8)
     labels = np.array([7, 9] * 10, dtype=np.uint8)
@@ -216,6 +217,14 @@ def test_idx_dataset_sweep(tmp_path):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 4
     assert all(np.isfinite(float(row["kare"])) for row in rows)
+    # One digit named twice would sweep a one-class problem.
+    cfg = _config(tmp_path, **{
+        "data.type": "idx", "data.images": str(image_path), "data.labels": str(label_path),
+        "data.digits": "7,7", "data.preprocess": "mnist", "data.n": "8",
+    })
+    assert main(["sweep", "--config", cfg]) == 1
+    assert (f"config error: {cfg}: data.digits: must name exactly two distinct digits"
+            in capsys.readouterr().err)
 
 
 def test_sct_csv_header(tmp_path):
@@ -256,11 +265,15 @@ def test_empty_sweep_csv_has_header(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("data.dim", "x"), ("data.noise", "abc"), ("scores.cv_folds", "2.5"),
     ("scores.loglik", "maybe"), ("data.digits", "7"), ("grid.ridge", "1:2"),
+    ("grid.ridge", "nan:1:3:log10"), ("grid.ridge", "1:inf:3:log10"),
+    ("grid.lengthscale", "1e-3:1e400:3:log10"),
 ])
-def test_malformed_config_value_names_the_key(tmp_path, key, value):
+def test_malformed_config_value_names_the_key(tmp_path, capsys, key, value):
     path = _config(tmp_path, **{key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {re.escape(key)}: "):
         parse_sweep_config(path)
+    assert main(["sweep", "--config", path]) == 1
+    assert f"config error: {path}: {key}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, bound", [

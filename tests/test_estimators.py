@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from kare.estimators import (
 )
 from kare import krr
 from kare.kernels import FAMILIES, KernelSpec, gram_matrix
-from kare.sct import Spectrum, power_law_spectrum, solve_sct
+from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, solve_sct
 from kare.spectral import decompose
+from kare.synthetic import draw
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -95,6 +97,50 @@ def test_non_finite_gram_or_labels_rejected(bad):
         RidgeScores(G, np.ones(3))
     with pytest.raises(ValueError, match="non-finite"):
         RidgeScores(np.eye(3), np.array([1.0, bad, 0.0]))
+
+
+def _fit_and_score(y_test):
+    X = np.random.default_rng(0).standard_normal((4, 2))
+    p = krr.fit(KernelSpec("rbf", 1.0), X, np.ones(4), 0.1)
+    return krr.test_risk(p, X, y_test)
+
+
+# Inputs that would carry a NaN or inf into a result, or fail later with
+# a message naming another cause: the check that owns each rejects it.
+NON_FINITE_INPUTS = {
+    "TrueFunction nan coefficient": (
+        lambda: TrueFunction(np.array([1.0, np.nan])), "non-finite"),
+    "TrueFunction infinite noise": (
+        lambda: TrueFunction(np.ones(2), np.inf), "noise level must be finite"),
+    "bayesian_risk infinite noise": (
+        lambda: bayesian_risk(power_law_spectrum(2.0, 5), power_law_spectrum(2.0, 5),
+                              np.inf, 10, 0.1), "noise level must be finite"),
+    "krr.fit nan label": (
+        lambda: krr.fit(KernelSpec("rbf", 1.0), np.zeros((3, 2)),
+                        np.array([1.0, np.nan, 0.0]), 0.1), "labels have non-finite"),
+    "krr.test_risk nan label": (
+        lambda: _fit_and_score(np.array([1.0, np.nan, 0.0, 1.0])), "labels have non-finite"),
+    "Spectrum infinite eigenvalue": (
+        lambda: Spectrum(((np.inf, 1),)), "positive and finite"),
+    "solve_sct nan sample count": (
+        lambda: solve_sct(power_law_spectrum(2.0, 5), np.nan, 0.1), "sample count"),
+    "rbf_gaussian_spectrum infinite lengthscale": (
+        lambda: rbf_gaussian_spectrum(2, np.inf, 1.0, 3), "positive and finite"),
+    "rbf_gaussian_spectrum infinite sigma": (
+        lambda: rbf_gaussian_spectrum(2, 1.0, np.inf, 3), "positive and finite"),
+    "draw zero samples": (
+        lambda: draw(power_law_spectrum(2.0, 3), TrueFunction(np.ones(3)), 0, 0),
+        "sample count"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_fails_loudly(entry):
+    call, message = NON_FINITE_INPUTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

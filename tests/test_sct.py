@@ -104,19 +104,19 @@ def test_derivative_matches_finite_difference():
 
 
 def test_sct_from_gram_zero_and_identity():
-    zero = GramSpectrum(np.zeros(6), 6)
+    zero = GramSpectrum(np.zeros(6))
     res = sct_from_gram(zero, 0.7)
     assert res.theta == pytest.approx(0.7, rel=1e-12)
     assert res.theta_prime == pytest.approx(1.0, rel=1e-12)
 
-    ident = GramSpectrum(np.ones(6), 6)
+    ident = GramSpectrum(np.ones(6))
     res = sct_from_gram(ident, 1.0)
     assert res.theta == pytest.approx(2.0, rel=1e-12)
     assert res.theta_prime == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sct_from_gram_two_values():
-    s = GramSpectrum(np.array([0.0, 1.0]), 2)
+    s = GramSpectrum(np.array([0.0, 1.0]))
     res = sct_from_gram(s, 1.0)
     assert res.theta == pytest.approx(1 / 0.75, rel=1e-12)
     assert res.theta_prime == pytest.approx(0.625 / 0.75**2, rel=1e-12)
@@ -126,7 +126,7 @@ def test_sct_from_gram_bounds_hold():
     rng = np.random.default_rng(1)
     for _ in range(50):
         ev = np.sort(rng.uniform(0, 3, int(rng.integers(1, 40))))
-        s = GramSpectrum(ev, len(ev))
+        s = GramSpectrum(ev)
         ridge = float(10 ** rng.uniform(-4, 1))
         res = sct_from_gram(s, ridge)
         assert res.theta >= ridge

@@ -75,6 +75,23 @@ def test_small_negative_clamped_large_rejected():
         decompose(np.diag([-1e-3, 1.0, 2.0]) * 3)
 
 
+def test_gram_spectrum_enforces_its_invariant():
+    # The minimum is checked wherever it sits, and NaN is no minimum.
+    for bad in ([1.0, -5.0, 2.0], [np.nan, 1.0]):
+        with pytest.raises(NumericalError, match="semidefinite"):
+            GramSpectrum(np.array(bad))
+    s = GramSpectrum(np.array([-5e-9, 0.5, 2.0]))
+    assert s.n == 3 and s.eigenvalues.tolist() == [0.0, 0.5, 2.0]
+    assert not s.eigenvalues.flags.writeable
+    # RidgeScores is the same view, with the labels in its eigenbasis.
+    G = np.diag([3.0, -1.5e-8, 6.0])
+    rs = RidgeScores(G, np.ones(3))
+    assert isinstance(rs, GramSpectrum)
+    assert rs.n == 3 and rs.eigenvalues.tolist() == [0.0, 1.0, 2.0]
+    assert not rs.eigenvalues.flags.writeable
+    assert stieltjes(rs, 1.0) == stieltjes(decompose(G), 1.0)
+
+
 def test_numerical_failures_raise_one_error_class():
     # A ValueError, as before, and an ArithmeticError, which the CLI
     # reports as a numerical error.
@@ -158,7 +175,7 @@ def test_solve_vs_spectrum_equivalence():
 )
 def test_cone_property_and_monotonicity(eigenvalues, ridge):
     ev = np.sort(np.array(eigenvalues))
-    s = GramSpectrum(ev, len(eigenvalues))
+    s = GramSpectrum(ev)
     m = stieltjes(s, ridge)
     assert 0.0 < m <= (1.0 / ridge) * (1 + 1e-12)  # summation rounding slack
     assert stieltjes(s, ridge * 2) < m
