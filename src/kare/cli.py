@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -55,7 +56,7 @@ from .estimators import (
     classical_alignment,
     cross_validation_risks,
 )
-from .kernels import KernelSpec, distances, from_distances
+from .kernels import FAMILIES, KernelSpec, distances, from_distances
 from .krr import held_out_risk
 from .sct import (
     Spectrum,
@@ -156,6 +157,15 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(base**e) for e in np.linspace(lo, hi, count))
 
 
+def _choice(*choices: str):
+    """A parser that accepts exactly one of choices."""
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+    return parse
+
+
 def _parse_bool(value: str) -> bool:
     if value.lower() in ("true", "1", "yes"):
         return True
@@ -183,11 +193,11 @@ def _parse_digits(text: str) -> tuple[int, ...] | None:
 
 # key -> parser
 _REQUIRED_KEYS = {
-    "data.type": str,                   # csv | idx | synthetic
-    "kernel.family": str,               # rbf | laplacian | l1exp
+    "data.type": _choice("csv", "idx", "synthetic"),
+    "kernel.family": _choice(*FAMILIES),
     "grid.lengthscale": parse_grid,     # in multiples of the input dimension
     "grid.ridge": parse_grid,
-    "output": str,                      # output CSV path
+    "output": str,                      # output CSV path, in an existing directory
 }
 
 # key -> (default, parser); the default is already parsed.  The data
@@ -201,7 +211,7 @@ _OPTIONAL_KEYS = {
     "data.images": (None, str),                         # [idx] image file
     "data.labels": (None, str),                         # [idx] label file
     "data.digits": (None, _parse_digits),               # [idx] "7,9"
-    "data.preprocess": ("none", str),                   # none | maxabs | mnist
+    "data.preprocess": ("none", _choice("none", "maxabs", "mnist")),
     "data.n": (0, int),                                 # training rows, >= 1
     "data.test_n": (0, int),                            # held-out rows; 0 disables test risk
     "data.seed": (0, int),                              # sampling and CV fold seed
@@ -244,6 +254,8 @@ def parse_sweep_config(path: str) -> SweepConfig:
         ("data.dim", values["data.dim"] >= 1, ">= 1"),
         ("data.noise", 0 <= values["data.noise"] < math.inf, ">= 0 and finite"),
         ("scores.cv_folds", folds == 0 or 2 <= folds <= n, f"0 or between 2 and data.n = {n}"),
+        ("output", os.path.isdir(os.path.dirname(values["output"]) or "."),
+         "in an existing directory"),
     ):
         if not within:
             raise ConfigError(f"{path}: {key} must be {bound}")
@@ -284,18 +296,14 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
             d["path"], d["label_column"], feature_columns=d["feature_columns"],
             label_map=d["label_map"], drop_sentinel=d["sentinel_filter"],
         )
-    elif d["type"] == "idx":
+    else:  # idx
         if not d["images"] or not d["labels"] or not d["digits"]:
             raise ConfigError("idx datasets need data.images, data.labels, data.digits")
         ds = load_mnist_idx(d["images"], d["labels"], d["digits"])
-    else:
-        raise ConfigError(f"unknown data.type {d['type']!r}")
-    if d["preprocess"] == "maxabs":
-        ds = preprocess_maxabs(ds)
-    elif d["preprocess"] == "mnist":
-        ds = preprocess_mnist(ds)
-    elif d["preprocess"] != "none":
-        raise ConfigError(f"unknown data.preprocess {d['preprocess']!r}")
+    # Built per call, so the preprocessing functions are looked up by
+    # their module names at run time, where bench/tracer.py wraps them.
+    preprocess = {"none": lambda ds: ds, "maxabs": preprocess_maxabs, "mnist": preprocess_mnist}
+    ds = preprocess[d["preprocess"]](ds)
     if d["test_n"]:
         return split_train_test(ds, d["n"], d["test_n"], d["seed"])
     return subsample(ds, d["n"], d["seed"]), None
@@ -409,10 +417,8 @@ def run_sct_curves(
     """Solved threshold curves next to Monte Carlo Gram-based estimates.
 
     gram_sampler(n, seed) must return a GramSpectrum for a fresh sample
-    of size n.
+    of size n; mean_and_stderr rejects fewer than 2 trials.
     """
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
     records = []
     for n in n_values:
         spectra = [gram_sampler(n, (seed, n, t)) for t in range(trials)]

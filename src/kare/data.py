@@ -160,7 +160,8 @@ def load_mnist_idx(
     """Load an IDX image/label pair filtered to two digits mapped onto +-1.
 
     The first digit maps to +1 and the second to -1.  Images are
-    flattened row-major with raw 0..255 values.
+    flattened row-major with raw 0..255 values.  Raises ValueError when
+    either digit has no images.
     """
     (n_images, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3)
     (n_labels,), labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1)
@@ -169,6 +170,9 @@ def load_mnist_idx(
             f"{images_path}: {n_images} images but {n_labels} labels"
         )
     a, b = int(digits[0]), int(digits[1])
+    for digit in (a, b):
+        if not np.any(labels == digit):
+            raise ValueError(f"{labels_path}: no images of digit {digit}")
     keep = (labels == a) | (labels == b)
     X = pixels.reshape(n_images, rows * cols)[keep].astype(float)
     y = np.where(labels[keep] == b, -1.0, 1.0)

@@ -31,7 +31,6 @@ from .spectral import (
     check_gram,
     check_labels,
     check_ridge,
-    normalized,
     representable,
     stieltjes,
 )
@@ -80,7 +79,7 @@ class RidgeScores(GramSpectrum):
 
     def __init__(self, G, y):
         y = check_labels(y)
-        mu, vectors = np.linalg.eigh(normalized(G, y.shape[0]))
+        mu, vectors = np.linalg.eigh(check_gram(G, y.shape[0]) / y.shape[0])
         super().__init__(mu)
         self.vectors = vectors
         self.w = vectors.T @ y
@@ -134,9 +133,7 @@ def log_marginal_likelihood(y, G, ridge: float) -> float:
 def classical_alignment(y, G) -> float:
     """y^T G y / (||G||_F ||y||^2), in [-1, 1]."""
     y = check_labels(y)
-    G = np.asarray(G, dtype=float)
-    if not np.all(np.isfinite(G)):
-        raise ValueError("Gram matrix has non-finite entries")
+    G = check_gram(G, y.shape[0])
     gnorm = float(np.linalg.norm(G))
     ynorm2 = float(y @ y)
     if ynorm2 == 0.0:
@@ -249,10 +246,7 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     """
     y = check_labels(y)
     n = y.shape[0]
-    G = np.asarray(G, dtype=float)
-    if G.shape != (n, n):
-        raise ValueError(f"Gram matrix of shape {G.shape} for {n} labels")
-    check_gram(G)
+    G = check_gram(G, n)
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be between 2 and {n}, got {folds}")
     ridges = [check_ridge(ridge) for ridge in ridges]

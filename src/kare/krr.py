@@ -68,7 +68,7 @@ def predict(p: Predictor, X_test) -> np.ndarray:
 
 def train_error(p: Predictor, y) -> float:
     """(1/n) ||predictions on X_train - y||^2."""
-    y = np.asarray(y, dtype=float).ravel()
+    y = check_labels(y)
     r = predict(p, p.X_train) - y
     return float(r @ r) / y.shape[0]
 

@@ -6,8 +6,8 @@ The Stieltjes transform here is always evaluated on the negative real
 axis, i.e. m(-ridge) for ridge > 0.
 
 This module owns the checks every eigen view shares: ``check_gram``
-validates G (cross-validation calls it too), ``normalized`` forms G/n
-from a checked G, ``GramSpectrum`` checks and clamps its eigenvalues,
+validates G (cross-validation and kernel alignment call it too),
+``GramSpectrum`` checks and clamps its eigenvalues,
 ``check_ridge`` validates a ridge, ``check_labels`` validates labels,
 and ``representable`` is the one float64 guard on a quantity computed
 at a ridge.  ``NumericalError`` is the one error for a quantity that
@@ -95,12 +95,6 @@ def check_gram(G, n: int | None = None) -> np.ndarray:
     return G
 
 
-def normalized(G, n: int | None = None) -> np.ndarray:
-    """G/n for a G that passes ``check_gram``."""
-    G = check_gram(G, n)
-    return G / G.shape[0]
-
-
 def check_labels(y) -> np.ndarray:
     """The labels as a flat float vector; raises ValueError unless every
     entry is finite."""
@@ -112,7 +106,8 @@ def check_labels(y) -> np.ndarray:
 
 def decompose(G) -> GramSpectrum:
     """Eigenvalues of G/n as a GramSpectrum."""
-    return GramSpectrum(np.linalg.eigvalsh(normalized(G)))
+    G = check_gram(G)
+    return GramSpectrum(np.linalg.eigvalsh(G / G.shape[0]))
 
 
 def stieltjes(s: GramSpectrum, ridge: float) -> float:

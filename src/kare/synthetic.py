@@ -129,18 +129,18 @@ def _gram_spectrum(dr: ObservationDraw) -> GramSpectrum:
     return GramSpectrum(np.sort(np.concatenate([np.zeros(max(n - mu.shape[0], 0)), mu]))[-n:])
 
 
-def mean_and_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo mean and its standard error std(ddof=1)/sqrt(k) along
-    the first axis of k samples; the standard error of one sample is 0."""
-    samples = np.asarray(samples, dtype=float)
-    k = samples.shape[0]
-    spread = samples.std(axis=0, ddof=1) if k > 1 else np.zeros(samples.shape[1:])
-    return samples.mean(axis=0), spread / np.sqrt(k)
-
-
 def _check_trials(trials: int) -> None:
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+
+
+def mean_and_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo mean and its standard error std(ddof=1)/sqrt(k) along
+    the first axis of k >= 2 samples."""
+    samples = np.asarray(samples, dtype=float)
+    k = samples.shape[0]
+    _check_trials(k)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(k)
 
 
 def mc_expected_risk(

@@ -169,9 +169,10 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["nope"]) == 1
     assert main(["--help"]) == 0
-    # no Monte Carlo trials would leave every estimate NaN
-    assert main(["sct", "--spectrum", "power-law", "--trials", "0",
-                 "--out", str(tmp_path / "sct.csv")]) == 1
+    # fewer than two Monte Carlo trials give no standard error
+    for trials in ("0", "1"):
+        assert main(["sct", "--spectrum", "power-law", "--trials", trials,
+                     "--out", str(tmp_path / "sct.csv")]) == 1
     # csv dataset pointing at a missing file is a data error
     cfg = _config(tmp_path, **{
         "data.type": "csv", "data.path": str(tmp_path / "none.csv"),
@@ -225,6 +226,13 @@ def test_idx_dataset_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 1
     assert (f"config error: {cfg}: data.digits: must name exactly two distinct digits"
             in capsys.readouterr().err)
+    # A digit with no images would sweep a one-class problem too.
+    cfg = _config(tmp_path, **{
+        "data.type": "idx", "data.images": str(image_path), "data.labels": str(label_path),
+        "data.digits": "7,3", "data.preprocess": "mnist", "data.n": "8",
+    })
+    assert main(["sweep", "--config", cfg]) == 1
+    assert f"config error: {label_path}: no images of digit 3" in capsys.readouterr().err
 
 
 def test_sct_csv_header(tmp_path):
@@ -266,7 +274,8 @@ def test_empty_sweep_csv_has_header(tmp_path):
     ("data.dim", "x"), ("data.noise", "abc"), ("scores.cv_folds", "2.5"),
     ("scores.loglik", "maybe"), ("data.digits", "7"), ("grid.ridge", "1:2"),
     ("grid.ridge", "nan:1:3:log10"), ("grid.ridge", "1:inf:3:log10"),
-    ("grid.lengthscale", "1e-3:1e400:3:log10"),
+    ("grid.lengthscale", "1e-3:1e400:3:log10"), ("kernel.family", "foo"),
+    ("data.type", "bogus"), ("data.preprocess", "bogus"),
 ])
 def test_malformed_config_value_names_the_key(tmp_path, capsys, key, value):
     path = _config(tmp_path, **{key: value})
@@ -281,8 +290,10 @@ def test_malformed_config_value_names_the_key(tmp_path, capsys, key, value):
     ("data.noise", "-1", ">= 0 and finite"), ("data.noise", "inf", ">= 0 and finite"),
     ("scores.cv_folds", "1", "0 or between 2 and data.n = 40"),
     ("scores.cv_folds", "41", "0 or between 2 and data.n = 40"),
+    ("output", "nodir/o.csv", "in an existing directory"),
 ])
-def test_out_of_range_config_value_names_the_key(tmp_path, capsys, key, value, bound):
+def test_out_of_range_config_value_names_the_key(tmp_path, capsys, monkeypatch, key, value, bound):
+    monkeypatch.chdir(tmp_path)  # a relative output path resolves here
     path = _config(tmp_path, **{key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {key} must be {bound}')}$"):
         parse_sweep_config(path)

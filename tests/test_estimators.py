@@ -99,10 +99,10 @@ def test_non_finite_gram_or_labels_rejected(bad):
         RidgeScores(np.eye(3), np.array([1.0, bad, 0.0]))
 
 
-def _fit_and_score(y_test):
+def _rbf_fit():
+    # A 4-point rbf fit to labels of ones, and its points.
     X = np.random.default_rng(0).standard_normal((4, 2))
-    p = krr.fit(KernelSpec("rbf", 1.0), X, np.ones(4), 0.1)
-    return krr.test_risk(p, X, y_test)
+    return krr.fit(KernelSpec("rbf", 1.0), X, np.ones(4), 0.1), X
 
 
 # Inputs that would carry a NaN or inf into a result, or fail later with
@@ -119,7 +119,14 @@ NON_FINITE_INPUTS = {
         lambda: krr.fit(KernelSpec("rbf", 1.0), np.zeros((3, 2)),
                         np.array([1.0, np.nan, 0.0]), 0.1), "labels have non-finite"),
     "krr.test_risk nan label": (
-        lambda: _fit_and_score(np.array([1.0, np.nan, 0.0, 1.0])), "labels have non-finite"),
+        lambda: krr.test_risk(*_rbf_fit(), np.array([1.0, np.nan, 0.0, 1.0])),
+        "labels have non-finite"),
+    "krr.train_error nan label": (
+        lambda: krr.train_error(_rbf_fit()[0], np.array([1.0, np.nan, 0.0, 1.0])),
+        "labels have non-finite"),
+    "classical_alignment mismatched gram": (
+        lambda: classical_alignment(np.ones(5), np.eye(4)),
+        "sample count 5 does not match matrix size 4"),
     "Spectrum infinite eigenvalue": (
         lambda: Spectrum(((np.inf, 1),)), "positive and finite"),
     "solve_sct nan sample count": (
@@ -155,7 +162,7 @@ def test_alignment_and_cross_validation_reject_non_finite_inputs(bad):
     G_bad[0, 1] = G_bad[1, 0] = bad
     with pytest.raises(ValueError, match="^labels have non-finite entries$"):
         classical_alignment(y_bad, G)
-    with pytest.raises(ValueError, match="^Gram matrix has non-finite entries$"):
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
         classical_alignment(y, G_bad)
     with pytest.raises(ValueError, match="^labels have non-finite entries$"):
         cross_validation_risks(G, y_bad, (0.1,), 4)
@@ -408,18 +415,20 @@ def test_cross_validation_equals_refitting_each_fold(family, duplicates):
 
 
 def test_cross_validation_risks_rejects_a_mismatched_gram():
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(ValueError, match="sample count 5 does not match matrix size 4"):
         cross_validation_risks(np.eye(4), np.zeros(5), (0.1,), 2)
 
 
 def test_cross_validation_risks_rejects_an_asymmetric_or_non_finite_gram():
     # The fold factorizations read one triangle, so an asymmetric Gram
-    # would otherwise give a risk without complaint.
+    # would otherwise give a risk without complaint; so would alignment.
     y = np.random.default_rng(3).standard_normal(8)
     G = np.eye(8)
     G[0, 1] = 0.5
     with pytest.raises(ValueError, match="not symmetric"):
         cross_validation_risks(G, y, (0.1,), 4)
+    with pytest.raises(ValueError, match="not symmetric"):
+        classical_alignment(y, G)
     G[1, 0] = 0.5
     cross_validation_risks(G, y, (0.1,), 4)
     G[0, 1] = G[1, 0] = np.nan
