@@ -422,11 +422,12 @@ def run_sct_curves(
     records = []
     for n in n_values:
         spectra = [gram_sampler(n, (seed, n, t)) for t in range(trials)]
-        for ridge in ridges:
-            res = solve_sct(spectrum, n, ridge)
+        res = solve_sct(spectrum, n, np.asarray(ridges, dtype=float))
+        for ridge, theta, theta_prime in zip(ridges, res.theta.tolist(),
+                                             res.theta_prime.tolist()):
             estimates = [sct_from_gram(s, ridge) for s in spectra]
             records.append(SctCurveRecord(
-                n, float(ridge), res.theta, res.theta_prime,
+                n, float(ridge), theta, theta_prime,
                 *map(float, mean_and_stderr([e.theta for e in estimates])),
                 *map(float, mean_and_stderr([e.theta_prime for e in estimates])),
                 trials, seed,

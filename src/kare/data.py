@@ -76,6 +76,8 @@ def load_csv(
                 if name not in header:
                     raise ParseError(f"{path}: feature column {name!r} not in header")
                 feature_idx.append(header.index(name))
+        if not feature_idx:
+            raise ParseError(f"{path}: no feature columns")
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -55,10 +55,8 @@ def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
     """
     ridge = check_ridge(ridge)
     X = _as_points(X)
-    y = check_labels(y)
     n = X.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"{n} points but {y.shape[0]} labels")
+    y = check_labels(y, n)
     return Predictor(kernel, X, ridge, ridge_solve(gram_matrix(kernel, X), y, ridge) / n)
 
 
@@ -68,7 +66,7 @@ def predict(p: Predictor, X_test) -> np.ndarray:
 
 def train_error(p: Predictor, y) -> float:
     """(1/n) ||predictions on X_train - y||^2."""
-    y = check_labels(y)
+    y = check_labels(y, p.X_train.shape[0])
     r = predict(p, p.X_train) - y
     return float(r @ r) / y.shape[0]
 
@@ -92,7 +90,8 @@ def held_out_risk(K: np.ndarray, dual: np.ndarray, y: np.ndarray) -> float:
 
 def test_risk(p: Predictor, X_test, y_test) -> float:
     """Mean squared error on held-out data."""
-    y_test = check_labels(y_test)
+    X_test = _as_points(X_test)
+    y_test = check_labels(y_test, X_test.shape[0])
     if y_test.shape[0] == 0:
         raise ValueError("empty test set")
     return held_out_risk(cross_gram(p.kernel, X_test, p.X_train), p.dual, y_test)

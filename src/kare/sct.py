@@ -15,6 +15,13 @@ which is always in [1, theta / ridge].  Both quantities can also be
 estimated from training data alone through the Stieltjes transform of
 the normalized Gram matrix: theta ~ 1/m(-ridge) and
 d theta ~ m'(-ridge) / m(-ridge)^2.
+
+``solve_sct(spec, n, ridge)`` broadcasts: n and ridge may be scalars
+(the result holds floats) or arrays that broadcast together (the result
+holds arrays of the broadcast shape).  All pairs are iterated at once,
+each with the same float operations as a solve of that pair alone, so
+one call over a grid gives bit-identical values to a loop of scalar
+calls.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ class Spectrum:
             if m < 1:
                 raise ValueError(f"multiplicities must be >= 1, got {m}")
         object.__setattr__(self, "entries", entries)
+        d = np.array([d for d, _ in entries], dtype=float)
+        m = np.array([float(m) for _, m in entries], dtype=float)
+        d.flags.writeable = m.flags.writeable = False
+        object.__setattr__(self, "_arrays", (d, m))
 
     @property
     def trace(self) -> float:
@@ -65,56 +76,88 @@ class Spectrum:
         ).astype(float)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        d = np.array([d for d, _ in self.entries])
-        m = np.array([float(m) for _, m in self.entries])
-        return d, m
+        """Eigenvalues and float multiplicities, read-only, built once."""
+        return self._arrays
 
 
 @dataclass(frozen=True)
 class SctResult:
-    theta: float
-    theta_prime: float
+    """theta and theta_prime: floats from scalar inputs, else arrays of
+    the broadcast shape of n and ridge."""
+
+    theta: float | np.ndarray
+    theta_prime: float | np.ndarray
 
 
-def solve_sct(spec: Spectrum, n: int, ridge: float) -> SctResult:
+def solve_sct(spec: Spectrum, n, ridge) -> SctResult:
     """Solve the SCT fixed point and its closed-form ridge derivative.
 
-    Bisection on the guaranteed bracket [ridge, ridge + trace/n] with
-    Newton steps once inside; the residual of the returned root satisfies
-    |g(theta)| <= 1e-12 * (ridge + trace/n).
+    n and ridge broadcast together (see the module docstring); every
+    entry is checked: ridge positive and finite, n >= 1.  Per pair:
+    bisection on the guaranteed bracket [ridge, ridge + trace/n] with a
+    Newton step whenever it stays inside the bracket; the residual of the
+    returned root satisfies |g(theta)| <= 1e-12 * (ridge + trace/n).  A
+    pair that does not converge within 200 iterations raises
+    ArithmeticError.
     """
-    ridge = check_ridge(ridge)
-    if not n >= 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    ridge, n = np.asarray(ridge, dtype=float), np.asarray(n, dtype=float)
+    scalar = ridge.ndim == n.ndim == 0
+    bad = ridge[~((ridge > 0) & (ridge < math.inf))]
+    if bad.size:
+        check_ridge(bad[0])  # raises, naming the first bad ridge
+    bad = n[~(n >= 1)]
+    if bad.size:
+        raise ValueError(f"sample count must be >= 1, got {bad[0]:g}")
+    shape = np.broadcast_shapes(n.shape, ridge.shape)
+    ridge = np.broadcast_to(ridge, shape).ravel()
+    n = np.broadcast_to(n, shape).ravel()
     d, m = spec.arrays()
     trace = float(m @ d)
-    if trace == 0.0:
-        return SctResult(ridge, 1.0)
+    if trace == 0.0 or not ridge.size:
+        theta, theta_prime = ridge.copy(), np.ones_like(ridge)
+    else:
+        theta, theta_prime = _newton_bisection(d, m, trace, n, ridge)
+    if scalar:
+        return SctResult(float(theta[0]), float(theta_prime[0]))
+    return SctResult(theta.reshape(shape), theta_prime.reshape(shape))
 
-    def residual(t: float) -> float:
-        return t - ridge - (t / n) * float(np.sum(m * d / (d + t)))
 
-    def slope(t: float) -> float:
-        # g'(t) = 1 - (1/n) sum m d^2 / (d+t)^2, positive on the bracket.
-        return 1.0 - float(np.sum(m * (d / (d + t)) ** 2)) / n
-
+def _newton_bisection(d, m, trace, n, ridge):
+    """theta and 1/g'(theta) for each flat (n, ridge) pair; a pair leaves
+    the active set once |g(t)| <= tol."""
+    md = m * d
     lo, hi = ridge, ridge + trace / n
-    tol = _RESIDUAL_SCALE * (ridge + trace / n)
+    tol = _RESIDUAL_SCALE * hi
     t = hi
+    theta, theta_prime = np.empty_like(t), np.empty_like(t)
+    active = np.arange(t.size)
     for _ in range(_MAX_ITERATIONS):
-        g = residual(t)
-        if abs(g) <= tol:
-            return SctResult(t, 1.0 / slope(t))
-        if g > 0:
-            hi = t
-        else:
-            lo = t
-        sl = slope(t)
-        step = t - g / sl if sl > 0 else None
-        t = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+        q = d + t[:, None]
+        # g(t) = t - ridge - (t/n) sum m d/(d+t);
+        # g'(t) = 1 - (1/n) sum m d^2/(d+t)^2, positive near the root.
+        g = t - ridge - (t / n) * np.add.reduce(md / q, axis=1)
+        sl = 1.0 - np.add.reduce(m * (d / q) ** 2, axis=1) / n
+        done = np.abs(g) <= tol
+        if done.any():
+            theta[active[done]] = t[done]
+            theta_prime[active[done]] = 1.0 / sl[done]
+            if done.all():
+                return theta, theta_prime
+            keep = ~done
+            active, t, g, sl, lo, hi, tol, n, ridge = (
+                a[keep] for a in (active, t, g, sl, lo, hi, tol, n, ridge))
+        above = g > 0
+        hi = np.where(above, t, hi)
+        lo = np.where(above, lo, t)
+        # Newton where the slope is positive and the step lands strictly
+        # inside the bracket, else bisection; a zero slope's inf or nan
+        # step is never taken.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - g / sl
+        t = np.where((sl > 0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
     raise ArithmeticError(
         f"SCT solve did not converge within {_MAX_ITERATIONS} iterations "
-        f"(ridge={ridge}, n={n})"
+        f"(ridge={ridge[0]}, n={n[0]:.17g})"
     )
 
 

@@ -95,10 +95,12 @@ def check_gram(G, n: int | None = None) -> np.ndarray:
     return G
 
 
-def check_labels(y) -> np.ndarray:
+def check_labels(y, n: int | None = None) -> np.ndarray:
     """The labels as a flat float vector; raises ValueError unless every
-    entry is finite."""
+    entry is finite and, when n is given, there are n of them."""
     y = np.asarray(y, dtype=float).ravel()
+    if n is not None and y.shape[0] != n:
+        raise ValueError(f"{n} points but {y.shape[0]} labels")
     if not np.all(np.isfinite(y)):
         raise ValueError("labels have non-finite entries")
     return y

@@ -133,27 +133,35 @@ def suite_prop3(seed: int) -> list[Check]:
     rng = np.random.default_rng(seed)
     violations = []
     slack = 1 + 1e-12
+    # One solve per spectrum: the (n, ridge) grid, the same grid at 2n,
+    # and the ridges of the theta' monotonicity check at n = 100.
+    grid = [(n, ridge) for n in (10, 100, 1000) for ridge in (1e-4, 1e-2, 1.0)]
+    prime_ridges = np.logspace(-4, 0, 5).tolist()
+    ns = np.array([n for n, _ in grid] + [2 * n for n, _ in grid] + [100] * len(prime_ridges))
+    ridges = np.array([r for _, r in grid] * 2 + prime_ridges)
+    pairs = len(grid)
     for i in range(100):
         size = int(rng.integers(1, 51))
         d = rng.uniform(1e-6, 10.0, size)
         m = rng.integers(1, 6, size)
         spec = Spectrum(tuple(zip(d.tolist(), m.tolist())))
         trace = spec.trace
-        for n in (10, 100, 1000):
-            for ridge in (1e-4, 1e-2, 1.0):
-                res = solve_sct(spec, n, ridge)
-                if not ridge < res.theta:
-                    violations.append(f"case {i}: theta <= ridge")
-                if not res.theta <= (ridge + trace / n) * slack:
-                    violations.append(f"case {i}: theta above upper bound")
-                if not 1.0 <= res.theta_prime * slack:
-                    violations.append(f"case {i}: theta' < 1")
-                if not res.theta_prime <= (res.theta / ridge) * slack:
-                    violations.append(f"case {i}: theta' > theta/ridge")
-                if not solve_sct(spec, 2 * n, ridge).theta < res.theta:
-                    violations.append(f"case {i}: theta not decreasing in n")
-        primes = [solve_sct(spec, 100, r).theta_prime for r in np.logspace(-4, 0, 5)]
-        for a, b in zip(primes, primes[1:]):
+        res = solve_sct(spec, ns, ridges)
+        thetas, primes = res.theta.tolist(), res.theta_prime.tolist()
+        for j, (n, ridge) in enumerate(grid):
+            theta, theta_prime = thetas[j], primes[j]
+            if not ridge < theta:
+                violations.append(f"case {i}: theta <= ridge")
+            if not theta <= (ridge + trace / n) * slack:
+                violations.append(f"case {i}: theta above upper bound")
+            if not 1.0 <= theta_prime * slack:
+                violations.append(f"case {i}: theta' < 1")
+            if not theta_prime <= (theta / ridge) * slack:
+                violations.append(f"case {i}: theta' > theta/ridge")
+            if not thetas[pairs + j] < theta:
+                violations.append(f"case {i}: theta not decreasing in n")
+        ridge_primes = primes[2 * pairs:]
+        for a, b in zip(ridge_primes, ridge_primes[1:]):
             if b > a * (1 + 1e-10):
                 violations.append(f"case {i}: theta' not decreasing in ridge")
     return [_check(
@@ -196,13 +204,12 @@ def suite_prop5(seed: int) -> list[Check]:
     for n in (100, 400, 1000, 1600):
         rels = {r: [] for r in ridges}
         gap_samples = []
+        *exact, theta = solve_sct(spec, n, np.array((*ridges, 1e-2))).theta.tolist()
         for t in range(trials):
             gs = rbf_gaussian_gram_spectrum(dim, ell, sigma, n, (seed, n, t))
-            for r in ridges:
-                exact = solve_sct(spec, n, r).theta
+            for r, exact_r in zip(ridges, exact):
                 est = sct_from_gram(gs, r).theta
-                rels[r].append(abs(exact - est) / exact)
-            theta = solve_sct(spec, n, 1e-2).theta
+                rels[r].append(abs(exact_r - est) / exact_r)
             gap_samples.append(abs(1.0 / theta - stieltjes(gs, 1e-2)))
         medians[n] = {r: float(np.median(v)) for r, v in rels.items()}
         gaps[n] = float(np.median(gap_samples))

@@ -200,6 +200,17 @@ def test_csv_dataset_sweep(tmp_path):
     assert len(body) == 1 + 2 * 3
 
 
+def test_csv_without_feature_columns_is_a_data_error(tmp_path, capsys):
+    data_path = tmp_path / "labels_only.csv"
+    data_path.write_text("y\n" + "\n".join(str(v) for v in range(60)) + "\n")
+    cfg = _config(tmp_path, **{
+        "data.type": "csv", "data.path": str(data_path), "data.label_column": "y",
+        "data.n": "30", "data.test_n": "20",
+    })
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"data error: {data_path}: no feature columns\n"
+
+
 def test_idx_dataset_sweep(tmp_path, capsys):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, (20, 28, 28), dtype=np.uint8)

@@ -108,6 +108,17 @@ def test_invalid_ridge_and_shapes():
         krr.predict(p, np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_label_count_must_match_the_points(count):
+    # A one-entry label vector used to broadcast against 4 predictions.
+    X = np.random.default_rng(0).standard_normal((4, 2))
+    p = krr.fit(KernelSpec("rbf", 1.0), X, np.ones(4), 0.1)
+    with pytest.raises(ValueError, match=f"^4 points but {count} labels$"):
+        krr.train_error(p, np.ones(count))
+    with pytest.raises(ValueError, match=f"^4 points but {count} labels$"):
+        krr.test_risk(p, X, np.ones(count))
+
+
 def test_dual_solves_the_system():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((20, 2))

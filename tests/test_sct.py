@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kare import sct
 from kare.spectral import GramSpectrum, decompose, stieltjes, stieltjes_derivative
 from kare.sct import (
     Spectrum,
@@ -37,9 +38,80 @@ def _bisect_oracle(spec, n, ridge, iterations=200):
     return 0.5 * (lo + hi)
 
 
+def _scalar_sct(spec, n, ridge):
+    # Frozen copy of the one-pair Newton-bisection loop that the
+    # vectorized solver must reproduce bit for bit.
+    d = np.array([e[0] for e in spec.entries])
+    m = np.array([float(e[1]) for e in spec.entries])
+    trace = float(m @ d)
+    if trace == 0.0:
+        return ridge, 1.0
+
+    def residual(t):
+        return t - ridge - (t / n) * float(np.sum(m * d / (d + t)))
+
+    def slope(t):
+        return 1.0 - float(np.sum(m * (d / (d + t)) ** 2)) / n
+
+    lo, hi = ridge, ridge + trace / n
+    tol = 1e-12 * (ridge + trace / n)
+    t = hi
+    for _ in range(200):
+        g = residual(t)
+        if abs(g) <= tol:
+            return t, 1.0 / slope(t)
+        if g > 0:
+            hi = t
+        else:
+            lo = t
+        sl = slope(t)
+        step = t - g / sl if sl > 0 else None
+        t = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    raise AssertionError("the frozen loop did not converge")
+
+
 def test_empty_spectrum():
     res = solve_sct(Spectrum(()), 10, 0.3)
     assert res.theta == 0.3 and res.theta_prime == 1.0
+    res = solve_sct(Spectrum(()), np.array([10, 20]), np.array([[0.3], [0.5]]))
+    np.testing.assert_array_equal(res.theta, [[0.3, 0.3], [0.5, 0.5]])
+    np.testing.assert_array_equal(res.theta_prime, np.ones((2, 2)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(1e-6, 10), st.integers(1, 5)),
+        min_size=1, max_size=50,
+    ),
+    st.lists(st.integers(1, 5000), min_size=1, max_size=4),
+    st.lists(st.floats(1e-6, 10), min_size=1, max_size=5),
+)
+def test_vectorized_solve_is_bit_identical_to_the_scalar_loop(entries, ns, ridges):
+    spec = Spectrum(tuple(entries))
+    res = solve_sct(spec, np.array(ns)[:, None], np.array(ridges))
+    assert res.theta.shape == res.theta_prime.shape == (len(ns), len(ridges))
+    for i, n in enumerate(ns):
+        for j, ridge in enumerate(ridges):
+            theta, theta_prime = _scalar_sct(spec, n, ridge)
+            assert res.theta[i, j] == theta and res.theta_prime[i, j] == theta_prime
+    one = solve_sct(spec, ns[0], ridges[0])
+    assert type(one.theta) is float and type(one.theta_prime) is float
+    assert (one.theta, one.theta_prime) == _scalar_sct(spec, ns[0], ridges[0])
+
+
+def test_broadcast_shapes():
+    spec = power_law_spectrum(2.0, 20)
+    assert solve_sct(spec, 100, np.array([1e-3, 1e-2])).theta.shape == (2,)
+    assert solve_sct(spec, np.array([[10], [100], [1000]]), 1e-2).theta_prime.shape == (3, 1)
+    assert solve_sct(spec, np.array([10, 100]), np.array([[1e-3], [1e-2], [1e-1]])
+                     ).theta.shape == (3, 2)
+    # NumPy scalars and 0-d arrays are scalars too.
+    for ridge in (np.float64(1e-2), np.array(1e-2)):
+        assert type(solve_sct(spec, np.int64(100), ridge).theta) is float
+    assert solve_sct(spec, 100, np.array([])).theta.shape == (0,)
+    with pytest.raises(ValueError):
+        solve_sct(spec, np.array([10, 100]), np.array([1e-3, 1e-2, 1e-1]))
 
 
 def test_golden_ratio_fixed_point():
@@ -62,10 +134,24 @@ def test_invalid_inputs():
         solve_sct(spec, 10, 0.0)
     with pytest.raises(ValueError):
         solve_sct(spec, 0, 1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^ridge must be positive and finite, got {bad}$"):
+            solve_sct(spec, np.array([[10], [20]]), np.array([1e-2, bad, 1.0]))
+    with pytest.raises(ValueError, match="^sample count must be >= 1, got 0$"):
+        solve_sct(spec, np.array([10, 0, 20]), 1e-2)
     with pytest.raises(ValueError):
         Spectrum(((0.0, 1),))
     with pytest.raises(ValueError):
         Spectrum(((1.0, 0),))
+
+
+def test_non_convergence_raises(monkeypatch):
+    # One iteration converges no pair: the first one is named.
+    monkeypatch.setattr(sct, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ArithmeticError, match=r"\(ridge=0\.01, n=10\)$"):
+        solve_sct(power_law_spectrum(2.0, 20), 10, np.array([1e-2, 1e-1]))
+    with pytest.raises(ArithmeticError, match=r"\(ridge=0\.1, n=20\)$"):
+        solve_sct(power_law_spectrum(2.0, 20), 20, 0.1)
 
 
 @settings(max_examples=100, deadline=None)

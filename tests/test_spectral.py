@@ -143,6 +143,8 @@ RIDGE_ENTRY_POINTS = {
     "RidgeScores.kare": lambda r: RidgeScores(np.eye(3), np.ones(3)).kare(r),
     "krr.fit": lambda r: krr.fit(KernelSpec("rbf", 1.0), np.zeros((3, 2)), np.ones(3), r),
     "solve_sct": lambda r: solve_sct(power_law_spectrum(2.0, 5), 10, r),
+    "solve_sct ridge array": lambda r: solve_sct(
+        power_law_spectrum(2.0, 5), 10, np.array([0.1, r, 1.0])),
     "ridge_solve": lambda r: ridge_solve(np.eye(3), np.ones(3), r),
 }
 
