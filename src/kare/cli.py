@@ -304,9 +304,12 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
     # their module names at run time, where bench/tracer.py wraps them.
     preprocess = {"none": lambda ds: ds, "maxabs": preprocess_maxabs, "mnist": preprocess_mnist}
     ds = preprocess[d["preprocess"]](ds)
-    if d["test_n"]:
-        return split_train_test(ds, d["n"], d["test_n"], d["seed"])
-    return subsample(ds, d["n"], d["seed"]), None
+    train, test = (split_train_test(ds, d["n"], d["test_n"], d["seed"]) if d["test_n"]
+                   else (subsample(ds, d["n"], d["seed"]), None))
+    if cfg.alignment and not np.any(train.y):  # alignment divides by ||y||^2
+        raise ParseError(f"{ds.meta['source']}: training labels are identically zero, "
+                         "so scores.alignment is undefined")
+    return train, test
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:

@@ -211,6 +211,49 @@ def test_csv_without_feature_columns_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"data error: {data_path}: no feature columns\n"
 
 
+@pytest.mark.parametrize("family, name", [("rbf", "squared L2 distance"),
+                                          ("laplacian", "L2 distance"),
+                                          ("l1exp", "L1 distance")])
+def test_overflowing_csv_features_are_a_numerical_error(tmp_path, capsys, family, name):
+    # Before, the sweep warned twice, set those kernel entries to
+    # exp(-inf) = 0 and exited 0.
+    rows = np.random.default_rng(0).standard_normal((19, 2)).tolist() + [[1e308, -1e308]]
+    data_path = tmp_path / "huge.csv"
+    data_path.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},1.0\n" for a, b in rows))
+    cfg = _config(tmp_path, **{
+        "data.type": "csv", "data.path": str(data_path), "data.label_column": "y",
+        "data.n": "20", "data.test_n": "0", "kernel.family": family,
+    })
+    assert main(["sweep", "--config", cfg]) == 4
+    assert capsys.readouterr().err == (
+        f"numerical error: {family} kernel: {name} is not representable in float64\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_zero_labels_with_alignment_are_a_data_error(tmp_path, capsys):
+    # classical_alignment divides by ||y||^2; before, this exited 1 as
+    # "config error: labels are identically zero".
+    rows = np.random.default_rng(0).standard_normal((60, 2)).tolist()
+    data_path = tmp_path / "zeros.csv"
+    data_path.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},0\n" for a, b in rows))
+    cfg = _config(tmp_path, **{
+        "data.type": "csv", "data.path": str(data_path), "data.label_column": "y",
+        "data.n": "30", "data.test_n": "20",
+    })
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {data_path}: training labels are identically zero, "
+        "so scores.alignment is undefined\n"
+    )
+    # Without the alignment score, zero labels are valid data.
+    cfg = _config(tmp_path, **{
+        "data.type": "csv", "data.path": str(data_path), "data.label_column": "y",
+        "data.n": "30", "data.test_n": "20", "scores.alignment": "false",
+    })
+    assert main(["sweep", "--config", cfg]) == 0
+
+
 def test_idx_dataset_sweep(tmp_path, capsys):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, (20, 28, 28), dtype=np.uint8)

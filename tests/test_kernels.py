@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kare.kernels import (
     gram_matrix,
     kernel_eval,
 )
+from kare.spectral import NumericalError, check_gram
 
 
 def test_same_point_is_one():
@@ -182,3 +184,73 @@ def test_non_finite_points_and_lengthscale_rejected():
     for lengthscale in (np.inf, np.nan):
         with pytest.raises(ValueError, match="lengthscale"):
             KernelSpec("rbf", lengthscale)
+
+
+def _distances_row_by_row(family, X, Y):
+    """Reference: one row of X at a time, with no blocking."""
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for a, x in enumerate(X):
+        diff = x - Y
+        if family == "l1exp":
+            out[a] = np.abs(diff).sum(axis=1)
+        else:
+            out[a] = np.square(diff).sum(axis=1)
+            if family == "laplacian":
+                out[a] = np.sqrt(out[a])
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 3, 20])
+@pytest.mark.parametrize("same", [True, False], ids=["X-is-Y", "X-not-Y"])
+@pytest.mark.parametrize("cap", ["default", "one-row", "ragged"])
+def test_distances_bit_identical_to_row_by_row(monkeypatch, family, dim, same, cap):
+    # The block size sets only how many rows share a temporary, never
+    # how a row is summed.  130 rows of X make a ragged last block at 3
+    # rows per block, and at the default cap when d = 20 (23 or 25 rows).
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((130, dim)) * 10.0 ** rng.integers(-3, 4, (130, 1))
+    Y = X if same else rng.standard_normal((140, dim)) * 10.0 ** rng.integers(-3, 4, (140, 1))
+    m = Y.shape[0]
+    if cap != "default":
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1 if cap == "one-row" else 3 * m * dim)
+    D = distances(family, X, Y)
+    assert np.array_equal(D, _distances_row_by_row(family, X, Y))
+
+
+_OVERFLOWING_PAIR = ([[1e308, -1e308]], [[0.0, 0.0]])
+_DISTANCE_NAMES = [("rbf", "squared L2 distance"), ("laplacian", "L2 distance"),
+                  ("l1exp", "L1 distance")]
+
+
+@pytest.mark.parametrize("family, name", _DISTANCE_NAMES)
+def test_overflowing_distance_raises_naming_it(family, name):
+    # Before, NumPy warned "overflow encountered" and the distance was
+    # inf, so the kernel entry silently became exp(-inf) = 0.
+    message = f"^{family} kernel: {name} is not representable in float64$"
+    with pytest.raises(NumericalError, match=message):
+        distances(family, *_OVERFLOWING_PAIR)
+    with pytest.raises(NumericalError, match=message):
+        gram_matrix(KernelSpec(family, 1.0), np.vstack(_OVERFLOWING_PAIR))
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that call() allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_build_scratch_is_bounded():
+    # At n = 1000, d = 20 the old 32 MB distance blocks took 62.7 MB of
+    # scratch beyond the 8 MB result, and the symmetry check's G - G.T
+    # 15.3 MB.
+    X = np.random.default_rng(0).standard_normal((1000, 20))
+    result_bytes = 1000 * 1000 * 8
+    for family in FAMILIES:
+        assert _traced_peak(lambda: distances(family, X, X)) - result_bytes <= 2 * 2**20
+    G = gram_matrix(KernelSpec("rbf", 20.0), X)
+    assert _traced_peak(lambda: check_gram(G)) <= 2 * 2**20

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kare import krr
+from kare import krr, spectral
 from kare.estimators import RidgeScores, cross_validation_risk
 from kare.kernels import KernelSpec
 from kare.krr import ridge_solve
@@ -12,6 +12,7 @@ from kare.sct import power_law_spectrum, sct_from_gram, solve_sct
 from kare.spectral import (
     GramSpectrum,
     NumericalError,
+    check_gram,
     decompose,
     stieltjes,
     stieltjes_derivative,
@@ -61,6 +62,36 @@ def test_non_symmetric_rejected():
     G[0, 1] = 1e-4
     with pytest.raises(ValueError, match="symmetric"):
         decompose(G)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("where", ["corner", "last-tile", "lower"])
+def test_tiled_asymmetry_equals_the_full_scan(n, where):
+    # Small asymmetric noise everywhere, and the largest gap in the
+    # first row's last column, near the diagonal in the last (ragged)
+    # tile of rows, or in the last row's first column.
+    rng = np.random.default_rng(n)
+    W = rng.standard_normal((n, n))
+    G = W + W.T + 1e-12 * rng.standard_normal((n, n))
+    i, j = {"corner": (0, n - 1), "last-tile": (n - 1, max(0, n - 3)),
+            "lower": (n - 1, 0)}[where]
+    G[i, j] += 1e-6
+    full = float(np.max(np.abs(G - G.T)))
+    assert spectral._max_asymmetry(G) == full
+    if n > 1:
+        with pytest.raises(ValueError, match=f"max asymmetry {full:.3e}"):
+            check_gram(G)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reported_before_asymmetry(bad):
+    # The asymmetry sits in the first tile and the bad entry in the
+    # last, below the diagonal.
+    G = np.eye(300)
+    G[0, 299] = 1.0
+    G[299, 150] = bad
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        check_gram(G)
 
 
 def test_sample_count_mismatch_rejected():
