@@ -73,6 +73,13 @@ class ConfigError(ValueError):
     """Bad sweep configuration."""
 
 
+def _seed(text: str) -> int:
+    """A --seed value; argparse names the option when this raises."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 _NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)
 
 
@@ -251,6 +258,7 @@ def parse_sweep_config(path: str) -> SweepConfig:
     for key, within, bound in (
         ("data.n", n >= 1, ">= 1"),
         ("data.test_n", values["data.test_n"] >= 0, ">= 0"),
+        ("data.seed", values["data.seed"] >= 0, ">= 0"),
         ("data.dim", values["data.dim"] >= 1, ">= 1"),
         ("data.noise", 0 <= values["data.noise"] < math.inf, ">= 0 and finite"),
         ("scores.cv_folds", folds == 0 or 2 <= folds <= n, f"0 or between 2 and data.n = {n}"),
@@ -300,6 +308,9 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
         if not d["images"] or not d["labels"] or not d["digits"]:
             raise ConfigError("idx datasets need data.images, data.labels, data.digits")
         ds = load_mnist_idx(d["images"], d["labels"], d["digits"])
+    if ds.X.shape[0] < d["n"] + d["test_n"]:  # rows left after the filters
+        raise ParseError(f"{ds.meta['source']}: data.n + data.test_n = {d['n'] + d['test_n']} "
+                         f"rows requested, {ds.X.shape[0]} available")
     # Built per call, so the preprocessing functions are looked up by
     # their module names at run time, where bench/tracer.py wraps them.
     preprocess = {"none": lambda ds: ds, "maxabs": preprocess_maxabs, "mnist": preprocess_mnist}
@@ -509,13 +520,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sct.add_argument("--n-grid", default="50:1600:6:log2")
     p_sct.add_argument("--ridge-grid", default="1e-4:1:9:log10")
     p_sct.add_argument("--trials", type=int, default=10)
-    p_sct.add_argument("--seed", type=int, default=0)
+    p_sct.add_argument("--seed", type=_seed, default=0)
     p_sct.add_argument("--out", required=True)
     p_sct.set_defaults(func=_cmd_sct)
 
     p_val = sub.add_parser("validate", help="run a validation suite")
     p_val.add_argument("--suite", required=True)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_seed, default=0)
     p_val.set_defaults(func=_cmd_validate)
 
     return parser

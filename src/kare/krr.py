@@ -27,18 +27,17 @@ class Predictor:
     dual: np.ndarray
 
 
-def ridge_solve(G, rhs, ridge: float, n: int | None = None) -> np.ndarray:
-    """((1/n)G + ridge I)^{-1} rhs by one Cholesky factorization, with n
-    the size of the square matrix G unless given.
+def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
+    """((1/n)G + ridge I)^{-1} rhs by one Cholesky factorization, n the size of G.
 
-    G is not modified.  The one Cholesky solve of the package: ``fit``,
-    cross-validation and the Monte Carlo oracles all solve through here.
+    G is not modified.  The one Cholesky solve of the package, for ``fit``,
+    cross-validation and the dense reference routes.
     A factorization that fails (the matrix is not positive definite in
     float64, as at a tiny ridge on a rank-deficient G) raises
     NumericalError naming the ridge.
     """
     ridge = check_ridge(ridge)
-    B = G / (G.shape[0] if n is None else n)
+    B = G / G.shape[0]
     B[np.diag_indices_from(B)] += ridge
     try:
         factor = cho_factor(B, lower=True)

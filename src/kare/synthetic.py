@@ -5,12 +5,12 @@ observation matrix O has iid standard normal entries (one column per
 expanded spectrum mode), the Gram matrix is O diag(d) O^T, and labels are
 O b + noise * e.  Risks are then exact sums over modes, no test sampling.
 
-The oracles never form the n x n Gram.  With U = O diag(sqrt d) and
-K = U^T U / n + ridge I (M x M), the push-through identity
-U^T ((1/n)G + ridge I)^{-1} = K^{-1} U^T makes every oracle quantity exact
-from one M x M Cholesky factorization (``krr.ridge_solve`` on U^T U), in
-O(n M^2 + M^3).  A draw builds G only when ``.G`` is read, for the full-n
-reference route ``krr.ridge_solve(dr.G, ...)``.
+The oracles never form the n x n Gram.  With U = O diag(sqrt d), a draw
+pays one ``np.linalg.eigh``, of U^T U / n when n > M and of G/n = U U^T / n
+when n <= M (U^T U alone would amplify rounding in its null space).  By the
+push-through identity (U^T U / n + ridge I)^{-1} U^T = U^T B^{-1}, with
+B = (1/n)G + ridge I, every oracle at every ridge is a diagonal scaling in
+it.  A draw builds G only when ``.G`` is read, for the dense references.
 
 Reproducibility rule: trial t of a Monte Carlo run draws from
 numpy's default_rng seeded with (seed, t), so results are independent of
@@ -26,8 +26,7 @@ import numpy as np
 
 from .estimators import TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
-from .krr import ridge_solve
-from .spectral import GramSpectrum, decompose, stieltjes
+from .spectral import GramSpectrum, check_ridge, decompose, representable, stieltjes
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -51,11 +50,25 @@ class ObservationDraw:
         return 0.5 * (G + G.T)
 
     @cached_property
-    def _modes(self) -> tuple[np.ndarray, np.ndarray]:
-        # U = O diag(sqrt d) and the M x M product U^T U (n times the
-        # mode Gram).
-        U = self.O * np.sqrt(self.d)
-        return U, U.T @ U
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, L, R) with diag(d) O^T B^{-1} = L diag(1/(mu + ridge)) R^T at
+        every ridge: L = diag(sqrt d) Q, R = U Q for U^T U / n = Q mu Q^T
+        (n > M), or L = diag(sqrt d) U^T P, R = P for U U^T / n = P mu P^T
+        (n <= M).  mu is checked and clamped as a GramSpectrum's eigenvalues."""
+        root = np.sqrt(self.d)
+        U = self.O * root
+        n, M = U.shape
+        if n > M:
+            mu, Q = np.linalg.eigh(U.T @ U / n)
+            return GramSpectrum(mu).eigenvalues, root[:, None] * Q, U @ Q
+        mu, P = np.linalg.eigh(U @ U.T / n)
+        return GramSpectrum(mu).eigenvalues, (self.O * self.d).T @ P, P
+
+    @cached_property
+    def gram_spectrum(self) -> GramSpectrum:
+        """Eigenvalues of G/n: the draw's mu, with n - M zeros added when n > M."""
+        mu = self._eigh[0]
+        return GramSpectrum(np.concatenate([np.zeros(self.y.shape[0] - mu.shape[0]), mu]))
 
 
 def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> np.ndarray:
@@ -89,44 +102,48 @@ def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
     return ObservationDraw(O, d, y, seed)
 
 
-def _fit(dr: ObservationDraw, ridge: float) -> np.ndarray:
-    # K^{-1} U^T y / n: the fitted predictor is U times this.
-    n = dr.y.shape[0]
-    U, UtU = dr._modes
-    return ridge_solve(UtU, U.T @ dr.y, ridge, n) / n
+def _reconstruct(dr: ObservationDraw, ridge: float, rhs: np.ndarray) -> np.ndarray:
+    """(d_k/n) O_k^T B^{-1} rhs for every mode k: the predictor coefficients
+    for rhs = y, the operator entries A_kl for rhs = O_l.  Callers evaluate
+    it inside ``representable``, so a 1/(mu + ridge) that overflows raises."""
+    mu, L, R = dr._eigh
+    return (L * (1.0 / (mu + ridge))) @ (R.T @ rhs) / dr.y.shape[0]
 
 
 def predictor_coeffs(dr: ObservationDraw, spec: Spectrum, ridge: float) -> np.ndarray:
     """Fitted predictor coefficients per mode: (d_k/n) O_k^T B^{-1} y.
 
-    Computed as sqrt(d) * K^{-1} U^T y / n; spec must be the draw's.
+    spec must be the draw's.
     """
     _check_spectrum(dr, spec, None)
-    return np.sqrt(dr.d) * _fit(dr, ridge)
+    return representable("predictor coefficients", check_ridge(ridge),
+                         lambda: _reconstruct(dr, ridge, dr.y))
 
 
 def exact_risk(dr: ObservationDraw, spec: Spectrum, f: TrueFunction, ridge: float) -> float:
     """sum_k (a_k - b_k)^2 + noise^2, computed exactly in the eigenbasis."""
     _check_spectrum(dr, spec, f)
-    r = np.sqrt(dr.d) * _fit(dr, ridge) - f.coeffs
-    return float(r @ r) + f.noise**2
+
+    def risk():
+        r = _reconstruct(dr, ridge, dr.y) - f.coeffs
+        return float(r @ r) + f.noise**2
+    return representable("exact risk", check_ridge(ridge), risk)
 
 
 def empirical_train_error(dr: ObservationDraw, ridge: float) -> float:
     """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw.
 
-    By Woodbury, ridge B^{-1} y = y - U K^{-1} U^T y / n.
+    ridge B^{-1} y is y - O a by Woodbury (n > M), or P (ridge/(mu + ridge)) P^T y
+    in the eigenbasis P of G/n (n <= M), which keeps its accuracy at tiny ridges.
     """
-    r = dr.y - dr._modes[0] @ _fit(dr, ridge)
-    return float(r @ r) / dr.y.shape[0]
+    n, M = dr.O.shape
+    mu, _, P = dr._eigh
 
-
-def _gram_spectrum(dr: ObservationDraw) -> GramSpectrum:
-    """Eigenvalues of G/n: those of the mode Gram, with n - M zeros added
-    (n >= M) or its M - n smallest dropped (n < M)."""
-    n = dr.y.shape[0]
-    mu = np.linalg.eigvalsh(dr._modes[1] / n)
-    return GramSpectrum(np.sort(np.concatenate([np.zeros(max(n - mu.shape[0], 0)), mu]))[-n:])
+    def train_error():
+        r = (dr.y - dr.O @ _reconstruct(dr, ridge, dr.y) if n > M
+             else ridge * (1.0 / (mu + ridge)) * (P.T @ dr.y))
+        return float(r @ r) / n
+    return representable("train error", check_ridge(ridge), train_error)
 
 
 def _check_trials(trials: int) -> None:
@@ -215,11 +232,9 @@ def mc_operator_moments(
     gaps = np.empty(trials)
     for t in range(trials):
         dr = draw(spec, zero_f, n, (seed, t))
-        # A_kl = (sqrt(d_k)/n) (K^{-1} U^T O_l)_k
-        U, UtU = dr._modes
-        W = ridge_solve(UtU, U.T @ dr.O[:, cols], ridge, n)
-        sub[t] = (np.sqrt(d[cols])[:, None] / n) * W[cols]
-        gaps[t] = abs(1.0 / theta - stieltjes(_gram_spectrum(dr), ridge))
+        sub[t] = representable("operator entries", ridge,
+                               lambda: _reconstruct(dr, ridge, dr.O[:, cols])[cols])
+        gaps[t] = abs(1.0 / theta - stieltjes(dr.gram_spectrum, ridge))
     pairs = tuple((a, b) for a in idx for b in idx if a != b)
     off = np.stack(
         [sub[:, idx.index(a), idx.index(b)] for a, b in pairs], axis=1

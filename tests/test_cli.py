@@ -160,6 +160,9 @@ def test_validate_exit_codes(capsys):
     out = capsys.readouterr().out
     assert '"passed": true' in out
     assert main(["validate", "--suite", "nosuch", "--seed", "1"]) == 1
+    capsys.readouterr()
+    assert main(["validate", "--suite", "prop4", "--seed", "-1"]) == 1
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):
@@ -254,6 +257,19 @@ def test_zero_labels_with_alignment_are_a_data_error(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 0
 
 
+def test_too_few_data_rows_are_a_data_error(tmp_path, capsys):
+    # Before, this exited 1 as "config error: requested 5 samples from 3 rows".
+    data_path = tmp_path / "three.csv"
+    data_path.write_text("a,y\n0.1,1\n0.2,0\n0.3,1\n")
+    cfg = _config(tmp_path, **{
+        "data.type": "csv", "data.path": str(data_path), "data.label_column": "y",
+        "data.n": "3", "data.test_n": "2", "scores.cv_folds": "0",
+    })
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {data_path}: data.n + data.test_n = 5 rows requested, 3 available\n")
+
+
 def test_idx_dataset_sweep(tmp_path, capsys):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, (20, 28, 28), dtype=np.uint8)
@@ -341,6 +357,7 @@ def test_malformed_config_value_names_the_key(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value, bound", [
     ("data.n", "0", ">= 1"), ("data.dim", "0", ">= 1"), ("data.test_n", "-5", ">= 0"),
+    ("data.seed", "-1", ">= 0"),
     ("data.noise", "-1", ">= 0 and finite"), ("data.noise", "inf", ">= 0 and finite"),
     ("scores.cv_folds", "1", "0 or between 2 and data.n = 40"),
     ("scores.cv_folds", "41", "0 or between 2 and data.n = 40"),

@@ -234,6 +234,13 @@ def test_overflowing_distance_raises_naming_it(family, name):
         gram_matrix(KernelSpec(family, 1.0), np.vstack(_OVERFLOWING_PAIR))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_overflowing_ratio_to_the_lengthscale_gives_zero(family):
+    # A finite distance over a tiny lengthscale overflows the division;
+    # exp(-inf) = 0 is the limit, taken without a RuntimeWarning.
+    assert cross_gram(KernelSpec(family, 1e-300), [[0.0]], [[1e10]]).tolist() == [[0.0]]
+
+
 def _traced_peak(call) -> int:
     """Peak bytes that call() allocates, by tracemalloc."""
     tracemalloc.start()

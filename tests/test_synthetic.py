@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from kare.estimators import TrueFunction
+from kare.estimators import RidgeScores, TrueFunction
 from kare.krr import ridge_solve
 from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, solve_sct
-from kare.spectral import decompose, stieltjes
+from kare.spectral import NumericalError, decompose, stieltjes
 from kare.synthetic import (
     MAX_MODES,
     ObservationDraw,
@@ -70,6 +70,22 @@ def test_exact_risk_trivial_cases():
     assert exact_risk(dr, spec, noisy, 0.1) >= 0.2**2
     with pytest.raises(ValueError):
         exact_risk(dr, spec, noisy, 0.0)
+
+
+def test_oracles_raise_where_one_over_mu_plus_ridge_overflows():
+    # One mode of eigenvalue 1e-320 at ridge 1e-320: 1/(mu + ridge) is
+    # beyond float64, so each oracle names its quantity instead of
+    # returning inf or NaN.
+    spec = Spectrum(((1e-320, 1),))
+    f = TrueFunction(np.ones(1), 0.1)
+    dr = draw(spec, f, 1, 0)
+    for name, oracle in (
+            ("predictor coefficients", lambda: predictor_coeffs(dr, spec, 1e-320)),
+            ("exact risk", lambda: exact_risk(dr, spec, f, 1e-320)),
+            ("train error", lambda: empirical_train_error(dr, 1e-320)),
+            ("operator entries", lambda: mc_operator_moments(spec, 1, 1e-320, 2, 0, (0,)))):
+        with pytest.raises(NumericalError, match=f"^{name} is not representable in float64"):
+            oracle()
 
 
 def test_exact_risk_scalar_case():
@@ -234,24 +250,29 @@ def test_monte_carlo_oracles_never_read_the_gram(monkeypatch):
     mc_operator_moments(spec, 20, 0.05, 3, 0, (0, 1))
 
 
-def test_monte_carlo_oracles_factor_through_krr_once_per_trial(monkeypatch):
-    # Every oracle solves its M x M mode system with krr.ridge_solve, the
-    # package's one Cholesky route: one factorization per trial.
-    shapes = []
+def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
+    # Every oracle reads one eigh of the draw's smaller Gram at every
+    # ridge (M x M for n = 20 > M = 6, n x n for n = 4), and factors nothing.
+    shapes, original = [], np.linalg.eigh
 
-    def counted(B, **kwargs):
+    def counted(B, *args, **kwargs):
         shapes.append(B.shape)
-        return cho_factor(B, **kwargs)
+        return original(B, *args, **kwargs)
 
-    monkeypatch.setattr("kare.krr.cho_factor", counted)
+    def unused(*args, **kwargs):
+        raise AssertionError("an oracle called cho_factor")
+
+    monkeypatch.setattr("numpy.linalg.eigh", counted)
+    monkeypatch.setattr("kare.krr.cho_factor", unused)
     spec = power_law_spectrum(2.0, 6)
     f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
-    for oracle in (lambda: mc_expected_risk(spec, f, 20, 0.05, 3, 0),
-                   lambda: mc_coeff_stats(spec, f, 20, 0.05, 3, 0, (0, 1)),
-                   lambda: mc_operator_moments(spec, 20, 0.05, 3, 0, (0, 1))):
-        shapes.clear()
-        oracle()
-        assert shapes == [(6, 6)] * 3
+    for n, size in ((20, 6), (4, 4)):
+        for oracle in (lambda: mc_expected_risk(spec, f, n, 0.05, 3, 0),
+                       lambda: mc_coeff_stats(spec, f, n, 0.05, 3, 0, (0, 1)),
+                       lambda: mc_operator_moments(spec, n, 0.05, 3, 0, (0, 1))):
+            shapes.clear()
+            oracle()
+            assert shapes == [(size, size)] * 3
 
 
 def test_mc_moments_match_the_sample_formulas():
@@ -304,6 +325,9 @@ _ROUTES = dict(
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(noise=st.floats(0.0, 1.0), **_ROUTES)
+# Fewer samples than modes, at ridges far below the smallest eigenvalue.
+@example(spec=power_law_spectrum(2.0, 40), n=5, ridge=1e-12, seed=1, noise=0.5)
+@example(spec=power_law_spectrum(2.0, 40), n=5, ridge=1e-19, seed=1, noise=0.5)
 def test_low_rank_oracles_match_the_dense_route(spec, n, ridge, seed, noise):
     m = spec.expanded_size
     f = TrueFunction(np.random.default_rng(seed).standard_normal(m), noise)
@@ -319,10 +343,15 @@ def test_low_rank_oracles_match_the_dense_route(spec, n, ridge, seed, noise):
     r = coeffs - f.coeffs
     assert exact_risk(dr, spec, f, ridge) == pytest.approx(
         float(r @ r) + noise**2, rel=1e-9)
+    # The kare identity: train error over (ridge m(-ridge))^2.
+    kare = empirical_train_error(dr, ridge) / (ridge * stieltjes(dr.gram_spectrum, ridge))**2
+    assert kare == pytest.approx(RidgeScores(dr.G, dr.y).kare(ridge), rel=1e-9)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(**_ROUTES)
+@example(spec=power_law_spectrum(2.0, 40), n=5, ridge=1e-12, seed=1)
+@example(spec=power_law_spectrum(2.0, 40), n=5, ridge=1e-19, seed=1)
 def test_operator_moments_match_the_dense_route(spec, n, ridge, seed):
     m = spec.expanded_size
     idx = tuple(range(min(m, 3)))
