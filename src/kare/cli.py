@@ -35,7 +35,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -326,15 +326,25 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cell, in deterministic grid order.
 
-    The train-train and test-train distances are computed once per
+    The train-train and test-train distances are each computed once per
     sweep, and each lengthscale turns them into its Gram and cross-Gram.
-    With CV on, the sweep makes two passes over the lengthscales:
+    The sweep makes up to three passes over the lengthscales:
 
-    1. CV: each Gram is cross-validated from its own slices (one
-       Cholesky per fold and ridge, in SciPy), keeping only the risks.
-    2. Scores: each Gram is rebuilt and pays one eigendecomposition
-       (in NumPy) shared across all ridges, then the scores and the
-       test risk.
+    1. CV (with CV on): each Gram is cross-validated from its own slices
+       (one Cholesky per fold and ridge, in SciPy), keeping only the risks.
+    2. Scores: each Gram is rebuilt, read by the alignment, scaled by 1/n
+       in place and decomposed once (one eigh, in NumPy) for all ridges.
+       With a test set, each ridge's dual ((1/n)G + ridge I)^{-1} y / n
+       is kept.
+    3. Test (with a test set): the train distances are dropped, the test
+       distances computed, and each lengthscale's cross-Gram scores its
+       kept duals.
+
+    So at each eigh the sweep holds two n x n arrays, the train distances
+    and the scaled Gram, besides eigh's own workspace and the duals kept
+    so far (L x R x n floats for L lengthscales and R ridges).  The test
+    distances (test_n x n) are made after the last eigh; the duals
+    outweigh them only when L x R > test_n.
 
     NumPy and SciPy each bring their own OpenBLAS with its own thread
     pool, whose workers busy-wait after every call.  Alternating the two
@@ -344,18 +354,18 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     NumPy's pool idle, and a 500 x 500 eigh 0.054-0.141 s right after
     the Choleskys against 0.036-0.044 s.  The passes make the same calls
     on the same inputs as one interleaved pass, so every result keeps its
-    bits; the cost is one more exp per lengthscale.  A CV failure at any
-    lengthscale is therefore reported (exit 4, naming its cell) before a
-    second-pass failure at an earlier lengthscale.
+    bits; the cost is one more exp per lengthscale.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
     NumericalError naming it.  CV runs once per lengthscale, with no
-    retry per ridge: a failed fold solve names its own ridge.
+    retry per ridge: a failed fold solve names its own ridge.  Failures
+    are reported in pass order, so a CV failure at any lengthscale comes
+    before a score failure at an earlier one, and test distances that
+    overflow are reported after the scores pass.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
     D = distances(cfg.family, train.X, train.X)
-    D_test = distances(cfg.family, test.X, train.X) if test is not None else None
     kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
 
     def cv_risks(kern: KernelSpec) -> list[float]:
@@ -363,17 +373,16 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             return cross_validation_risks(from_distances(kern, D), train.y, cfg.ridges,
                                           cfg.cv_folds, seed=cfg.seed)
 
-    # One call per lengthscale in each pass, so its Gram, eigenvectors
-    # and cross-Gram are freed before the next lengthscale builds its own.
+    # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
+    # before the next lengthscale builds its own.
     cv = ([cv_risks(kern) for kern in kerns] if cfg.cv_folds
           else [[None] * len(cfg.ridges)] * len(kerns))
 
-    def one_lengthscale(kern: KernelSpec, cv_row: list) -> list[SweepRecord]:
+    def scores(kern: KernelSpec, cv_row: list) -> tuple[list[SweepRecord], list[np.ndarray]]:
         G = from_distances(kern, D)
-        rs = RidgeScores(G, train.y)
-        K_test = from_distances(kern, D_test) if D_test is not None else None
         align = classical_alignment(train.y, G) if cfg.alignment else None
-        records = []
+        rs = RidgeScores._scaling_in_place(G, train.y)  # G is (1/n)G from here on
+        records, duals = [], []
         for ridge, cv_risk in zip(cfg.ridges, cv_row):
             with _cell(kern.lengthscale, ridge):
                 est = sct_from_gram(rs, ridge)
@@ -386,17 +395,28 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
                     cv_risk=cv_risk,
                     loglik=rs.log_marginal_likelihood(ridge) if cfg.loglik else None,
                     alignment=align,
-                    test_risk=(held_out_risk(K_test, rs.solve(ridge) / n, test.y)
-                               if K_test is not None else None),
+                    test_risk=None,
                     sct_hat=est.theta,
                     sct_deriv_hat=est.theta_prime,
                     seed=cfg.seed,
                     n=n,
                 ))
-        return records
+                if test is not None:
+                    duals.append(rs.solve(ridge) / n)
+        return records, duals
 
-    return [record for kern, cv_row in zip(kerns, cv)
-            for record in one_lengthscale(kern, cv_row)]
+    passes = [scores(kern, cv_row) for kern, cv_row in zip(kerns, cv)]
+    del D
+    if test is not None:
+        D_test = distances(cfg.family, test.X, train.X)
+        for kern, (records, duals) in zip(kerns, passes):
+            K_test = from_distances(kern, D_test)
+            for i, (ridge, dual) in enumerate(zip(cfg.ridges, duals)):
+                with _cell(kern.lengthscale, ridge):
+                    records[i] = replace(records[i],
+                                         test_risk=held_out_risk(K_test, dual, test.y))
+            del K_test
+    return [record for records, _ in passes for record in records]
 
 
 def _format_cell(value) -> str:

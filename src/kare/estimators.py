@@ -79,8 +79,23 @@ class RidgeScores(GramSpectrum):
 
     def __init__(self, G, y):
         y = check_labels(y)
-        mu, vectors = np.linalg.eigh(check_gram(G, y.shape[0]) / y.shape[0])
-        super().__init__(mu)
+        self._decompose(check_gram(G, y.shape[0]) / y.shape[0], y)
+
+    @classmethod
+    def _scaling_in_place(cls, G: np.ndarray, y) -> RidgeScores:
+        """RidgeScores(G, y) for a Gram the caller no longer reads: a
+        float64 G is divided by n in place, with the bits of G / n, so no
+        second n x n array is made.  ``__init__`` does not run."""
+        y = check_labels(y)
+        G = check_gram(G, y.shape[0])
+        scores = cls.__new__(cls)
+        scores._decompose(np.divide(G, y.shape[0], out=G), y)
+        return scores
+
+    def _decompose(self, scaled: np.ndarray, y: np.ndarray) -> None:
+        # scaled is the checked (1/n)G.
+        mu, vectors = np.linalg.eigh(scaled)
+        GramSpectrum.__init__(self, mu)
         self.vectors = vectors
         self.w = vectors.T @ y
         self._w2 = self.w**2

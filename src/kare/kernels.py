@@ -84,22 +84,28 @@ def _raw_distances(family: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Blocked over rows of X so the one (block, len(Y), d) scratch buffer
     stays within _BLOCK_ELEMENTS; every row is computed the same way at any
-    block size, so the result does not depend on it.  The squared form
+    block size, so the result does not depend on it.  When Y is X, each
+    block is computed only against the columns from its first row on, and
+    the entries left of them are copied from the transposed upper
+    triangle: (x - y)^2 and |x - y| are exact under negation, so the
+    copies have the bits a full computation would give.  The squared form
     accumulates (x_i - y_i)^2 directly rather than expanding
     ||x||^2 - 2 x.y + ||y||^2, which cancels badly on near-duplicate
     points.  Raises NumericalError if a distance overflows float64.
     """
     n = X.shape[0]
     m, d = Y.shape
+    mirror = Y is X
     out = np.empty((n, m))
     rows = max(1, _BLOCK_ELEMENTS // max(1, m * d))
-    scratch = np.empty((min(rows, n), m, d))
+    scratch = np.empty(min(rows, n) * m * d)
     for start in range(0, n, rows):
         block = X[start:start + rows, None, :]
-        diff = scratch[:block.shape[0]]
-        dist = out[start:start + rows]
+        first = start if mirror else 0
+        diff = scratch[:block.shape[0] * (m - first) * d].reshape(block.shape[0], m - first, d)
+        dist = out[start:start + rows, first:]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(block, Y[None, :, :], out=diff)
+            np.subtract(block, Y[None, first:, :], out=diff)
             if family == "l1exp":
                 np.abs(diff, out=diff)
             else:
@@ -111,6 +117,8 @@ def _raw_distances(family: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             raise NumericalError(
                 f"{family} kernel: {_DISTANCE_NAMES[family]} is not representable in float64"
             )
+        if mirror:
+            out[start:start + rows, :start] = out[:start, start:start + rows].T
     return out
 
 
@@ -119,11 +127,13 @@ def distances(family: str, X, Y) -> np.ndarray:
 
     Every kernel matrix of a family at any lengthscale is
     ``from_distances`` of these, so a caller that builds several
-    lengthscales computes them once.
+    lengthscales computes them once.  Passing the same array as X and Y
+    computes one triangle and mirrors it, with the same bits.
     """
     _check_family(family)
+    same = Y is X
     X = _as_points(X)
-    Y = _as_points(Y)
+    Y = X if same else _as_points(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     return _raw_distances(family, X, Y)
@@ -151,6 +161,8 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     Exactly symmetric with no symmetrization step: x - y is exactly
     -(y - x), so (i, j) and (j, i) sum the same squares or absolute
     values in the same order, and the diagonal distances are exactly 0.
+    The distances are computed for one triangle and mirrored, which
+    gives the same bits as computing both.
     """
     X = _as_points(X)
     if X.shape[0] < 1:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,10 +71,16 @@ class Spectrum:
         return sum(m for _, m in self.entries)
 
     def expand(self) -> np.ndarray:
-        """Eigenvalues repeated per multiplicity, one slot per mode."""
-        return np.repeat(
-            [d for d, _ in self.entries], [m for _, m in self.entries]
-        ).astype(float)
+        """Eigenvalues repeated per multiplicity, one slot per mode,
+        read-only, built once on the first call: most spectra are only
+        solved, from ``arrays()``, and many have too many modes to expand."""
+        return self._expanded
+
+    @cached_property
+    def _expanded(self) -> np.ndarray:
+        d = np.repeat(self._arrays[0], [m for _, m in self.entries])
+        d.flags.writeable = False
+        return d
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and float multiplicities, read-only, built once."""

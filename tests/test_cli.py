@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from kare.cli import (
     SWEEP_COLUMNS,
     ConfigError,
+    SweepRecord,
     main,
     parse_grid,
     parse_sweep_config,
@@ -390,6 +392,62 @@ def test_sweep_cv_risk_equals_cross_validation_risk(tmp_path, family):
     assert [dataclasses.replace(r, cv_risk=None) for r in records] == without_cv
 
 
+@pytest.mark.parametrize("family", ["rbf", "laplacian", "l1exp"])
+@pytest.mark.parametrize("test_n", ["25", "0"])
+def test_sweep_records_equal_the_public_per_cell_routes(tmp_path, family, test_n):
+    # The sweep scales its Gram in place and computes test risks in a
+    # pass of their own; each cell keeps the bits of the public routes.
+    from kare.cli import _load_sweep_data
+    from kare.estimators import RidgeScores, classical_alignment, cross_validation_risks
+    from kare.kernels import KernelSpec, cross_gram, gram_matrix
+    from kare.krr import held_out_risk
+    from kare.sct import sct_from_gram
+    cfg = parse_sweep_config(_config(tmp_path, **{"kernel.family": family,
+                                                  "data.test_n": test_n}))
+    train, test = _load_sweep_data(cfg)
+    n, dim = train.X.shape
+    expected = []
+    for multiple in cfg.lengthscale_multiples:
+        kern = KernelSpec(family, multiple * dim)
+        G = gram_matrix(kern, train.X)
+        cv = cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds, seed=cfg.seed)
+        rs = RidgeScores(G, train.y)
+        for ridge, cv_risk in zip(cfg.ridges, cv):
+            est = sct_from_gram(rs, ridge)
+            test_risk = (None if test is None else
+                         held_out_risk(cross_gram(kern, test.X, train.X), rs.solve(ridge) / n,
+                                       test.y))
+            expected.append(SweepRecord(
+                kern.lengthscale, ridge, rs.train_error(ridge), rs.kare(ridge),
+                rs.varrho(ridge), cv_risk, rs.log_marginal_likelihood(ridge),
+                classical_alignment(train.y, G), test_risk, est.theta, est.theta_prime,
+                cfg.seed, n))
+    assert (test is None) == (test_n == "0")
+    assert run_sweep(cfg) == expected
+
+
+def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
+    # At each eigh the sweep holds its train distances and the Gram,
+    # scaled by 1/n in place; the test distances are made after the last
+    # eigh.  Before, the test distances and an unscaled copy of the Gram
+    # were live too: 4 n x n arrays.
+    n = 400
+    cfg = parse_sweep_config(_config(tmp_path, **{"data.n": str(n), "data.test_n": str(n)}))
+    traced, original = [], np.linalg.eigh
+
+    def eigh(*args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    tracemalloc.start()
+    try:
+        assert len(run_sweep(cfg)) == 2 * 3
+    finally:
+        tracemalloc.stop()
+    assert len(traced) == 2
+    assert max(traced) <= 2.5 * n * n * 8
+
+
 @pytest.mark.parametrize("lengthscales, ridges, folds", [
     pytest.param(1, 1, 3, id="1-1"), pytest.param(3, 4, 3, id="3-4"),
     pytest.param(3, 4, 0, id="3-4-no-cv")])
@@ -444,7 +502,7 @@ def test_sweep_cross_validates_every_lengthscale_before_the_first_eigh(
 
     monkeypatch.setattr(cli, "cross_validation_risks",
                         logged("cv", cli.cross_validation_risks))
-    monkeypatch.setattr(cli, "RidgeScores", logged("eigh", cli.RidgeScores))
+    monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
     cfg = parse_sweep_config(_config(tmp_path, **{"grid.lengthscale": "0.5:2:3:log2"}))
     assert len(run_sweep(cfg)) == 3 * 3
     assert events == ["cv"] * 3 + ["eigh"] * 3

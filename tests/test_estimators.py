@@ -199,6 +199,23 @@ def test_ridge_scores_match_functional_api():
         np.testing.assert_allclose(B @ rs.solve(ridge), y, atol=1e-9)
 
 
+def test_ridge_scores_leaves_its_gram_untouched():
+    # The sweep's private path scales its own Gram in place; the public
+    # constructor copies, and both give the same bits.
+    rng = np.random.default_rng(5)
+    G = gram_matrix(KernelSpec("rbf", 3.0), rng.standard_normal((30, 3)))
+    y = rng.standard_normal(30)
+    before = G.tobytes()
+    rs = RidgeScores(G, y)
+    assert G.tobytes() == before
+    scratch = G.copy()
+    in_place = RidgeScores._scaling_in_place(scratch, y)
+    assert scratch.tobytes() == (G / 30).tobytes()
+    for name in ("eigenvalues", "vectors", "w"):
+        assert getattr(in_place, name).tobytes() == getattr(rs, name).tobytes()
+    assert in_place.n == rs.n and in_place.kare(0.1) == rs.kare(0.1)
+
+
 def test_ridge_scores_train_error_matches_krr():
     from kare import krr
     from kare.kernels import gram_matrix

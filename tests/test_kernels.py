@@ -216,6 +216,9 @@ def test_distances_bit_identical_to_row_by_row(monkeypatch, family, dim, same, c
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1 if cap == "one-row" else 3 * m * dim)
     D = distances(family, X, Y)
     assert np.array_equal(D, _distances_row_by_row(family, X, Y))
+    if same:  # one triangle, mirrored; a copy of X has every entry computed
+        assert D.tobytes() == distances(family, X, X.copy()).tobytes()
+        assert np.array_equal(D, D.T)
 
 
 _OVERFLOWING_PAIR = ([[1e308, -1e308]], [[0.0, 0.0]])
