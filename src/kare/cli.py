@@ -80,6 +80,29 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _output_fault(path: str) -> str | None:
+    """The rule an output file path breaks, if any."""
+    if os.path.isdir(path):
+        return "a file, not a directory"
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        return "in an existing directory"
+    return None
+
+
+def _out(text: str) -> str:
+    """An --out path; argparse names the option when this raises."""
+    if fault := _output_fault(text):
+        raise argparse.ArgumentTypeError(f"must be {fault}, got {text!r}")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line; --help shows the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 _NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)
 
 
@@ -105,7 +128,6 @@ class SweepConfig:
     loglik: bool
     alignment: bool
     output: str
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -204,7 +226,7 @@ _REQUIRED_KEYS = {
     "kernel.family": _choice(*FAMILIES),
     "grid.lengthscale": parse_grid,     # in multiples of the input dimension
     "grid.ridge": parse_grid,
-    "output": str,                      # output CSV path, in an existing directory
+    "output": str,                      # output CSV file, in an existing directory
 }
 
 # key -> (default, parser); the default is already parsed.  The data
@@ -255,6 +277,7 @@ def parse_sweep_config(path: str) -> SweepConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from None
     n, folds = values["data.n"], values["scores.cv_folds"]
+    output_fault = _output_fault(values["output"])
     for key, within, bound in (
         ("data.n", n >= 1, ">= 1"),
         ("data.test_n", values["data.test_n"] >= 0, ">= 0"),
@@ -262,8 +285,7 @@ def parse_sweep_config(path: str) -> SweepConfig:
         ("data.dim", values["data.dim"] >= 1, ">= 1"),
         ("data.noise", 0 <= values["data.noise"] < math.inf, ">= 0 and finite"),
         ("scores.cv_folds", folds == 0 or 2 <= folds <= n, f"0 or between 2 and data.n = {n}"),
-        ("output", os.path.isdir(os.path.dirname(values["output"]) or "."),
-         "in an existing directory"),
+        ("output", output_fault is None, output_fault),
     ):
         if not within:
             raise ConfigError(f"{path}: {key} must be {bound}")
@@ -277,7 +299,6 @@ def parse_sweep_config(path: str) -> SweepConfig:
         loglik=values["scores.loglik"],
         alignment=values["scores.alignment"],
         output=values["output"],
-        seed=values["data.seed"],
     )
 
 
@@ -330,12 +351,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     sweep, and each lengthscale turns them into its Gram and cross-Gram.
     The sweep makes up to three passes over the lengthscales:
 
-    1. CV (with CV on): each Gram is cross-validated from its own slices
-       (one Cholesky per fold and ridge, in SciPy), keeping only the risks.
-    2. Scores: each Gram is rebuilt, read by the alignment, scaled by 1/n
-       in place and decomposed once (one eigh, in NumPy) for all ridges.
-       With a test set, each ridge's dual ((1/n)G + ridge I)^{-1} y / n
-       is kept.
+    1. Scores: each Gram is read by the alignment, scaled by 1/n in place
+       and decomposed once (one eigh, in NumPy) for all ridges.  With a
+       test set, each ridge's dual ((1/n)G + ridge I)^{-1} y / n is kept.
+    2. CV (with CV on): each Gram is rebuilt and cross-validated from its
+       own slices (one Cholesky per fold and ridge, in SciPy).
     3. Test (with a test set): the train distances are dropped, the test
        distances computed, and each lengthscale's cross-Gram scores its
        kept duals.
@@ -346,44 +366,36 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     distances (test_n x n) are made after the last eigh; the duals
     outweigh them only when L x R > test_n.
 
-    NumPy and SciPy each bring their own OpenBLAS with its own thread
-    pool, whose workers busy-wait after every call.  Alternating the two
-    once per lengthscale made each library's calls compete with the
-    other pool's spinning threads: on 2 cores, 40 Choleskys of size 375
-    took 0.14-0.22 s right after an eigh against 0.070-0.097 s with
-    NumPy's pool idle, and a 500 x 500 eigh 0.054-0.141 s right after
-    the Choleskys against 0.036-0.044 s.  The passes make the same calls
-    on the same inputs as one interleaved pass, so every result keeps its
-    bits; the cost is one more exp per lengthscale.
+    NumPy and SciPy each bring their own OpenBLAS, whose thread pools
+    busy-wait after every call, so eighs and Choleskys alternating per
+    lengthscale slow each other (on 2 cores a 500 x 500 eigh took
+    0.054-0.141 s right after 40 Choleskys, 0.036-0.044 s alone).  Passes
+    1 and 2 make the calls of one interleaved pass on the same inputs, so
+    every result keeps its bits, for one more exp per lengthscale.  The
+    eighs come first: their frees raise glibc's mmap and trim thresholds,
+    so CV's per-solve copies reuse heap pages (1.4K minor faults instead
+    of 20K for a 500-point, 4-fold pass in a fresh process).
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
     NumericalError naming it.  CV runs once per lengthscale, with no
     retry per ridge: a failed fold solve names its own ridge.  Failures
-    are reported in pass order, so a CV failure at any lengthscale comes
-    before a score failure at an earlier one, and test distances that
-    overflow are reported after the scores pass.
+    are reported in pass order, so a score failure at any lengthscale
+    comes before a CV failure at an earlier one, and test distances that
+    overflow are reported after the CV pass.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
     D = distances(cfg.family, train.X, train.X)
     kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
 
-    def cv_risks(kern: KernelSpec) -> list[float]:
-        with _cell(kern.lengthscale):
-            return cross_validation_risks(from_distances(kern, D), train.y, cfg.ridges,
-                                          cfg.cv_folds, seed=cfg.seed)
-
     # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
     # before the next lengthscale builds its own.
-    cv = ([cv_risks(kern) for kern in kerns] if cfg.cv_folds
-          else [[None] * len(cfg.ridges)] * len(kerns))
-
-    def scores(kern: KernelSpec, cv_row: list) -> tuple[list[SweepRecord], list[np.ndarray]]:
+    def scores(kern: KernelSpec) -> tuple[list[SweepRecord], list[np.ndarray]]:
         G = from_distances(kern, D)
         align = classical_alignment(train.y, G) if cfg.alignment else None
         rs = RidgeScores._scaling_in_place(G, train.y)  # G is (1/n)G from here on
         records, duals = [], []
-        for ridge, cv_risk in zip(cfg.ridges, cv_row):
+        for ridge in cfg.ridges:
             with _cell(kern.lengthscale, ridge):
                 est = sct_from_gram(rs, ridge)
                 records.append(SweepRecord(
@@ -392,20 +404,26 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
                     train_error=rs.train_error(ridge),
                     kare=rs.kare(ridge),
                     varrho=rs.varrho(ridge),
-                    cv_risk=cv_risk,
+                    cv_risk=None,
                     loglik=rs.log_marginal_likelihood(ridge) if cfg.loglik else None,
                     alignment=align,
                     test_risk=None,
                     sct_hat=est.theta,
                     sct_deriv_hat=est.theta_prime,
-                    seed=cfg.seed,
+                    seed=cfg.data["seed"],
                     n=n,
                 ))
                 if test is not None:
                     duals.append(rs.solve(ridge) / n)
         return records, duals
 
-    passes = [scores(kern, cv_row) for kern, cv_row in zip(kerns, cv)]
+    passes = [scores(kern) for kern in kerns]
+    if cfg.cv_folds:
+        for kern, (records, _) in zip(kerns, passes):
+            with _cell(kern.lengthscale):
+                risks = cross_validation_risks(from_distances(kern, D), train.y, cfg.ridges,
+                                               cfg.cv_folds, seed=cfg.data["seed"])
+            records[:] = [replace(r, cv_risk=risk) for r, risk in zip(records, risks)]
     del D
     if test is not None:
         D_test = distances(cfg.family, test.X, train.X)
@@ -518,7 +536,7 @@ def _cmd_validate(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kare",
         description="Kernel ridge regression risk prediction toolkit",
     )
@@ -541,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sct.add_argument("--ridge-grid", default="1e-4:1:9:log10")
     p_sct.add_argument("--trials", type=int, default=10)
     p_sct.add_argument("--seed", type=_seed, default=0)
-    p_sct.add_argument("--out", required=True)
+    p_sct.add_argument("--out", type=_out, required=True)
     p_sct.set_defaults(func=_cmd_sct)
 
     p_val = sub.add_parser("validate", help="run a validation suite")
@@ -565,7 +583,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:  # before ValueError: LinAlgError is one
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         if args.command == "sweep" and exc.filename == args.config:
             print(f"config error: {exc}", file=sys.stderr)
             return 1

@@ -158,16 +158,13 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Symmetric n x n matrix of pairwise kernel values, unit diagonal.
 
-    Exactly symmetric with no symmetrization step: x - y is exactly
-    -(y - x), so (i, j) and (j, i) sum the same squares or absolute
-    values in the same order, and the diagonal distances are exactly 0.
-    The distances are computed for one triangle and mirrored, which
-    gives the same bits as computing both.
+    ``from_distances`` of ``distances(X, X)``, whose mirrored triangle is
+    exactly symmetric with a zero diagonal, so no symmetrization step runs.
     """
-    X = _as_points(X)
-    if X.shape[0] < 1:
+    D = distances(spec.family, X, X)
+    if D.shape[0] < 1:
         raise ValueError("need at least one point")
-    return from_distances(spec, _raw_distances(spec.family, X, X))
+    return from_distances(spec, D)
 
 
 def cross_gram(spec: KernelSpec, X_test, X_train) -> np.ndarray:

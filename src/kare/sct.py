@@ -62,9 +62,11 @@ class Spectrum:
         d.flags.writeable = m.flags.writeable = False
         object.__setattr__(self, "_arrays", (d, m))
 
-    @property
+    @cached_property
     def trace(self) -> float:
-        return float(sum(m * d for d, m in self.entries))
+        """sum_k mult_k * d_k, the value ``solve_sct`` brackets with."""
+        d, m = self._arrays
+        return float(m @ d)
 
     @property
     def expanded_size(self) -> int:
@@ -118,12 +120,10 @@ def solve_sct(spec: Spectrum, n, ridge) -> SctResult:
     shape = np.broadcast_shapes(n.shape, ridge.shape)
     ridge = np.broadcast_to(ridge, shape).ravel()
     n = np.broadcast_to(n, shape).ravel()
-    d, m = spec.arrays()
-    trace = float(m @ d)
-    if trace == 0.0 or not ridge.size:
+    if spec.trace == 0.0 or not ridge.size:
         theta, theta_prime = ridge.copy(), np.ones_like(ridge)
     else:
-        theta, theta_prime = _newton_bisection(d, m, trace, n, ridge)
+        theta, theta_prime = _newton_bisection(*spec.arrays(), spec.trace, n, ridge)
     if scalar:
         return SctResult(float(theta[0]), float(theta_prime[0]))
     return SctResult(theta.reshape(shape), theta_prime.reshape(shape))

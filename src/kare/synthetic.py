@@ -81,11 +81,6 @@ def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> np.ndarray:
     return checked_modes(spec, f, indices)
 
 
-def _check_spectrum(dr: ObservationDraw, spec: Spectrum, f: TrueFunction | None) -> None:
-    if not np.array_equal(_expanded(spec, f), dr.d):
-        raise ValueError("spectrum does not match the one the draw was sampled from")
-
-
 def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
     """One draw of (O, y); deterministic given the seed.
 
@@ -110,19 +105,20 @@ def _reconstruct(dr: ObservationDraw, ridge: float, rhs: np.ndarray) -> np.ndarr
     return (L * (1.0 / (mu + ridge))) @ (R.T @ rhs) / dr.y.shape[0]
 
 
-def predictor_coeffs(dr: ObservationDraw, spec: Spectrum, ridge: float) -> np.ndarray:
-    """Fitted predictor coefficients per mode: (d_k/n) O_k^T B^{-1} y.
-
-    spec must be the draw's.
-    """
-    _check_spectrum(dr, spec, None)
+def predictor_coeffs(dr: ObservationDraw, ridge: float) -> np.ndarray:
+    """Fitted predictor coefficients per mode: (d_k/n) O_k^T B^{-1} y."""
     return representable("predictor coefficients", check_ridge(ridge),
                          lambda: _reconstruct(dr, ridge, dr.y))
 
 
-def exact_risk(dr: ObservationDraw, spec: Spectrum, f: TrueFunction, ridge: float) -> float:
-    """sum_k (a_k - b_k)^2 + noise^2, computed exactly in the eigenbasis."""
-    _check_spectrum(dr, spec, f)
+def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
+    """sum_k (a_k - b_k)^2 + noise^2, computed exactly in the eigenbasis.
+
+    f must have one coefficient per mode of the draw.
+    """
+    if f.coeffs.shape[0] != dr.d.shape[0]:
+        raise ValueError(f"{f.coeffs.shape[0]} coefficients but the draw has "
+                         f"{dr.d.shape[0]} modes")
 
     def risk():
         r = _reconstruct(dr, ridge, dr.y) - f.coeffs
@@ -166,7 +162,7 @@ def mc_expected_risk(
     """Sample mean and standard error of exact_risk over independent draws."""
     _check_trials(trials)
     mean, stderr = mean_and_stderr(
-        [exact_risk(draw(spec, f, n, (seed, t)), spec, f, ridge) for t in range(trials)]
+        [exact_risk(draw(spec, f, n, (seed, t)), f, ridge) for t in range(trials)]
     )
     return float(mean), float(stderr)
 
@@ -181,16 +177,6 @@ def _variance_stderr(samples: np.ndarray) -> float:
     return float(np.sqrt(max(m4 - s2**2, 0.0) / n))
 
 
-def _moments(samples: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per column of a (trials, k) sample array: the mean, its standard
-    error, the variance and the variance's standard error."""
-    return (
-        *mean_and_stderr(samples),
-        samples.var(axis=0, ddof=1),
-        np.array([_variance_stderr(column) for column in samples.T]),
-    )
-
-
 @dataclass(frozen=True)
 class OperatorMoments:
     """Monte Carlo moments of the reconstruction operator entries A_kl."""
@@ -198,8 +184,6 @@ class OperatorMoments:
     indices: tuple[int, ...]
     diag_mean: np.ndarray
     diag_mean_stderr: np.ndarray
-    diag_var: np.ndarray
-    diag_var_stderr: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     offdiag_mean: np.ndarray
     offdiag_stderr: np.ndarray
@@ -217,10 +201,10 @@ def mc_operator_moments(
 ) -> OperatorMoments:
     """Sample the entries A_kl = (d_k/n) O_k^T ((1/n)G + ridge I)^{-1} O_l.
 
-    Returns per-index means and variances of the diagonal entries, means
-    of every ordered off-diagonal pair among k_indices, and the mean gap
-    |1/theta - m(-ridge)| between the solved threshold and the Gram
-    Stieltjes transform.
+    Returns the means, with their standard errors, of the diagonal entry
+    at each of k_indices and of every ordered off-diagonal pair among
+    them, and the mean gap |1/theta - m(-ridge)| between the solved
+    threshold and the Gram Stieltjes transform.
     """
     _check_trials(trials)
     idx = tuple(int(k) for k in k_indices)
@@ -239,8 +223,8 @@ def mc_operator_moments(
     off = np.stack(
         [sub[:, idx.index(a), idx.index(b)] for a, b in pairs], axis=1
     ) if pairs else np.empty((trials, 0))
-    return OperatorMoments(idx, *_moments(np.einsum("tkk->tk", sub)), pairs,
-                           *_moments(off)[:2], float(gaps.mean()), trials)
+    return OperatorMoments(idx, *mean_and_stderr(np.einsum("tkk->tk", sub)), pairs,
+                           *mean_and_stderr(off), float(gaps.mean()), trials)
 
 
 @dataclass(frozen=True)
@@ -271,8 +255,9 @@ def mc_coeff_stats(
     cols = np.array(idx)
     samples = np.empty((trials, len(idx)))
     for t in range(trials):
-        samples[t] = predictor_coeffs(draw(spec, f, n, (seed, t)), spec, ridge)[cols]
-    return CoeffStats(idx, *_moments(samples), trials)
+        samples[t] = predictor_coeffs(draw(spec, f, n, (seed, t)), ridge)[cols]
+    return CoeffStats(idx, *mean_and_stderr(samples), samples.var(axis=0, ddof=1),
+                      np.array([_variance_stderr(column) for column in samples.T]), trials)
 
 
 def rbf_gaussian_gram_spectrum(

@@ -144,14 +144,13 @@ def suite_prop3(seed: int) -> list[Check]:
         d = rng.uniform(1e-6, 10.0, size)
         m = rng.integers(1, 6, size)
         spec = Spectrum(tuple(zip(d.tolist(), m.tolist())))
-        trace = spec.trace
         res = solve_sct(spec, ns, ridges)
         thetas, primes = res.theta.tolist(), res.theta_prime.tolist()
         for j, (n, ridge) in enumerate(grid):
             theta, theta_prime = thetas[j], primes[j]
             if not ridge < theta:
                 violations.append(f"case {i}: theta <= ridge")
-            if not theta <= (ridge + trace / n) * slack:
+            if not theta <= (ridge + spec.trace / n) * slack:
                 violations.append(f"case {i}: theta above upper bound")
             if not 1.0 <= theta_prime * slack:
                 violations.append(f"case {i}: theta' < 1")
@@ -281,7 +280,7 @@ def suite_thm6(seed: int) -> list[Check]:
     trains = np.empty(trials)
     for t in range(trials):
         dr = draw(spec, f, n, (seed + 1, t))
-        risks[t] = exact_risk(dr, spec, f, ridge)
+        risks[t] = exact_risk(dr, f, ridge)
         trains[t] = empirical_train_error(dr, ridge)
     ratio = float(risks.mean() / trains.mean())
     theta = solve_sct(spec, n, ridge).theta
@@ -309,7 +308,7 @@ def suite_kare(seed: int) -> list[Check]:
             for i, r in enumerate(at):
                 scale = r * stieltjes(dr.gram_spectrum, r)
                 scores[t, i] = empirical_train_error(dr, r) / scale**2
-                risks[t, i] = exact_risk(dr, spec, f, r)
+                risks[t, i] = exact_risk(dr, f, r)
         return scores, risks
 
     f = TrueFunction(b, 0.1)
@@ -367,7 +366,7 @@ def suite_bayes(seed: int) -> list[Check]:
         b = np.random.default_rng((seed, t, 0)).standard_normal(20) * np.sqrt(s)
         f = TrueFunction(b, noise)
         dr = draw(spec_k, f, n, (seed, t, 1))
-        risks[t] = exact_risk(dr, spec_k, f, ridge)
+        risks[t] = exact_risk(dr, f, ridge)
     mean, stderr = mean_and_stderr(risks)
     checks.append(_agree("generic case vs Monte Carlo over random targets",
                          float(mean), float(stderr), predicted, 0.10))

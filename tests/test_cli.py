@@ -178,12 +178,38 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     for trials in ("0", "1"):
         assert main(["sct", "--spectrum", "power-law", "--trials", trials,
                      "--out", str(tmp_path / "sct.csv")]) == 1
-    # csv dataset pointing at a missing file is a data error
-    cfg = _config(tmp_path, **{
-        "data.type": "csv", "data.path": str(tmp_path / "none.csv"),
-        "data.label_column": "y",
-    })
-    assert main(["sweep", "--config", cfg]) == 2
+    # csv dataset pointing at a missing file or a directory is a data error
+    for data in (tmp_path / "none.csv", tmp_path):
+        cfg = _config(tmp_path, **{
+            "data.type": "csv", "data.path": str(data), "data.label_column": "y",
+        })
+        assert main(["sweep", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("case", ["sweep-output-is-a-directory", "sweep-config-is-a-directory",
+                                  "sct-out-is-a-directory", "sct-out-in-a-missing-directory"])
+def test_bad_paths_fail_before_any_work(tmp_path, capsys, monkeypatch, case):
+    from kare import cli
+
+    def no_work(*args):
+        raise AssertionError("ran before the path was checked")
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "run_sct_curves", no_work)
+    directory = str(tmp_path)
+    argv, named = {
+        "sweep-output-is-a-directory": (
+            ["sweep", "--config", _config(tmp_path, out_name="")],
+            "output must be a file, not a directory"),
+        "sweep-config-is-a-directory": (["sweep", "--config", directory], directory),
+        "sct-out-is-a-directory": (["sct", "--spectrum", "power-law", "--out", directory],
+                                   "argument --out: must be a file, not a directory"),
+        "sct-out-in-a-missing-directory": (
+            ["sct", "--spectrum", "power-law", "--out", str(tmp_path / "missing" / "x.csv")],
+            "argument --out: must be in an existing directory"),
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err
 
 
 def test_csv_dataset_sweep(tmp_path):
@@ -386,7 +412,7 @@ def test_sweep_cv_risk_equals_cross_validation_risk(tmp_path, family):
     for r in records:
         assert r.cv_risk == cross_validation_risk(
             KernelSpec(family, r.lengthscale), train.X, train.y, r.ridge,
-            cfg.cv_folds, seed=cfg.seed)
+            cfg.cv_folds, seed=cfg.data["seed"])
     # The CV pass leaves every other column as the sweep without CV has it.
     without_cv = run_sweep(dataclasses.replace(cfg, cv_folds=0))
     assert [dataclasses.replace(r, cv_risk=None) for r in records] == without_cv
@@ -410,7 +436,7 @@ def test_sweep_records_equal_the_public_per_cell_routes(tmp_path, family, test_n
     for multiple in cfg.lengthscale_multiples:
         kern = KernelSpec(family, multiple * dim)
         G = gram_matrix(kern, train.X)
-        cv = cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds, seed=cfg.seed)
+        cv = cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds, seed=cfg.data["seed"])
         rs = RidgeScores(G, train.y)
         for ridge, cv_risk in zip(cfg.ridges, cv):
             est = sct_from_gram(rs, ridge)
@@ -421,7 +447,7 @@ def test_sweep_records_equal_the_public_per_cell_routes(tmp_path, family, test_n
                 kern.lengthscale, ridge, rs.train_error(ridge), rs.kare(ridge),
                 rs.varrho(ridge), cv_risk, rs.log_marginal_likelihood(ridge),
                 classical_alignment(train.y, G), test_risk, est.theta, est.theta_prime,
-                cfg.seed, n))
+                cfg.data["seed"], n))
     assert (test is None) == (test_n == "0")
     assert run_sweep(cfg) == expected
 
@@ -486,11 +512,12 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     assert distance_shapes == [(40, 40), (25, 40)]
 
 
-def test_sweep_cross_validates_every_lengthscale_before_the_first_eigh(
+def test_sweep_decomposes_every_lengthscale_before_the_first_cross_validation(
         tmp_path, monkeypatch):
     # NumPy (eigh) and SciPy (Cholesky) each run their own OpenBLAS
     # thread pool; the sweep runs all of one library's work, then the
-    # other's, instead of alternating them per lengthscale.
+    # other's, instead of alternating them per lengthscale.  The eighs
+    # come first, so they do not follow the CV pass's allocations.
     from kare import cli
     events = []
 
@@ -505,7 +532,15 @@ def test_sweep_cross_validates_every_lengthscale_before_the_first_eigh(
     monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
     cfg = parse_sweep_config(_config(tmp_path, **{"grid.lengthscale": "0.5:2:3:log2"}))
     assert len(run_sweep(cfg)) == 3 * 3
-    assert events == ["cv"] * 3 + ["eigh"] * 3
+    assert events == ["eigh"] * 3 + ["cv"] * 3
+
+
+def test_sweep_reads_its_one_seed_from_data_seed(tmp_path):
+    # The rows, the CV folds and the seed column all follow data.seed.
+    cfg = parse_sweep_config(_config(tmp_path))
+    moved = run_sweep(dataclasses.replace(cfg, data={**cfg.data, "seed": 5}))
+    assert moved == run_sweep(parse_sweep_config(_config(tmp_path, **{"data.seed": "5"})))
+    assert {r.seed for r in moved} == {5}
 
 
 @pytest.mark.parametrize("failure", ["cholesky", "cholesky-grid", "arithmetic",

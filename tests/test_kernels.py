@@ -57,6 +57,14 @@ def test_dimension_mismatch():
         cross_gram(spec, np.zeros((2, 3)), np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gram_matrix_rejects_zero_points(family):
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        gram_matrix(KernelSpec(family, 1.0), np.empty((0, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_matrix(KernelSpec(family, 1.0), np.array([[0.0], [np.nan]]))
+
+
 def test_gram_single_point():
     G = gram_matrix(KernelSpec("laplacian", 0.5), np.array([[2.0, 3.0]]))
     assert G.shape == (1, 1) and G[0, 0] == 1.0

@@ -167,6 +167,7 @@ def test_residual_and_bounds(entries, n, ridge):
     spec = Spectrum(tuple(entries))
     res = solve_sct(spec, n, ridge)
     d, m = spec.arrays()
+    assert spec.trace == float(m @ d)  # the bound the solver brackets with
     residual = res.theta - ridge - (res.theta / n) * float(np.sum(m * d / (d + res.theta)))
     assert abs(residual) <= 1e-12 * (ridge + spec.trace / n)
     assert ridge < res.theta <= (ridge + spec.trace / n) * (1 + 1e-12)
@@ -277,3 +278,5 @@ def test_expand_respects_multiplicity():
     np.testing.assert_allclose(spec.expand(), [2.0, 2.0, 2.0, 0.5])
     assert spec.expanded_size == 4
     assert spec.trace == pytest.approx(6.5)
+    d, m = spec.arrays()
+    assert spec.trace == float(m @ d)

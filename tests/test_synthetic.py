@@ -63,13 +63,13 @@ def test_exact_risk_trivial_cases():
     spec = power_law_spectrum(2.0, 4)
     silent = TrueFunction(np.zeros(4), 0.0)
     dr = draw(spec, silent, 10, 0)
-    assert exact_risk(dr, spec, silent, 0.1) == 0.0
+    assert exact_risk(dr, silent, 0.1) == 0.0
 
     noisy = TrueFunction(np.zeros(4), 0.2)
     dr = draw(spec, noisy, 10, 0)
-    assert exact_risk(dr, spec, noisy, 0.1) >= 0.2**2
+    assert exact_risk(dr, noisy, 0.1) >= 0.2**2
     with pytest.raises(ValueError):
-        exact_risk(dr, spec, noisy, 0.0)
+        exact_risk(dr, noisy, 0.0)
 
 
 def test_oracles_raise_where_one_over_mu_plus_ridge_overflows():
@@ -80,8 +80,8 @@ def test_oracles_raise_where_one_over_mu_plus_ridge_overflows():
     f = TrueFunction(np.ones(1), 0.1)
     dr = draw(spec, f, 1, 0)
     for name, oracle in (
-            ("predictor coefficients", lambda: predictor_coeffs(dr, spec, 1e-320)),
-            ("exact risk", lambda: exact_risk(dr, spec, f, 1e-320)),
+            ("predictor coefficients", lambda: predictor_coeffs(dr, 1e-320)),
+            ("exact risk", lambda: exact_risk(dr, f, 1e-320)),
             ("train error", lambda: empirical_train_error(dr, 1e-320)),
             ("operator entries", lambda: mc_operator_moments(spec, 1, 1e-320, 2, 0, (0,)))):
         with pytest.raises(NumericalError, match=f"^{name} is not representable in float64"):
@@ -98,7 +98,7 @@ def test_exact_risk_scalar_case():
     y = dr.y[0]
     a_hat = d * o * y / (d * o * o + ridge)
     expected = (a_hat - b) ** 2 + eps**2
-    assert exact_risk(dr, spec, f, ridge) == pytest.approx(expected, rel=1e-12)
+    assert exact_risk(dr, f, ridge) == pytest.approx(expected, rel=1e-12)
 
 
 def test_exact_risk_against_function_space_sampling():
@@ -108,8 +108,8 @@ def test_exact_risk_against_function_space_sampling():
     f = TrueFunction(np.array([1.0, -0.5, 0.25]), 0.0)
     dr = draw(spec, f, 30, 3)
     ridge = 0.05
-    risk = exact_risk(dr, spec, f, ridge)
-    coeff_error = predictor_coeffs(dr, spec, ridge) - f.coeffs
+    risk = exact_risk(dr, f, ridge)
+    coeff_error = predictor_coeffs(dr, ridge) - f.coeffs
     rng = np.random.default_rng(99)
     O_test = rng.standard_normal((200_000, 3))
     sampled = float(np.mean((O_test @ coeff_error) ** 2))
@@ -230,7 +230,7 @@ def test_draw_builds_the_gram_only_when_read():
     spec = power_law_spectrum(2.0, 6)
     f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
     dr = draw(spec, f, 30, 4)
-    exact_risk(dr, spec, f, 0.05)
+    exact_risk(dr, f, 0.05)
     empirical_train_error(dr, 0.05)
     assert "G" not in vars(dr)
     A = (dr.O * dr.d) @ dr.O.T
@@ -279,7 +279,7 @@ def test_mc_moments_match_the_sample_formulas():
     spec = power_law_spectrum(2.0, 6)
     f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
     cs = mc_coeff_stats(spec, f, 20, 0.05, 5, 3, (0, 2))
-    a = np.array([predictor_coeffs(draw(spec, f, 20, (3, t)), spec, 0.05)[[0, 2]]
+    a = np.array([predictor_coeffs(draw(spec, f, 20, (3, t)), 0.05)[[0, 2]]
                   for t in range(5)])
     np.testing.assert_allclose(cs.mean, a.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(cs.mean_stderr, a.std(axis=0, ddof=1) / np.sqrt(5), rtol=1e-12)
@@ -295,15 +295,12 @@ def test_mc_moments_match_the_sample_formulas():
             mc_operator_moments(spec, 20, 0.05, args["trials"], 0, args["k_indices"])
 
 
-def test_spectrum_must_match_the_draw():
+def test_exact_risk_needs_one_target_coefficient_per_mode():
     spec = power_law_spectrum(2.0, 4)
-    f = TrueFunction(np.ones(4), 0.1)
-    dr = draw(spec, f, 10, 0)
-    other = power_law_spectrum(3.0, 4)  # same size, other eigenvalues
-    with pytest.raises(ValueError, match="does not match"):
-        predictor_coeffs(dr, other, 0.1)
-    with pytest.raises(ValueError, match="does not match"):
-        exact_risk(dr, other, f, 0.1)
+    dr = draw(spec, TrueFunction(np.ones(4), 0.1), 10, 0)
+    for count in (3, 5):
+        with pytest.raises(ValueError, match=f"^{count} coefficients but the draw has 4 modes$"):
+            exact_risk(dr, TrueFunction(np.ones(count), 0.1), 0.1)
 
 
 @st.composite
@@ -336,12 +333,12 @@ def test_low_rank_oracles_match_the_dense_route(spec, n, ridge, seed, noise):
     coeffs = dr.d * (dr.O.T @ v) / n
     # Vectors are compared in norm: a small entry carries the error of
     # the large ones.
-    gap = np.linalg.norm(predictor_coeffs(dr, spec, ridge) - coeffs)
+    gap = np.linalg.norm(predictor_coeffs(dr, ridge) - coeffs)
     assert gap <= 1e-9 * np.linalg.norm(coeffs)
     assert empirical_train_error(dr, ridge) == pytest.approx(
         ridge**2 * float(v @ v) / n, rel=1e-9)
     r = coeffs - f.coeffs
-    assert exact_risk(dr, spec, f, ridge) == pytest.approx(
+    assert exact_risk(dr, f, ridge) == pytest.approx(
         float(r @ r) + noise**2, rel=1e-9)
     # The kare identity: train error over (ridge m(-ridge))^2.
     kare = empirical_train_error(dr, ridge) / (ridge * stieltjes(dr.gram_spectrum, ridge))**2
