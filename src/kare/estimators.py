@@ -75,11 +75,16 @@ class RidgeScores(GramSpectrum):
     Grid sweeps evaluate many ridges per dataset; after rotating the
     labels into the eigenbasis each score is an O(n) sum over
     (mu_i + ridge), so the n^3 work is paid once.
+
+    A Monte Carlo draw of rank k < n gives k eigenvectors P.  Its other
+    n - k eigenvalues are zero, a block whose only label mass is the
+    residual r = y - P P^T y: ||r||^2 is the label weight of one of those
+    zeros, so each score keeps one formula, and ``solve`` adds r / ridge.
     """
 
     def __init__(self, G, y):
         y = check_labels(y)
-        self._decompose(check_gram(G, y.shape[0]) / y.shape[0], y)
+        self._from_eigen(*np.linalg.eigh(check_gram(G, y.shape[0]) / y.shape[0]), y)
 
     @classmethod
     def _scaling_in_place(cls, G: np.ndarray, y) -> RidgeScores:
@@ -88,22 +93,24 @@ class RidgeScores(GramSpectrum):
         second n x n array is made.  ``__init__`` does not run."""
         y = check_labels(y)
         G = check_gram(G, y.shape[0])
-        scores = cls.__new__(cls)
-        scores._decompose(np.divide(G, y.shape[0], out=G), y)
-        return scores
+        return cls.__new__(cls)._from_eigen(*np.linalg.eigh(np.divide(G, y.shape[0], out=G)), y)
 
-    def _decompose(self, scaled: np.ndarray, y: np.ndarray) -> None:
-        # scaled is the checked (1/n)G.
-        mu, vectors = np.linalg.eigh(scaled)
-        GramSpectrum.__init__(self, mu)
-        self.vectors = vectors
-        self.w = vectors.T @ y
-        self._w2 = self.w**2
+    def _from_eigen(self, mu, vectors: np.ndarray, y: np.ndarray) -> RidgeScores:
+        """Self, from mu, the eigenvalues of (1/n)G on vectors' k <= n orthonormal columns."""
+        n, k = vectors.shape
+        GramSpectrum.__init__(self, np.concatenate([np.zeros(n - k), mu]))
+        self.vectors, self.w = vectors, vectors.T @ y
+        self._residual = y - vectors @ self.w if k < n else 0.0
+        weight = np.zeros(n - k)
+        weight[:1] = np.sum(self._residual**2)
+        self._w2 = np.concatenate([weight, self.w**2])
+        return self
 
     @_score
     def solve(self, ridge: float) -> np.ndarray:
         """((1/n)G + ridge I)^{-1} y."""
-        return self.vectors @ (self.w / (self.eigenvalues + ridge))
+        mu = self.eigenvalues[-self.w.size:]
+        return self.vectors @ (self.w / (mu + ridge)) + self._residual / ridge
 
     @_score
     def kare(self, ridge: float) -> float:

@@ -5,12 +5,14 @@ observation matrix O has iid standard normal entries (one column per
 expanded spectrum mode), the Gram matrix is O diag(d) O^T, and labels are
 O b + noise * e.  Risks are then exact sums over modes, no test sampling.
 
-The oracles never form the n x n Gram.  With U = O diag(sqrt d), a draw
-pays one ``np.linalg.eigh``, of U^T U / n when n > M and of G/n = U U^T / n
-when n <= M (U^T U alone would amplify rounding in its null space).  By the
-push-through identity (U^T U / n + ridge I)^{-1} U^T = U^T B^{-1}, with
-B = (1/n)G + ridge I, every oracle at every ridge is a diagonal scaling in
-it.  A draw builds G only when ``.G`` is read, for the dense references.
+The oracles and scores never form the n x n Gram.  With U = O diag(sqrt d),
+a draw pays one ``np.linalg.eigh``, of U^T U / n when n > M and of
+G/n = U U^T / n when n <= M (U^T U alone would amplify rounding in its null
+space).  By the push-through identity (U^T U / n + ridge I)^{-1} U^T =
+U^T B^{-1}, with B = (1/n)G + ridge I, every oracle at every ridge is a
+diagonal scaling in it, and the draw's ``scores`` (kare, train error, the
+spectrum) are a RidgeScores on the same eigenpairs.  A draw builds G only
+when ``.G`` is read, for the dense references.
 
 Reproducibility rule: trial t of a Monte Carlo run draws from
 numpy's default_rng seeded with (seed, t), so results are independent of
@@ -24,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimators import TrueFunction, checked_modes
+from .estimators import RidgeScores, TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
 from .spectral import GramSpectrum, check_ridge, decompose, representable, stieltjes
 from .sct import Spectrum, solve_sct
@@ -41,7 +43,6 @@ class ObservationDraw:
     O: np.ndarray
     d: np.ndarray
     y: np.ndarray
-    seed: object
 
     @cached_property
     def G(self) -> np.ndarray:
@@ -65,10 +66,15 @@ class ObservationDraw:
         return GramSpectrum(mu).eigenvalues, (self.O * self.d).T @ P, P
 
     @cached_property
-    def gram_spectrum(self) -> GramSpectrum:
-        """Eigenvalues of G/n: the draw's mu, with n - M zeros added when n > M."""
-        mu = self._eigh[0]
-        return GramSpectrum(np.concatenate([np.zeros(self.y.shape[0] - mu.shape[0]), mu]))
+    def scores(self) -> RidgeScores:
+        """RidgeScores(G, y) on ``_eigh``'s mu and R.  For n > M the columns
+        of R = U Q are orthogonal only in exact arithmetic (one whose mu is
+        far below the largest leans on the larger ones), so a QR, largest mu
+        first, makes them orthonormal."""
+        mu, _, R = self._eigh
+        if R.shape[0] > R.shape[1]:
+            R = np.linalg.qr(R[:, ::-1])[0][:, ::-1]
+        return RidgeScores.__new__(RidgeScores)._from_eigen(mu, R, self.y)
 
 
 def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> np.ndarray:
@@ -94,7 +100,7 @@ def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
     O = rng.standard_normal((n, d.shape[0]))
     e = rng.standard_normal(n)
     y = O @ f.coeffs + f.noise * e
-    return ObservationDraw(O, d, y, seed)
+    return ObservationDraw(O, d, y)
 
 
 def _reconstruct(dr: ObservationDraw, ridge: float, rhs: np.ndarray) -> np.ndarray:
@@ -127,19 +133,10 @@ def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
 
 
 def empirical_train_error(dr: ObservationDraw, ridge: float) -> float:
-    """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw.
-
-    ridge B^{-1} y is y - O a by Woodbury (n > M), or P (ridge/(mu + ridge)) P^T y
-    in the eigenbasis P of G/n (n <= M), which keeps its accuracy at tiny ridges.
-    """
-    n, M = dr.O.shape
-    mu, _, P = dr._eigh
-
-    def train_error():
-        r = (dr.y - dr.O @ _reconstruct(dr, ridge, dr.y) if n > M
-             else ridge * (1.0 / (mu + ridge)) * (P.T @ dr.y))
-        return float(r @ r) / n
-    return representable("train error", check_ridge(ridge), train_error)
+    """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw: the train
+    error of ``dr.scores``."""
+    return representable("train error", check_ridge(ridge),
+                         lambda: dr.scores.train_error(ridge))
 
 
 def _check_trials(trials: int) -> None:
@@ -188,7 +185,6 @@ class OperatorMoments:
     offdiag_mean: np.ndarray
     offdiag_stderr: np.ndarray
     stieltjes_gap_mean: float
-    trials: int
 
 
 def mc_operator_moments(
@@ -218,13 +214,13 @@ def mc_operator_moments(
         dr = draw(spec, zero_f, n, (seed, t))
         sub[t] = representable("operator entries", ridge,
                                lambda: _reconstruct(dr, ridge, dr.O[:, cols])[cols])
-        gaps[t] = abs(1.0 / theta - stieltjes(dr.gram_spectrum, ridge))
+        gaps[t] = abs(1.0 / theta - stieltjes(dr.scores, ridge))
     pairs = tuple((a, b) for a in idx for b in idx if a != b)
     off = np.stack(
         [sub[:, idx.index(a), idx.index(b)] for a, b in pairs], axis=1
     ) if pairs else np.empty((trials, 0))
     return OperatorMoments(idx, *mean_and_stderr(np.einsum("tkk->tk", sub)), pairs,
-                           *mean_and_stderr(off), float(gaps.mean()), trials)
+                           *mean_and_stderr(off), float(gaps.mean()))
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,6 @@ class CoeffStats:
     mean_stderr: np.ndarray
     var: np.ndarray
     var_stderr: np.ndarray
-    trials: int
 
 
 def mc_coeff_stats(
@@ -257,7 +252,7 @@ def mc_coeff_stats(
     for t in range(trials):
         samples[t] = predictor_coeffs(draw(spec, f, n, (seed, t)), ridge)[cols]
     return CoeffStats(idx, *mean_and_stderr(samples), samples.var(axis=0, ddof=1),
-                      np.array([_variance_stderr(column) for column in samples.T]), trials)
+                      np.array([_variance_stderr(column) for column in samples.T]))
 
 
 def rbf_gaussian_gram_spectrum(

@@ -300,14 +300,12 @@ def suite_kare(seed: int) -> list[Check]:
     grid = np.logspace(-4, 0, 12)
 
     def scores_and_risks(f, n, trials, draw_seed, at):
-        """Per-trial kare, train error / (ridge m(-ridge))^2, and exact risk
-        at the ridges at, each (trials, len(at))."""
+        """Per-trial kare and exact risk at the ridges at, each (trials, len(at))."""
         scores, risks = np.empty((trials, len(at))), np.empty((trials, len(at)))
         for t in range(trials):
             dr = draw(spec, f, n, (draw_seed, t))
             for i, r in enumerate(at):
-                scale = r * stieltjes(dr.gram_spectrum, r)
-                scores[t, i] = empirical_train_error(dr, r) / scale**2
+                scores[t, i] = dr.scores.kare(r)
                 risks[t, i] = exact_risk(dr, f, r)
         return scores, risks
 

@@ -5,7 +5,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from kare.estimators import RidgeScores, TrueFunction
 from kare.krr import ridge_solve
-from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, solve_sct
+from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, sct_from_gram, solve_sct
 from kare.spectral import NumericalError, decompose, stieltjes
 from kare.synthetic import (
     MAX_MODES,
@@ -19,6 +19,7 @@ from kare.synthetic import (
     predictor_coeffs,
     rbf_gaussian_gram_spectrum,
 )
+from kare.validation import suite_kare
 
 
 def test_draw_zero_function_zero_labels():
@@ -238,6 +239,18 @@ def test_draw_builds_the_gram_only_when_read():
     assert dr.G is dr.G
 
 
+def _score_at_three_ridges(dr):
+    # The train error, every method of the draw's scores, and the
+    # threshold estimates that read its spectrum.
+    for ridge in (1e-3, 0.05, 10.0):
+        empirical_train_error(dr, ridge)
+        for score in (dr.scores.kare, dr.scores.varrho, dr.scores.train_error,
+                      dr.scores.log_marginal_likelihood, dr.scores.solve):
+            score(ridge)
+        stieltjes(dr.scores, ridge)
+        sct_from_gram(dr.scores, ridge)
+
+
 def test_monte_carlo_oracles_never_read_the_gram(monkeypatch):
     def unread(self):
         raise AssertionError("an oracle built the n x n Gram")
@@ -248,11 +261,15 @@ def test_monte_carlo_oracles_never_read_the_gram(monkeypatch):
     mc_expected_risk(spec, f, 20, 0.05, 3, 0)
     mc_coeff_stats(spec, f, 20, 0.05, 3, 0, (0, 1))
     mc_operator_moments(spec, 20, 0.05, 3, 0, (0, 1))
+    for n in (20, 4):
+        _score_at_three_ridges(draw(spec, f, n, 0))
+    assert all(check.passed for check in suite_kare(0))
 
 
 def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
-    # Every oracle reads one eigh of the draw's smaller Gram at every
-    # ridge (M x M for n = 20 > M = 6, n x n for n = 4), and factors nothing.
+    # Every oracle, the train error and the scores read one eigh of the
+    # draw's smaller Gram at every ridge (M x M for n = 20 > M = 6, n x n
+    # for n = 4), and factor nothing.
     shapes, original = [], np.linalg.eigh
 
     def counted(B, *args, **kwargs):
@@ -273,6 +290,12 @@ def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
             shapes.clear()
             oracle()
             assert shapes == [(size, size)] * 3
+        dr = draw(spec, f, n, 0)
+        shapes.clear()
+        _score_at_three_ridges(dr)
+        exact_risk(dr, f, 0.05)
+        predictor_coeffs(dr, 0.05)
+        assert shapes == [(size, size)]
 
 
 def test_mc_moments_match_the_sample_formulas():
@@ -341,8 +364,34 @@ def test_low_rank_oracles_match_the_dense_route(spec, n, ridge, seed, noise):
     assert exact_risk(dr, f, ridge) == pytest.approx(
         float(r @ r) + noise**2, rel=1e-9)
     # The kare identity: train error over (ridge m(-ridge))^2.
-    kare = empirical_train_error(dr, ridge) / (ridge * stieltjes(dr.gram_spectrum, ridge))**2
+    kare = empirical_train_error(dr, ridge) / (ridge * stieltjes(dr.scores, ridge))**2
     assert kare == pytest.approx(RidgeScores(dr.G, dr.y).kare(ridge), rel=1e-9)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(noise=st.floats(0.0, 1.0), **_ROUTES)
+# n = M + 1 and n = M, then fewer samples than modes at ridges far below
+# the smallest eigenvalue.
+@example(spec=power_law_spectrum(2.0, 40), n=41, ridge=1e-4, seed=1, noise=0.5)
+@example(spec=power_law_spectrum(2.0, 40), n=40, ridge=1e-4, seed=1, noise=0.5)
+@example(spec=power_law_spectrum(2.0, 40), n=5, ridge=1e-12, seed=1, noise=0.5)
+@example(spec=power_law_spectrum(2.0, 40), n=5, ridge=1e-19, seed=1, noise=0.5)
+# Modes 1e20 times smaller than the rest, listed first: unit columns of
+# U Q lean on the larger ones unless orthogonalized.
+@example(spec=Spectrum(((1e-20, 3), (1.0, 2))), n=40, ridge=1e-3, seed=0, noise=0.1)
+def test_draw_scores_match_the_dense_scores(spec, n, ridge, seed, noise):
+    # The scores built on the draw's one eigh (k = min(n, M) vectors, the
+    # zero block's residual weight) against an eigh of the dense G/n.
+    m = spec.expanded_size
+    f = TrueFunction(np.random.default_rng(seed).standard_normal(m), noise)
+    dr = draw(spec, f, n, seed)
+    dense = RidgeScores(dr.G, dr.y)
+    assert dr.scores.n == n
+    for score in ("kare", "varrho", "train_error", "log_marginal_likelihood"):
+        assert getattr(dr.scores, score)(ridge) == pytest.approx(
+            getattr(dense, score)(ridge), rel=1e-9)
+    solved = dense.solve(ridge)
+    assert np.linalg.norm(dr.scores.solve(ridge) - solved) <= 1e-9 * np.linalg.norm(solved)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
