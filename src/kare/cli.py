@@ -36,6 +36,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from .sct import (
     sct_from_gram,
     solve_sct,
 )
-from .synthetic import draw, mean_and_stderr, rbf_gaussian_gram_spectrum
+from .synthetic import draw, mean_and_stderr, rbf_gaussian_gram_spectrum, sample_spectra
 from .spectral import NumericalError, decompose
 from .validation import run_suite
 
@@ -276,6 +277,11 @@ def parse_sweep_config(path: str) -> SweepConfig:
             values[key] = _PARSERS[key](text)
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from None
+    needed = {"csv": ("data.path", "data.label_column"),
+              "idx": ("data.images", "data.labels", "data.digits")}
+    for key in needed.get(values["data.type"], ()):
+        if not values[key]:
+            raise ConfigError(f"{path}: data.type = {values['data.type']} needs key {key!r}")
     n, folds = values["data.n"], values["scores.cv_folds"]
     output_fault = _output_fault(values["output"])
     for key, within, bound in (
@@ -319,15 +325,11 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
         test = _synthetic_dataset(d["dim"], d["test_n"], d["noise"], s_test) if d["test_n"] else None
         return train, test
     if d["type"] == "csv":
-        if not d["path"] or not d["label_column"]:
-            raise ConfigError("csv datasets need data.path and data.label_column")
         ds = load_csv(
             d["path"], d["label_column"], feature_columns=d["feature_columns"],
             label_map=d["label_map"], drop_sentinel=d["sentinel_filter"],
         )
     else:  # idx
-        if not d["images"] or not d["labels"] or not d["digits"]:
-            raise ConfigError("idx datasets need data.images, data.labels, data.digits")
         ds = load_mnist_idx(d["images"], d["labels"], d["digits"])
     if ds.X.shape[0] < d["n"] + d["test_n"]:  # rows left after the filters
         raise ParseError(f"{ds.meta['source']}: data.n + data.test_n = {d['n'] + d['test_n']} "
@@ -469,11 +471,11 @@ def run_sct_curves(
     """Solved threshold curves next to Monte Carlo Gram-based estimates.
 
     gram_sampler(n, seed) must return a GramSpectrum for a fresh sample
-    of size n; mean_and_stderr rejects fewer than 2 trials.
+    of size n; fewer than 2 trials raise ValueError before any sample.
     """
     records = []
     for n in n_values:
-        spectra = [gram_sampler(n, (seed, n, t)) for t in range(trials)]
+        spectra = sample_spectra(gram_sampler, n, trials, seed)
         res = solve_sct(spectrum, n, np.asarray(ridges, dtype=float))
         for ridge, theta, theta_prime in zip(ridges, res.theta.tolist(),
                                              res.theta_prime.tolist()):
@@ -501,9 +503,7 @@ def _cmd_sct(args) -> int:
     if args.spectrum == "rbf-gaussian":
         lengthscale = args.lengthscale if args.lengthscale is not None else float(args.dim)
         spectrum = rbf_gaussian_spectrum(args.dim, lengthscale, args.sigma, args.k_max)
-
-        def sampler(n, seed):
-            return rbf_gaussian_gram_spectrum(args.dim, lengthscale, args.sigma, n, seed)
+        sampler = partial(rbf_gaussian_gram_spectrum, args.dim, lengthscale, args.sigma)
     else:
         spectrum = power_law_spectrum(args.beta, args.count)
         zero_f = TrueFunction(np.zeros(spectrum.expanded_size), 0.0)

@@ -95,10 +95,10 @@ class RidgeScores(GramSpectrum):
         G = check_gram(G, y.shape[0])
         return cls.__new__(cls)._from_eigen(*np.linalg.eigh(np.divide(G, y.shape[0], out=G)), y)
 
-    def _from_eigen(self, mu, vectors: np.ndarray, y: np.ndarray) -> RidgeScores:
-        """Self, from mu, the eigenvalues of (1/n)G on vectors' k <= n orthonormal columns."""
+    def _from_eigen(self, eigenvalues, vectors: np.ndarray, y: np.ndarray) -> RidgeScores:
+        """Self, from the n eigenvalues of (1/n)G and orthonormal eigenvectors of its k largest."""
+        GramSpectrum.__init__(self, eigenvalues)
         n, k = vectors.shape
-        GramSpectrum.__init__(self, np.concatenate([np.zeros(n - k), mu]))
         self.vectors, self.w = vectors, vectors.T @ y
         self._residual = y - vectors @ self.w if k < n else 0.0
         weight = np.zeros(n - k)

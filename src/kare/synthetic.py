@@ -10,13 +10,15 @@ a draw pays one ``np.linalg.eigh``, of U^T U / n when n > M and of
 G/n = U U^T / n when n <= M (U^T U alone would amplify rounding in its null
 space).  By the push-through identity (U^T U / n + ridge I)^{-1} U^T =
 U^T B^{-1}, with B = (1/n)G + ridge I, every oracle at every ridge is a
-diagonal scaling in it, and the draw's ``scores`` (kare, train error, the
-spectrum) are a RidgeScores on the same eigenpairs.  A draw builds G only
+diagonal scaling in it, and the draw's ``spectrum`` (a GramSpectrum) and
+``scores`` (a RidgeScores) come from the same eigh.  A draw builds G only
 when ``.G`` is read, for the dense references.
 
-Reproducibility rule: trial t of a Monte Carlo run draws from
-numpy's default_rng seeded with (seed, t), so results are independent of
-execution order and thread count.
+Reproducibility rules, independent of execution order and thread count:
+``sample_draws`` seeds trial t's draw with (seed, t), and ``sample_spectra``
+seeds trial t's Gram spectrum of size n with (seed, n, t).  Suites bayes
+(target (seed, t, 0), draw (seed, t, 1)) and identities (reference draws
+(seed, 100 + t)) keep their own loops; thm6 and kare also sample at seed + 1.
 """
 
 from __future__ import annotations
@@ -51,30 +53,35 @@ class ObservationDraw:
         return 0.5 * (G + G.T)
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, L, R) with diag(d) O^T B^{-1} = L diag(1/(mu + ridge)) R^T at
-        every ridge: L = diag(sqrt d) Q, R = U Q for U^T U / n = Q mu Q^T
-        (n > M), or L = diag(sqrt d) U^T P, R = P for U U^T / n = P mu P^T
-        (n <= M).  mu is checked and clamped as a GramSpectrum's eigenvalues."""
+    def _eigh(self) -> tuple[GramSpectrum, np.ndarray, np.ndarray]:
+        """(spectrum, L, R): the GramSpectrum of G/n, n - M zeros then mu for
+        U^T U / n = Q mu Q^T with L = diag(sqrt d) Q, R = U Q (n > M), or mu
+        for U U^T / n = P mu P^T with L = diag(sqrt d) U^T P, R = P (n <= M),
+        so that diag(d) O^T B^{-1} = L diag(1/(mu + ridge)) R^T at every ridge."""
         root = np.sqrt(self.d)
         U = self.O * root
         n, M = U.shape
         if n > M:
             mu, Q = np.linalg.eigh(U.T @ U / n)
-            return GramSpectrum(mu).eigenvalues, root[:, None] * Q, U @ Q
+            return GramSpectrum(np.concatenate([np.zeros(n - M), mu])), root[:, None] * Q, U @ Q
         mu, P = np.linalg.eigh(U @ U.T / n)
-        return GramSpectrum(mu).eigenvalues, (self.O * self.d).T @ P, P
+        return GramSpectrum(mu), (self.O * self.d).T @ P, P
+
+    @property
+    def spectrum(self) -> GramSpectrum:
+        """The n eigenvalues of G/n, from the draw's one eigh."""
+        return self._eigh[0]
 
     @cached_property
     def scores(self) -> RidgeScores:
-        """RidgeScores(G, y) on ``_eigh``'s mu and R.  For n > M the columns
-        of R = U Q are orthogonal only in exact arithmetic (one whose mu is
-        far below the largest leans on the larger ones), so a QR, largest mu
-        first, makes them orthonormal."""
-        mu, _, R = self._eigh
+        """RidgeScores(G, y) on ``_eigh``'s spectrum and R.  For n > M the
+        columns of R = U Q are orthogonal only in exact arithmetic (one whose
+        mu is far below the largest leans on the larger ones), so a QR,
+        largest mu first, makes them orthonormal."""
+        spectrum, _, R = self._eigh
         if R.shape[0] > R.shape[1]:
             R = np.linalg.qr(R[:, ::-1])[0][:, ::-1]
-        return RidgeScores.__new__(RidgeScores)._from_eigen(mu, R, self.y)
+        return RidgeScores.__new__(RidgeScores)._from_eigen(spectrum.eigenvalues, R, self.y)
 
 
 def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> np.ndarray:
@@ -107,7 +114,8 @@ def _reconstruct(dr: ObservationDraw, ridge: float, rhs: np.ndarray) -> np.ndarr
     """(d_k/n) O_k^T B^{-1} rhs for every mode k: the predictor coefficients
     for rhs = y, the operator entries A_kl for rhs = O_l.  Callers evaluate
     it inside ``representable``, so a 1/(mu + ridge) that overflows raises."""
-    mu, L, R = dr._eigh
+    spectrum, L, R = dr._eigh
+    mu = spectrum.eigenvalues[-L.shape[1]:]
     return (L * (1.0 / (mu + ridge))) @ (R.T @ rhs) / dr.y.shape[0]
 
 
@@ -153,14 +161,24 @@ def mean_and_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(k)
 
 
+def sample_draws(spec: Spectrum, f: TrueFunction, n: int, trials: int, seed: int, read) -> list:
+    """read(draw(spec, f, n, (seed, t))) for t < trials, keeping no draw; needs trials >= 2."""
+    _check_trials(trials)
+    return [read(draw(spec, f, n, (seed, t))) for t in range(trials)]
+
+
+def sample_spectra(sampler, n: int, trials: int, seed: int) -> list:
+    """sampler(n, (seed, n, t)) for t < trials; needs trials >= 2 before it samples."""
+    _check_trials(trials)
+    return [sampler(n, (seed, n, t)) for t in range(trials)]
+
+
 def mc_expected_risk(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float, trials: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of exact_risk over independent draws."""
-    _check_trials(trials)
     mean, stderr = mean_and_stderr(
-        [exact_risk(draw(spec, f, n, (seed, t)), f, ridge) for t in range(trials)]
-    )
+        sample_draws(spec, f, n, trials, seed, lambda dr: exact_risk(dr, f, ridge)))
     return float(mean), float(stderr)
 
 
@@ -202,23 +220,19 @@ def mc_operator_moments(
     them, and the mean gap |1/theta - m(-ridge)| between the solved
     threshold and the Gram Stieltjes transform.
     """
-    _check_trials(trials)
     idx = tuple(int(k) for k in k_indices)
     d = _expanded(spec, None, idx)
     zero_f = TrueFunction(np.zeros(d.shape[0]), 0.0)
     theta = solve_sct(spec, n, ridge).theta
     cols = np.array(idx)
-    sub = np.empty((trials, len(idx), len(idx)))
-    gaps = np.empty(trials)
-    for t in range(trials):
-        dr = draw(spec, zero_f, n, (seed, t))
-        sub[t] = representable("operator entries", ridge,
-                               lambda: _reconstruct(dr, ridge, dr.O[:, cols])[cols])
-        gaps[t] = abs(1.0 / theta - stieltjes(dr.scores, ridge))
+
+    def read(dr):
+        entries = representable("operator entries", ridge,
+                                lambda: _reconstruct(dr, ridge, dr.O[:, cols])[cols])
+        return entries, abs(1.0 / theta - stieltjes(dr.spectrum, ridge))
+    sub, gaps = map(np.array, zip(*sample_draws(spec, zero_f, n, trials, seed, read)))
     pairs = tuple((a, b) for a in idx for b in idx if a != b)
-    off = np.stack(
-        [sub[:, idx.index(a), idx.index(b)] for a, b in pairs], axis=1
-    ) if pairs else np.empty((trials, 0))
+    off = sub[:, [idx.index(a) for a, _ in pairs], [idx.index(b) for _, b in pairs]]
     return OperatorMoments(idx, *mean_and_stderr(np.einsum("tkk->tk", sub)), pairs,
                            *mean_and_stderr(off), float(gaps.mean()))
 
@@ -244,13 +258,11 @@ def mc_coeff_stats(
     k_indices: tuple[int, ...],
 ) -> CoeffStats:
     """Sample the predictor coefficients a_k over independent draws."""
-    _check_trials(trials)
     idx = tuple(int(k) for k in k_indices)
     _expanded(spec, f, idx)
     cols = np.array(idx)
-    samples = np.empty((trials, len(idx)))
-    for t in range(trials):
-        samples[t] = predictor_coeffs(draw(spec, f, n, (seed, t)), ridge)[cols]
+    samples = np.array(sample_draws(spec, f, n, trials, seed,
+                                    lambda dr: predictor_coeffs(dr, ridge)[cols]))
     return CoeffStats(idx, *mean_and_stderr(samples), samples.var(axis=0, ddof=1),
                       np.array([_variance_stderr(column) for column in samples.T]))
 

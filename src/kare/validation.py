@@ -10,6 +10,7 @@ Tolerances are fixed here, not configurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .estimators import (
     TrueFunction,
     bayesian_risk,
     kare,
+    mean_predictor_coeffs,
     theoretical_risk,
     predictor_variance_component,
     varrho,
@@ -34,6 +36,8 @@ from .synthetic import (
     mc_operator_moments,
     mean_and_stderr,
     rbf_gaussian_gram_spectrum,
+    sample_draws,
+    sample_spectra,
 )
 
 
@@ -197,20 +201,16 @@ def suite_prop5(seed: int) -> list[Check]:
     spec = rbf_gaussian_spectrum(dim, ell, sigma, 10)
     ridges = (1e-3, 1e-2, 1e-1)
     trials = 20
+    sampler = partial(rbf_gaussian_gram_spectrum, dim, ell, sigma)
     medians = {}
     gaps = {}
     for n in (100, 400, 1000, 1600):
-        rels = {r: [] for r in ridges}
-        gap_samples = []
         *exact, theta = solve_sct(spec, n, np.array((*ridges, 1e-2))).theta.tolist()
-        for t in range(trials):
-            gs = rbf_gaussian_gram_spectrum(dim, ell, sigma, n, (seed, n, t))
-            for r, exact_r in zip(ridges, exact):
-                est = sct_from_gram(gs, r).theta
-                rels[r].append(abs(exact_r - est) / exact_r)
-            gap_samples.append(abs(1.0 / theta - stieltjes(gs, 1e-2)))
-        medians[n] = {r: float(np.median(v)) for r, v in rels.items()}
-        gaps[n] = float(np.median(gap_samples))
+        spectra = sample_spectra(sampler, n, trials, seed)
+        medians[n] = {r: float(np.median([abs(exact_r - sct_from_gram(gs, r).theta) / exact_r
+                                          for gs in spectra]))
+                      for r, exact_r in zip(ridges, exact)}
+        gaps[n] = float(np.median([abs(1.0 / theta - stieltjes(gs, 1e-2)) for gs in spectra]))
     checks = []
     for r in ridges:
         checks.append(_check(
@@ -233,21 +233,22 @@ def suite_prop5(seed: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 # Monte Carlo agreement
 
+# The model of suites thm1, thm2, thm6 and kare: population eigenvalues
+# d_k = k^-2 on 40 modes, target coefficients b_k = 1/k and noise 0.1.
+_SPEC = power_law_spectrum(2.0, 40)
+_F = TrueFunction(1.0 / np.arange(1, 41), 0.1)
+
 
 def suite_thm1(seed: int) -> list[Check]:
-    spec = power_law_spectrum(2.0, 40)
     n, ridge, trials = 500, 1e-2, 200
     idx = (0, 1, 2, 3, 4)
-    om = mc_operator_moments(spec, n, ridge, trials, seed, idx)
-    theta = solve_sct(spec, n, ridge).theta
-    d = spec.expand()
+    om = mc_operator_moments(_SPEC, n, ridge, trials, seed, idx)
+    predicted = mean_predictor_coeffs(_SPEC, TrueFunction(np.ones(40)), n, ridge)
     checks = []
     for j, k in enumerate(idx):
         checks.append(_agree(f"mean diagonal entry, mode {k}", om.diag_mean[j],
-                             om.diag_mean_stderr[j], d[k] / (theta + d[k]), 0.05))
-    worst_ratio = max(
-        abs(m) / s for m, s in zip(om.offdiag_mean, om.offdiag_stderr)
-    )
+                             om.diag_mean_stderr[j], predicted[k], 0.05))
+    worst_ratio = max(abs(m) / s for m, s in zip(om.offdiag_mean, om.offdiag_stderr))
     checks.append(_check(
         "off-diagonal means consistent with zero",
         worst_ratio <= 4.0, f"worst |mean|/stderr = {worst_ratio:.2f}",
@@ -256,34 +257,26 @@ def suite_thm1(seed: int) -> list[Check]:
 
 
 def suite_thm2(seed: int) -> list[Check]:
-    spec = power_law_spectrum(2.0, 40)
-    b = 1.0 / np.arange(1, 41)
-    f = TrueFunction(b, 0.1)
     n, ridge, trials = 500, 1e-2, 200
     idx = (0, 1, 2)
-    cs = mc_coeff_stats(spec, f, n, ridge, trials, seed, idx)
+    cs = mc_coeff_stats(_SPEC, _F, n, ridge, trials, seed, idx)
     return [
         _agree(f"coefficient variance, mode {k}", cs.var[j], cs.var_stderr[j],
-               predictor_variance_component(spec, f, n, ridge, k), 0.15, ".3e")
+               predictor_variance_component(_SPEC, _F, n, ridge, k), 0.15, ".3e")
         for j, k in enumerate(idx)
     ]
 
 
 def suite_thm6(seed: int) -> list[Check]:
-    spec = power_law_spectrum(2.0, 40)
-    f = TrueFunction(1.0 / np.arange(1, 41), 0.1)
     n, ridge, trials = 500, 1e-2, 200
-    mean, stderr = mc_expected_risk(spec, f, n, ridge, trials, seed)
+    mean, stderr = mc_expected_risk(_SPEC, _F, n, ridge, trials, seed)
     checks = [_agree("expected risk vs closed form", mean, stderr,
-                     theoretical_risk(spec, f, n, ridge), 0.10)]
-    risks = np.empty(trials)
-    trains = np.empty(trials)
-    for t in range(trials):
-        dr = draw(spec, f, n, (seed + 1, t))
-        risks[t] = exact_risk(dr, f, ridge)
-        trains[t] = empirical_train_error(dr, ridge)
+                     theoretical_risk(_SPEC, _F, n, ridge), 0.10)]
+    risks, trains = np.array(sample_draws(
+        _SPEC, _F, n, trials, seed + 1,
+        lambda dr: (exact_risk(dr, _F, ridge), empirical_train_error(dr, ridge)))).T
     ratio = float(risks.mean() / trains.mean())
-    theta = solve_sct(spec, n, ridge).theta
+    theta = solve_sct(_SPEC, n, ridge).theta
     target = theta**2 / ridge**2
     checks.append(_check(
         "risk / train-error ratio vs theta^2/ridge^2",
@@ -294,24 +287,17 @@ def suite_thm6(seed: int) -> list[Check]:
 
 
 def suite_kare(seed: int) -> list[Check]:
-    spec = power_law_spectrum(2.0, 40)
-    b = 1.0 / np.arange(1, 41)
     ridges = (1e-3, 1e-2, 1e-1)
     grid = np.logspace(-4, 0, 12)
 
     def scores_and_risks(f, n, trials, draw_seed, at):
         """Per-trial kare and exact risk at the ridges at, each (trials, len(at))."""
-        scores, risks = np.empty((trials, len(at))), np.empty((trials, len(at)))
-        for t in range(trials):
-            dr = draw(spec, f, n, (draw_seed, t))
-            for i, r in enumerate(at):
-                scores[t, i] = dr.scores.kare(r)
-                risks[t, i] = exact_risk(dr, f, r)
-        return scores, risks
+        def read(dr):
+            return [dr.scores.kare(r) for r in at], [exact_risk(dr, f, r) for r in at]
+        return np.array(sample_draws(_SPEC, f, n, trials, draw_seed, read)).transpose(1, 0, 2)
 
-    f = TrueFunction(b, 0.1)
     trials = 50
-    scores, risks = scores_and_risks(f, 1000, trials, seed, (*ridges, *grid))
+    scores, risks = scores_and_risks(_F, 1000, trials, seed, (*ridges, *grid))
     within = np.sum(np.abs(scores - risks) / risks <= 0.20, axis=0)
     checks = []
     for r, count in zip(ridges, within):
@@ -329,7 +315,7 @@ def suite_kare(seed: int) -> list[Check]:
     ))
 
     # higher-noise variant where the minimizing ridge is interior
-    scores, risks = scores_and_risks(TrueFunction(b, 1.0), 200, 50, seed + 1, grid)
+    scores, risks = scores_and_risks(TrueFunction(_F.coeffs, 1.0), 200, 50, seed + 1, grid)
     i_kare = int(np.argmin(scores.mean(axis=0)))
     i_risk = int(np.argmin(risks.mean(axis=0)))
     checks.append(_check(

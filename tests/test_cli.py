@@ -212,6 +212,38 @@ def test_bad_paths_fail_before_any_work(tmp_path, capsys, monkeypatch, case):
     assert len(err.splitlines()) == 1 and named in err
 
 
+@pytest.mark.parametrize("missing", ["data.path", "data.label_column",
+                                     "data.images", "data.labels", "data.digits"])
+def test_missing_data_key_fails_before_any_work(tmp_path, capsys, monkeypatch, missing):
+    from kare import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("read data before the config was checked")
+    for name in ("run_sweep", "load_csv", "load_mnist_idx"):
+        monkeypatch.setattr(cli, name, no_work)
+    kind = "csv" if missing in ("data.path", "data.label_column") else "idx"
+    keys = {"csv": {"data.path": str(tmp_path / "toy.csv"), "data.label_column": "y"},
+            "idx": {"data.images": str(tmp_path / "images"),
+                    "data.labels": str(tmp_path / "labels"), "data.digits": "7,9"}}[kind]
+    del keys[missing]
+    assert main(["sweep", "--config", _config(tmp_path, **{"data.type": kind}, **keys)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"data.type = {kind} needs key '{missing}'" in err
+
+
+def test_sct_with_one_trial_fails_before_sampling(tmp_path, monkeypatch):
+    from kare import cli
+
+    def unsampled(*args):
+        raise AssertionError("sampled a Gram spectrum with one trial")
+    monkeypatch.setattr(cli, "draw", unsampled)
+    monkeypatch.setattr(cli, "rbf_gaussian_gram_spectrum", unsampled)
+    for spectrum in ("power-law", "rbf-gaussian"):
+        assert main(["sct", "--spectrum", spectrum, "--trials", "1",
+                     "--out", str(tmp_path / "sct.csv")]) == 1
+    assert not (tmp_path / "sct.csv").exists()
+
+
 def test_csv_dataset_sweep(tmp_path):
     rng = np.random.default_rng(0)
     lines = ["a,b,Label"]

@@ -18,6 +18,8 @@ from kare.synthetic import (
     mc_operator_moments,
     predictor_coeffs,
     rbf_gaussian_gram_spectrum,
+    sample_draws,
+    sample_spectra,
 )
 from kare.validation import suite_kare
 
@@ -269,7 +271,8 @@ def test_monte_carlo_oracles_never_read_the_gram(monkeypatch):
 def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
     # Every oracle, the train error and the scores read one eigh of the
     # draw's smaller Gram at every ridge (M x M for n = 20 > M = 6, n x n
-    # for n = 4), and factor nothing.
+    # for n = 4), and factor nothing.  The three oracles read eigenvalues
+    # from the draw's spectrum, so no QR runs for them.
     shapes, original = [], np.linalg.eigh
 
     def counted(B, *args, **kwargs):
@@ -277,19 +280,21 @@ def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
         return original(B, *args, **kwargs)
 
     def unused(*args, **kwargs):
-        raise AssertionError("an oracle called cho_factor")
+        raise AssertionError("an oracle called cho_factor or qr")
 
     monkeypatch.setattr("numpy.linalg.eigh", counted)
     monkeypatch.setattr("kare.krr.cho_factor", unused)
     spec = power_law_spectrum(2.0, 6)
     f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
     for n, size in ((20, 6), (4, 4)):
-        for oracle in (lambda: mc_expected_risk(spec, f, n, 0.05, 3, 0),
-                       lambda: mc_coeff_stats(spec, f, n, 0.05, 3, 0, (0, 1)),
-                       lambda: mc_operator_moments(spec, n, 0.05, 3, 0, (0, 1))):
-            shapes.clear()
-            oracle()
-            assert shapes == [(size, size)] * 3
+        with monkeypatch.context() as patch:
+            patch.setattr("numpy.linalg.qr", unused)
+            for oracle in (lambda: mc_expected_risk(spec, f, n, 0.05, 3, 0),
+                           lambda: mc_coeff_stats(spec, f, n, 0.05, 3, 0, (0, 1)),
+                           lambda: mc_operator_moments(spec, n, 0.05, 3, 0, (0, 1))):
+                shapes.clear()
+                oracle()
+                assert shapes == [(size, size)] * 3
         dr = draw(spec, f, n, 0)
         shapes.clear()
         _score_at_three_ridges(dr)
@@ -316,6 +321,25 @@ def test_mc_moments_match_the_sample_formulas():
             mc_coeff_stats(spec, f, 20, 0.05, args["trials"], 0, args["k_indices"])
         with pytest.raises(ValueError):
             mc_operator_moments(spec, 20, 0.05, args["trials"], 0, args["k_indices"])
+
+
+def test_samplers_read_each_seeded_trial_in_order():
+    spec = power_law_spectrum(2.0, 6)
+    f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
+    readings = sample_draws(spec, f, 8, 3, 5, lambda dr: (dr.O, dr.y))
+    assert len(readings) == 3
+    for t, (O, y) in enumerate(readings):
+        dr = draw(spec, f, 8, (5, t))
+        assert np.array_equal(O, dr.O) and np.array_equal(y, dr.y)
+    assert sample_spectra(lambda n, seed: (n, seed), 4, 2, 7) == [(4, (7, 4, 0)), (4, (7, 4, 1))]
+
+    def unread(*args):
+        raise AssertionError("sampled with fewer than 2 trials")
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match=f"^need at least 2 trials, got {trials}$"):
+            sample_draws(spec, f, 8, trials, 5, unread)
+        with pytest.raises(ValueError, match=f"^need at least 2 trials, got {trials}$"):
+            sample_spectra(unread, 4, trials, 7)
 
 
 def test_exact_risk_needs_one_target_coefficient_per_mode():
@@ -387,6 +411,8 @@ def test_draw_scores_match_the_dense_scores(spec, n, ridge, seed, noise):
     dr = draw(spec, f, n, seed)
     dense = RidgeScores(dr.G, dr.y)
     assert dr.scores.n == n
+    # One eigenvalue view per draw: the scores carry the draw's spectrum.
+    assert np.array_equal(dr.spectrum.eigenvalues, dr.scores.eigenvalues)
     for score in ("kare", "varrho", "train_error", "log_marginal_likelihood"):
         assert getattr(dr.scores, score)(ridge) == pytest.approx(
             getattr(dense, score)(ridge), rel=1e-9)
