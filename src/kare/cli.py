@@ -227,6 +227,7 @@ _REQUIRED_KEYS = {
     "kernel.family": _choice(*FAMILIES),
     "grid.lengthscale": parse_grid,     # in multiples of the input dimension
     "grid.ridge": parse_grid,
+    "data.n": int,                      # training rows, >= 1
     "output": str,                      # output CSV file, in an existing directory
 }
 
@@ -242,7 +243,6 @@ _OPTIONAL_KEYS = {
     "data.labels": (None, str),                         # [idx] label file
     "data.digits": (None, _parse_digits),               # [idx] "7,9"
     "data.preprocess": ("none", _choice("none", "maxabs", "mnist")),
-    "data.n": (0, int),                                 # training rows, >= 1
     "data.test_n": (0, int),                            # held-out rows; 0 disables test risk
     "data.seed": (0, int),                              # sampling and CV fold seed
     "data.dim": (5, int),                               # [synthetic] input dimension

@@ -18,7 +18,6 @@ given covariance spectrum.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,14 +25,7 @@ import numpy as np
 
 from . import krr
 from .kernels import KernelSpec, gram_matrix
-from .spectral import (
-    GramSpectrum,
-    check_gram,
-    check_labels,
-    check_ridge,
-    representable,
-    stieltjes,
-)
+from .spectral import GramSpectrum, at_ridge, check_gram, check_labels, check_ridge, stieltjes
 from .sct import SctResult, Spectrum, solve_sct
 
 
@@ -45,27 +37,13 @@ class TrueFunction:
     noise: float = 0.0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float).ravel()
+        coeffs = np.array(self.coeffs, dtype=float).ravel()  # its own copy
+        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("target coefficients have non-finite entries")
         if not 0 <= self.noise < math.inf:
             raise ValueError(f"noise level must be finite and >= 0, got {self.noise}")
-
-
-def _score(formula):
-    """A RidgeScores quantity at a checked ridge, guarded by ``representable``.
-
-    Near the ends of the float64 range (ridge 1e-300 or 1e300 on a
-    rank-deficient Gram) the sums overflow or divide by zero; the
-    quantity then names itself and the ridge in a NumericalError instead
-    of returning inf or NaN.
-    """
-    @functools.wraps(formula)
-    def score(self, ridge: float):
-        ridge = check_ridge(ridge)
-        return representable(formula.__name__, ridge, lambda: formula(self, ridge))
-    return score
 
 
 class RidgeScores(GramSpectrum):
@@ -106,27 +84,27 @@ class RidgeScores(GramSpectrum):
         self._w2 = np.concatenate([weight, self.w**2])
         return self
 
-    @_score
+    @at_ridge
     def solve(self, ridge: float) -> np.ndarray:
         """((1/n)G + ridge I)^{-1} y."""
         mu = self.eigenvalues[-self.w.size:]
         return self.vectors @ (self.w / (mu + ridge)) + self._residual / ridge
 
-    @_score
+    @at_ridge
     def kare(self, ridge: float) -> float:
         numerator = float(np.mean(self._w2 / (self.eigenvalues + ridge) ** 2))
         return numerator / stieltjes(self, ridge) ** 2
 
-    @_score
+    @at_ridge
     def varrho(self, ridge: float) -> float:
         q = (self.eigenvalues + ridge) ** 2
         return float(np.sum(self._w2 / q) / np.sum(1.0 / q))
 
-    @_score
+    @at_ridge
     def train_error(self, ridge: float) -> float:
         return ridge**2 * float(np.mean(self._w2 / (self.eigenvalues + ridge) ** 2))
 
-    @_score
+    @at_ridge
     def log_marginal_likelihood(self, ridge: float) -> float:
         """Per-sample Gaussian evidence with covariance (1/n)G + ridge I.
 

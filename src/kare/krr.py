@@ -32,9 +32,9 @@ def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
 
     G is not modified.  The one Cholesky solve of the package, for ``fit``,
     cross-validation and the dense reference routes.
-    A factorization that fails (the matrix is not positive definite in
-    float64, as at a tiny ridge on a rank-deficient G) raises
-    NumericalError naming the ridge.
+    A factorization that fails (as at a tiny ridge on a rank-deficient G)
+    raises NumericalError: "ridge R: (1/n)G + ridge I is not positive
+    definite in float64", in the package's words, not the solver's.
     """
     ridge = check_ridge(ridge)
     B = G / G.shape[0]
@@ -42,7 +42,8 @@ def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
     try:
         factor = cho_factor(B, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ridge {ridge!r}: {exc}") from exc
+        raise NumericalError(
+            f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64") from exc
     return cho_solve(factor, rhs)
 
 

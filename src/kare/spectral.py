@@ -9,14 +9,17 @@ This module owns the checks every eigen view shares: ``check_gram``
 validates G (cross-validation and kernel alignment call it too),
 ``GramSpectrum`` checks and clamps its eigenvalues,
 ``check_ridge`` validates a ridge, ``check_labels`` validates labels,
-and ``representable`` is the one float64 guard on a quantity computed
-at a ridge.  ``NumericalError`` is the one error for a quantity that
-float64 cannot represent and for a Gram matrix that is not positive
-semidefinite.
+``at_ridge`` declares every quantity f(x, ridge) the package computes at
+a ridge (it checks the ridge, and the result must be finite), and
+``representable`` is the float64 guard it applies, called directly only
+for named intermediate values.  ``NumericalError`` is the one error for
+a quantity that float64 cannot represent and for a Gram matrix that is
+not positive semidefinite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -77,6 +80,22 @@ def representable(name: str, ridge: float, compute):
     if not np.all(np.isfinite(value)):
         raise NumericalError(f"{name} is not representable in float64 at ridge {ridge!r}")
     return value
+
+
+def at_ridge(formula=None, *, name: str | None = None):
+    """``@at_ridge`` or ``@at_ridge(name=...)`` on a quantity formula(x, ridge):
+    the formula receives the float ``check_ridge`` returns, and its result
+    passes ``representable`` under name (default: the formula's name), so
+    an overflow near the ends of the float64 range raises NumericalError."""
+    if formula is None:
+        return functools.partial(at_ridge, name=name)
+    label = name or formula.__name__
+
+    @functools.wraps(formula)
+    def quantity(x, ridge: float):
+        ridge = check_ridge(ridge)
+        return representable(label, ridge, lambda: formula(x, ridge))
+    return quantity
 
 
 # Rows per tile of the symmetry scan: a 128 x n strip of differences
@@ -143,17 +162,15 @@ def decompose(G) -> GramSpectrum:
     return GramSpectrum(np.linalg.eigvalsh(G / G.shape[0]))
 
 
+@at_ridge
 def stieltjes(s: GramSpectrum, ridge: float) -> float:
     """m(-ridge) = (1/n) sum_i 1 / (mu_i + ridge); lies in (0, 1/ridge].
     Raises NumericalError below ridge ~1e-308 on a rank-deficient Gram."""
-    ridge = check_ridge(ridge)
-    return representable("stieltjes", ridge,
-                         lambda: float(np.mean(1.0 / (s.eigenvalues + ridge))))
+    return float(np.mean(1.0 / (s.eigenvalues + ridge)))
 
 
+@at_ridge
 def stieltjes_derivative(s: GramSpectrum, ridge: float) -> float:
     """d/dz m(z) at z = -ridge, i.e. (1/n) sum_i 1 / (mu_i + ridge)^2.
     Raises NumericalError below ridge ~1e-154 on a rank-deficient Gram."""
-    ridge = check_ridge(ridge)
-    return representable("stieltjes_derivative", ridge,
-                         lambda: float(np.mean(1.0 / (s.eigenvalues + ridge) ** 2)))
+    return float(np.mean(1.0 / (s.eigenvalues + ridge) ** 2))

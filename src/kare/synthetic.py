@@ -30,7 +30,7 @@ import numpy as np
 
 from .estimators import RidgeScores, TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
-from .spectral import GramSpectrum, check_ridge, decompose, representable, stieltjes
+from .spectral import GramSpectrum, at_ridge, check_ridge, decompose, representable, stieltjes
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -119,10 +119,10 @@ def _reconstruct(dr: ObservationDraw, ridge: float, rhs: np.ndarray) -> np.ndarr
     return (L * (1.0 / (mu + ridge))) @ (R.T @ rhs) / dr.y.shape[0]
 
 
+@at_ridge(name="predictor coefficients")
 def predictor_coeffs(dr: ObservationDraw, ridge: float) -> np.ndarray:
     """Fitted predictor coefficients per mode: (d_k/n) O_k^T B^{-1} y."""
-    return representable("predictor coefficients", check_ridge(ridge),
-                         lambda: _reconstruct(dr, ridge, dr.y))
+    return _reconstruct(dr, ridge, dr.y)
 
 
 def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
@@ -133,18 +133,19 @@ def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
     if f.coeffs.shape[0] != dr.d.shape[0]:
         raise ValueError(f"{f.coeffs.shape[0]} coefficients but the draw has "
                          f"{dr.d.shape[0]} modes")
+    ridge = check_ridge(ridge)
 
     def risk():
         r = _reconstruct(dr, ridge, dr.y) - f.coeffs
         return float(r @ r) + f.noise**2
-    return representable("exact risk", check_ridge(ridge), risk)
+    return representable("exact risk", ridge, risk)
 
 
+@at_ridge(name="train error")
 def empirical_train_error(dr: ObservationDraw, ridge: float) -> float:
     """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw: the train
     error of ``dr.scores``."""
-    return representable("train error", check_ridge(ridge),
-                         lambda: dr.scores.train_error(ridge))
+    return dr.scores.train_error(ridge)
 
 
 def _check_trials(trials: int) -> None:
@@ -222,9 +223,10 @@ def mc_operator_moments(
     """
     idx = tuple(int(k) for k in k_indices)
     d = _expanded(spec, None, idx)
+    ridge = check_ridge(ridge)
     zero_f = TrueFunction(np.zeros(d.shape[0]), 0.0)
     theta = solve_sct(spec, n, ridge).theta
-    cols = np.array(idx)
+    cols = np.array(idx, dtype=int)
 
     def read(dr):
         entries = representable("operator entries", ridge,
@@ -260,7 +262,7 @@ def mc_coeff_stats(
     """Sample the predictor coefficients a_k over independent draws."""
     idx = tuple(int(k) for k in k_indices)
     _expanded(spec, f, idx)
-    cols = np.array(idx)
+    cols = np.array(idx, dtype=int)
     samples = np.array(sample_draws(spec, f, n, trials, seed,
                                     lambda dr: predictor_coeffs(dr, ridge)[cols]))
     return CoeffStats(idx, *mean_and_stderr(samples), samples.var(axis=0, ddof=1),

@@ -205,12 +205,13 @@ def suite_prop5(seed: int) -> list[Check]:
     medians = {}
     gaps = {}
     for n in (100, 400, 1000, 1600):
-        *exact, theta = solve_sct(spec, n, np.array((*ridges, 1e-2))).theta.tolist()
+        exact = dict(zip(ridges, solve_sct(spec, n, np.array(ridges)).theta.tolist()))
         spectra = sample_spectra(sampler, n, trials, seed)
         medians[n] = {r: float(np.median([abs(exact_r - sct_from_gram(gs, r).theta) / exact_r
                                           for gs in spectra]))
-                      for r, exact_r in zip(ridges, exact)}
-        gaps[n] = float(np.median([abs(1.0 / theta - stieltjes(gs, 1e-2)) for gs in spectra]))
+                      for r, exact_r in exact.items()}
+        gaps[n] = float(np.median([abs(1.0 / exact[1e-2] - stieltjes(gs, 1e-2))
+                                   for gs in spectra]))
     checks = []
     for r in ridges:
         checks.append(_check(

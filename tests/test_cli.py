@@ -36,9 +36,9 @@ def _config(tmp_path, out_name="out.csv", **overrides):
         "scores.alignment": "true",
         "output": str(tmp_path / out_name),
     }
-    values.update(overrides)
+    values.update(overrides)  # an override of None drops the key
     path = tmp_path / "sweep.cfg"
-    path.write_text("\n".join(f"{k} = {v}" for k, v in values.items()) + "\n")
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
     return str(path)
 
 
@@ -229,6 +229,19 @@ def test_missing_data_key_fails_before_any_work(tmp_path, capsys, monkeypatch, m
     assert main(["sweep", "--config", _config(tmp_path, **{"data.type": kind}, **keys)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and f"data.type = {kind} needs key '{missing}'" in err
+
+
+def test_missing_sample_count_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # data.n is required: no default passes its ">= 1" bound.
+    from kare import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("read data before the config was checked")
+    for name in ("run_sweep", "_synthetic_dataset", "load_csv", "load_mnist_idx"):
+        monkeypatch.setattr(cli, name, no_work)
+    path = _config(tmp_path, **{"data.n": None})
+    assert main(["sweep", "--config", path]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: missing required key 'data.n'\n"
 
 
 def test_sct_with_one_trial_fails_before_sampling(tmp_path, monkeypatch):
@@ -529,7 +542,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     for owner, name in [(kernels, "_raw_distances"), (kernels, "gram_matrix"),
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
-                        (krr, "cho_factor"), (cli, "from_distances")]:
+                        (krr, "ridge_solve"), (cli, "from_distances")]:
         count(owner, name)
     cfg = parse_sweep_config(_config(tmp_path, **{
         "grid.lengthscale": f"0.5:2:{lengthscales}:log2",
@@ -540,7 +553,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     # Each lengthscale applies exp to the Gram's distances twice with CV
     # (once per pass) and once without, plus once to the test distances.
     assert calls == {"_raw_distances": 2, "from_distances": lengthscales * (3 if folds else 2),
-                     **({"cho_factor": lengthscales * folds * ridges} if folds else {})}
+                     **({"ridge_solve": lengthscales * folds * ridges} if folds else {})}
     assert distance_shapes == [(40, 40), (25, 40)]
 
 

@@ -99,6 +99,14 @@ def test_non_finite_gram_or_labels_rejected(bad):
         RidgeScores(np.eye(3), np.array([1.0, bad, 0.0]))
 
 
+def test_true_function_keeps_its_own_read_only_coefficients():
+    b = np.ones(3)
+    f = TrueFunction(b, 0.1)
+    b[0] = 5.0
+    assert f.coeffs.tolist() == [1.0, 1.0, 1.0]
+    assert not f.coeffs.flags.writeable
+
+
 def _rbf_fit():
     # A 4-point rbf fit to labels of ones, and its points.
     X = np.random.default_rng(0).standard_normal((4, 2))

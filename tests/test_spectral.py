@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kare import krr, spectral
-from kare.estimators import RidgeScores, cross_validation_risk
+from kare.estimators import RidgeScores, TrueFunction, cross_validation_risk
 from kare.kernels import KernelSpec
 from kare.krr import ridge_solve
 from kare.sct import power_law_spectrum, sct_from_gram, solve_sct
@@ -16,6 +17,13 @@ from kare.spectral import (
     decompose,
     stieltjes,
     stieltjes_derivative,
+)
+from kare.synthetic import (
+    draw,
+    empirical_train_error,
+    exact_risk,
+    mc_operator_moments,
+    predictor_coeffs,
 )
 
 
@@ -185,6 +193,34 @@ RIDGE_ENTRY_POINTS = {
 def test_invalid_ridge_rejected_at_every_entry_point(entry, ridge):
     with pytest.raises(ValueError, match="ridge must be positive and finite"):
         RIDGE_ENTRY_POINTS[entry](ridge)
+
+
+def _quantities_at_ridge():
+    # name -> quantity(ridge), for every quantity the package computes at a ridge.
+    spec = power_law_spectrum(2.0, 6)
+    f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
+    dr = draw(spec, f, 20, 0)
+    rs = RidgeScores(dr.G, dr.y)
+    quantities = {
+        "stieltjes": lambda r: stieltjes(rs, r),
+        "stieltjes_derivative": lambda r: stieltjes_derivative(rs, r),
+        "sct_from_gram": lambda r: dataclasses.astuple(sct_from_gram(rs, r)),
+        "predictor_coeffs": lambda r: predictor_coeffs(dr, r),
+        "empirical_train_error": lambda r: empirical_train_error(dr, r),
+        "exact_risk": lambda r: exact_risk(dr, f, r),
+        "mc_operator_moments": lambda r: dataclasses.astuple(
+            mc_operator_moments(spec, 20, r, 3, 0, (0, 1))),
+    }
+    for score in ("solve", "kare", "varrho", "train_error", "log_marginal_likelihood"):
+        quantities[f"RidgeScores.{score}"] = lambda r, score=score: getattr(rs, score)(r)
+    return quantities
+
+
+@pytest.mark.parametrize("name", sorted(_quantities_at_ridge()))
+def test_every_quantity_computes_with_the_checked_ridge(name):
+    # A ridge given as text computes with the float the ridge check returns.
+    quantity = _quantities_at_ridge()[name]
+    np.testing.assert_equal(quantity("0.1"), quantity(0.1))
 
 
 def test_solve_vs_spectrum_equivalence():

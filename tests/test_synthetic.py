@@ -202,6 +202,22 @@ def test_mc_operator_moments_interface():
         mc_operator_moments(spec, 25, 0.05, 20, 3, (9,))
 
 
+def test_empty_index_set_gives_empty_moments():
+    # No modes asked for: every per-mode array is empty, and the Stieltjes
+    # gap, which reads no mode, is that of any other index set.
+    spec = power_law_spectrum(2.0, 6)
+    f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
+    om = mc_operator_moments(spec, 20, 0.05, 3, 0, ())
+    assert om.indices == () and om.pairs == ()
+    for values in (om.diag_mean, om.diag_mean_stderr, om.offdiag_mean, om.offdiag_stderr):
+        assert values.shape == (0,)
+    assert om.stieltjes_gap_mean == mc_operator_moments(spec, 20, 0.05, 3, 0, (0,)).stieltjes_gap_mean
+    cs = mc_coeff_stats(spec, f, 20, 0.05, 3, 0, ())
+    assert cs.indices == ()
+    for values in (cs.mean, cs.mean_stderr, cs.var, cs.var_stderr):
+        assert values.shape == (0,)
+
+
 def test_mc_coeff_stats_mean_tracks_prediction():
     spec = power_law_spectrum(2.0, 10)
     b = 1.0 / np.arange(1, 11)
@@ -280,10 +296,10 @@ def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
         return original(B, *args, **kwargs)
 
     def unused(*args, **kwargs):
-        raise AssertionError("an oracle called cho_factor or qr")
+        raise AssertionError("an oracle called ridge_solve or qr")
 
     monkeypatch.setattr("numpy.linalg.eigh", counted)
-    monkeypatch.setattr("kare.krr.cho_factor", unused)
+    monkeypatch.setattr("kare.krr.ridge_solve", unused)
     spec = power_law_spectrum(2.0, 6)
     f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
     for n, size in ((20, 6), (4, 4)):
