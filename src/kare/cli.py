@@ -357,7 +357,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
        and decomposed once (one eigh, in NumPy) for all ridges.  With a
        test set, each ridge's dual ((1/n)G + ridge I)^{-1} y / n is kept.
     2. CV (with CV on): each Gram is rebuilt and cross-validated from its
-       own slices (one Cholesky per fold and ridge, in SciPy).
+       own slices: each fold's Gram is scaled by 1/m once, in Fortran
+       order, and each ridge factors a copy of it in place (one Cholesky
+       per fold and ridge, in SciPy).
     3. Test (with a test set): the train distances are dropped, the test
        distances computed, and each lengthscale's cross-Gram scores its
        kept duals.
@@ -370,13 +372,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     NumPy and SciPy each bring their own OpenBLAS, whose thread pools
     busy-wait after every call, so eighs and Choleskys alternating per
-    lengthscale slow each other (on 2 cores a 500 x 500 eigh took
-    0.054-0.141 s right after 40 Choleskys, 0.036-0.044 s alone).  Passes
-    1 and 2 make the calls of one interleaved pass on the same inputs, so
-    every result keeps its bits, for one more exp per lengthscale.  The
-    eighs come first: their frees raise glibc's mmap and trim thresholds,
-    so CV's per-solve copies reuse heap pages (1.4K minor faults instead
-    of 20K for a 500-point, 4-fold pass in a fresh process).
+    lengthscale slow each other (on 2 cores, in fresh processes, a
+    500 x 500 eigh took 0.046-0.163 s right after one lengthscale's 40
+    Choleskys, 0.028-0.038 s alone).  Passes 1 and 2 make the calls of
+    one interleaved pass on the same inputs, so every result keeps its
+    bits, for one more exp per lengthscale.  The eighs come first: their
+    frees raise glibc's mmap and trim thresholds, so CV's per-fold copies
+    reuse heap pages (about 370 minor faults for one lengthscale's
+    500-point, 4-fold pass in a fresh process, 3.1K without the eighs).
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
     NumericalError naming it.  CV runs once per lengthscale, with no

@@ -179,6 +179,7 @@ def theoretical_train_error(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float
 ) -> float:
     """(ridge/theta)^2 times the theoretical risk."""
+    ridge = check_ridge(ridge)
     _, res, bias = _sct_and_bias(spec, f, n, ridge)
     return (ridge / res.theta) ** 2 * res.theta_prime * (bias + f.noise**2)
 
@@ -226,6 +227,7 @@ def bayesian_risk(
         for (_, mk), (_, ms) in zip(spec_k.entries, spec_sigma.entries)
     ):
         raise ValueError("spectra are not aligned entry by entry")
+    ridge = check_ridge(ridge)
     res = solve_sct(spec_k, n, ridge)
     d, m = spec_k.arrays()
     s = np.array([sv for sv, _ in spec_sigma.entries])
@@ -239,10 +241,11 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     Fold assignment is reproducible: a seeded shuffle of the indices,
     then equal contiguous blocks with the remainder handed out one per
     fold from the front.  Each fold's Gram and cross-Gram are slices of
-    G, so no kernel is evaluated; each (fold, ridge) pair is one
-    Cholesky solve.  G must be finite and symmetric (the factorization
-    reads one triangle); a failed solve raises NumericalError naming
-    its ridge.
+    G, so no kernel is evaluated; each fold is one ``krr.ridge_solve``
+    for all ridges, which scales the fold's Gram once and makes one
+    Cholesky factorization per ridge, in place.  G must be finite and
+    symmetric (the factorization reads the lower triangle); a failed
+    solve raises NumericalError naming its ridge.
     """
     y = check_labels(y)
     n = y.shape[0]
@@ -255,9 +258,9 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     for held in np.array_split(order, folds):
         rest = np.setdiff1d(order, held)
         G_rest, K_held = G[np.ix_(rest, rest)], G[np.ix_(held, rest)]
-        for fold_errors, ridge in zip(errors, ridges):
-            dual = krr.ridge_solve(G_rest, y[rest], ridge) / rest.size
-            fold_errors.append(krr.held_out_risk(K_held, dual, y[held]))
+        solutions = krr.ridge_solve(G_rest, y[rest], ridges)
+        for fold_errors, solution in zip(errors, solutions):
+            fold_errors.append(krr.held_out_risk(K_held, solution / rest.size, y[held]))
     return [float(np.mean(fold_errors)) for fold_errors in errors]
 
 

@@ -8,6 +8,7 @@ closed form ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,24 +28,45 @@ class Predictor:
     dual: np.ndarray
 
 
-def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
-    """((1/n)G + ridge I)^{-1} rhs by one Cholesky factorization, n the size of G.
+def ridge_solve(G, rhs, ridges) -> list[np.ndarray]:
+    """((1/n)G + ridge I)^{-1} rhs for each ridge, n the size of G, by one
+    Cholesky factorization per ridge.
 
     G is not modified.  The one Cholesky solve of the package, for ``fit``,
-    cross-validation and the dense reference routes.
-    A factorization that fails (as at a tiny ridge on a rank-deficient G)
-    raises NumericalError: "ridge R: (1/n)G + ridge I is not positive
-    definite in float64", in the package's words, not the solver's.
+    cross-validation and the dense reference routes.  (1/n)G is formed once,
+    in Fortran order, and checked to be finite once, with rhs; each ridge
+    copies it into one reused buffer, adds the ridge to the diagonal and
+    factors the buffer in place.  LAPACK reads the lower triangle of (1/n)G,
+    so the solutions have the bits of SciPy's
+    ``cho_solve(cho_factor(G / n + ridge * I, lower=True), rhs)``.
+
+    A diagonal that overflows float64 when the ridge is added, or a
+    factorization that fails (as at a tiny ridge on a rank-deficient G),
+    raises NumericalError naming the ridge in the package's words, such as
+    "ridge R: (1/n)G + ridge I is not positive definite in float64".
     """
-    ridge = check_ridge(ridge)
-    B = G / G.shape[0]
-    B[np.diag_indices_from(B)] += ridge
-    try:
-        factor = cho_factor(B, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64") from exc
-    return cho_solve(factor, rhs)
+    ridges = [check_ridge(ridge) for ridge in ridges]
+    n = G.shape[0]
+    scaled = np.divide(G, n, out=np.empty(G.shape, order="F"))
+    if not (np.isfinite(scaled).all() and np.isfinite(rhs).all()):
+        raise ValueError("matrix or right-hand side has non-finite entries")
+    diagonal = np.diag_indices(n)
+    top = float(scaled[diagonal].max())
+    B = np.empty_like(scaled)
+    solutions = []
+    for ridge in ridges:
+        if math.isinf(top + ridge):
+            raise NumericalError(f"ridge {ridge!r}: (1/n)G + ridge I overflows float64")
+        np.copyto(B, scaled)
+        B[diagonal] += ridge
+        try:
+            factor = cho_factor(B, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64"
+            ) from exc
+        solutions.append(cho_solve(factor, rhs, check_finite=False))
+    return solutions
 
 
 def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
@@ -57,7 +79,8 @@ def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
     X = _as_points(X)
     n = X.shape[0]
     y = check_labels(y, n)
-    return Predictor(kernel, X, ridge, ridge_solve(gram_matrix(kernel, X), y, ridge) / n)
+    [solution] = ridge_solve(gram_matrix(kernel, X), y, (ridge,))
+    return Predictor(kernel, X, ridge, solution / n)
 
 
 def predict(p: Predictor, X_test) -> np.ndarray:

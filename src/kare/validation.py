@@ -116,7 +116,7 @@ def suite_identities(seed: int) -> list[Check]:
     for t in range(10):
         dr = draw(spec, zero_f, 40, (seed, 100 + t))
         n = dr.y.shape[0]
-        V = krr.ridge_solve(dr.G, dr.O, ridge)
+        [V] = krr.ridge_solve(dr.G, dr.O, (ridge,))
         A_direct = (d[:, None] / n) * (dr.O.T @ V)
         M = (d[:, None]) * (dr.O.T @ dr.O) / n
         A_small = np.linalg.solve((M + ridge * np.eye(30)).T, M.T).T

@@ -526,7 +526,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
         tmp_path, monkeypatch, lengthscales, ridges, folds):
     from kare import cli, estimators, kernels, krr
     calls = collections.Counter()
-    distance_shapes = []
+    distance_shapes, factored = [], []
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -536,24 +536,31 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
             result = original(*args, **kwargs)
             if name == "_raw_distances":
                 distance_shapes.append(result.shape)
+            if name == "cho_factor":
+                # Each factorization runs in place on a Fortran-order B.
+                factored.append((args[0].flags.f_contiguous, kwargs.get("overwrite_a"),
+                                 result[0] is args[0]))
             return result
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [(kernels, "_raw_distances"), (kernels, "gram_matrix"),
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
-                        (krr, "ridge_solve"), (cli, "from_distances")]:
+                        (krr, "ridge_solve"), (krr, "cho_factor"), (cli, "from_distances")]:
         count(owner, name)
     cfg = parse_sweep_config(_config(tmp_path, **{
         "grid.lengthscale": f"0.5:2:{lengthscales}:log2",
         "grid.ridge": f"1e-3:1e-1:{ridges}:log10",
         "scores.cv_folds": str(folds)}))
     assert len(run_sweep(cfg)) == lengthscales * ridges
-    # One Cholesky per (lengthscale, fold, ridge), and no other kernel work.
-    # Each lengthscale applies exp to the Gram's distances twice with CV
-    # (once per pass) and once without, plus once to the test distances.
+    # One Cholesky per (lengthscale, fold, ridge), from one ridge_solve per
+    # (lengthscale, fold), and no other kernel work.  Each lengthscale
+    # applies exp to the Gram's distances twice with CV (once per pass)
+    # and once without, plus once to the test distances.
     assert calls == {"_raw_distances": 2, "from_distances": lengthscales * (3 if folds else 2),
-                     **({"ridge_solve": lengthscales * folds * ridges} if folds else {})}
+                     **({"ridge_solve": lengthscales * folds,
+                         "cho_factor": lengthscales * folds * ridges} if folds else {})}
+    assert factored == [(True, True, True)] * calls["cho_factor"]
     assert distance_shapes == [(40, 40), (25, 40)]
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from kare.estimators import (
     RidgeScores,
@@ -437,6 +438,27 @@ def test_cross_validation_equals_refitting_each_fold(family, duplicates):
                     == _cv_by_refitting(kern, X, y, ridge, folds, 4))
         assert cross_validation_risks(gram_matrix(kern, X), y, (1e-3, 0.3), folds, 4) == [
             cross_validation_risk(kern, X, y, ridge, folds, seed=4) for ridge in (1e-3, 0.3)]
+
+
+def test_cross_validation_risks_have_the_bits_of_one_documented_solve_per_fold_and_ridge():
+    # The Gram is asymmetric below SYMMETRY_TOL, so each fold solve must
+    # read the lower triangle of its (1/n)G, as SciPy's documented call does.
+    rng = np.random.default_rng(10)
+    n, folds, ridges = 30, 4, (1e-4, 1e-2, 1.0)
+    G = gram_matrix(KernelSpec("rbf", 2.0), rng.standard_normal((n, 3)))
+    G[np.triu_indices(n, 1)] += rng.uniform(1e-10, 1e-9, n * (n - 1) // 2)
+    y = rng.standard_normal(n)
+    errors = [[] for _ in ridges]
+    for held in np.array_split(np.random.default_rng(5).permutation(n), folds):
+        rest = np.setdiff1d(np.arange(n), held)
+        m = rest.size
+        for fold_errors, ridge in zip(errors, ridges):
+            B = G[np.ix_(rest, rest)] / m + ridge * np.eye(m)
+            dual = cho_solve(cho_factor(B, lower=True), y[rest]) / m
+            r = G[np.ix_(held, rest)] @ dual - y[held]
+            fold_errors.append(float(r @ r) / held.size)
+    np.testing.assert_array_equal(cross_validation_risks(G, y, ridges, folds, seed=5),
+                                  [np.mean(fold_errors) for fold_errors in errors])
 
 
 def test_cross_validation_risks_rejects_a_mismatched_gram():

@@ -4,6 +4,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from kare import krr
 from kare.kernels import KernelSpec, cross_gram, gram_matrix
+from kare.spectral import SYMMETRY_TOL, NumericalError
 
 
 def test_single_point_closed_form():
@@ -70,6 +71,39 @@ def test_rescaling_covariance_matrix_level():
     base = predictions(1.0, 0.05)
     for alpha in (0.1, 10.0):
         np.testing.assert_allclose(predictions(alpha, 0.05 * alpha), base, rtol=1e-10)
+
+
+def test_ridge_solve_has_the_bits_of_the_documented_cholesky_solve():
+    # A C-ordered Gram whose upper triangle differs from its lower one by
+    # less than SYMMETRY_TOL: factoring the upper triangle, or a
+    # transposed view, changes the bits.
+    rng = np.random.default_rng(6)
+    n = 40
+    W = rng.standard_normal((n, n + 5))
+    G = W @ W.T / n
+    G[np.triu_indices(n, 1)] += rng.uniform(1e-10, 1e-9, n * (n - 1) // 2)
+    assert G.flags.c_contiguous and 0 < np.abs(G - G.T).max() < SYMMETRY_TOL
+    before = G.copy()
+    ridges = (1e-4, 1e-2, 1.0)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        solutions = krr.ridge_solve(G, rhs, ridges)
+        assert len(solutions) == len(ridges)
+        for solution, ridge in zip(solutions, ridges):
+            documented = cho_solve(cho_factor(G / n + ridge * np.eye(n), lower=True), rhs)
+            np.testing.assert_array_equal(solution, documented)
+    np.testing.assert_array_equal(G, before)
+
+
+def test_ridge_solve_checks_what_the_solver_no_longer_scans():
+    # The factorization and solve skip SciPy's finiteness scans, so a
+    # non-finite input, or a diagonal that overflows when the ridge is
+    # added, must fail before LAPACK instead of returning NaN.
+    with pytest.raises(NumericalError, match=r"^ridge 1e\+308: \(1/n\)G \+ ridge I overflows"):
+        krr.ridge_solve(np.array([[1.5e308]]), np.ones(1), (1.0, 1e308))
+    with pytest.raises(ValueError, match="non-finite"):
+        krr.ridge_solve(np.array([[np.inf]]), np.ones(1), (1.0,))
+    with pytest.raises(ValueError, match="non-finite"):
+        krr.ridge_solve(np.eye(2), np.array([1.0, np.nan]), (1.0,))
 
 
 def test_train_error_monotone_in_ridge():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kare import krr, spectral
-from kare.estimators import RidgeScores, TrueFunction, cross_validation_risk
+from kare.estimators import (
+    RidgeScores,
+    TrueFunction,
+    bayesian_risk,
+    cross_validation_risk,
+    theoretical_train_error,
+)
 from kare.kernels import KernelSpec
 from kare.krr import ridge_solve
 from kare.sct import power_law_spectrum, sct_from_gram, solve_sct
@@ -184,7 +190,7 @@ RIDGE_ENTRY_POINTS = {
     "solve_sct": lambda r: solve_sct(power_law_spectrum(2.0, 5), 10, r),
     "solve_sct ridge array": lambda r: solve_sct(
         power_law_spectrum(2.0, 5), 10, np.array([0.1, r, 1.0])),
-    "ridge_solve": lambda r: ridge_solve(np.eye(3), np.ones(3), r),
+    "ridge_solve": lambda r: ridge_solve(np.eye(3), np.ones(3), (r,)),
 }
 
 
@@ -210,6 +216,8 @@ def _quantities_at_ridge():
         "exact_risk": lambda r: exact_risk(dr, f, r),
         "mc_operator_moments": lambda r: dataclasses.astuple(
             mc_operator_moments(spec, 20, r, 3, 0, (0, 1))),
+        "theoretical_train_error": lambda r: theoretical_train_error(spec, f, 20, r),
+        "bayesian_risk": lambda r: bayesian_risk(spec, spec, 0.1, 20, r),
     }
     for score in ("solve", "kare", "varrho", "train_error", "log_marginal_likelihood"):
         quantities[f"RidgeScores.{score}"] = lambda r, score=score: getattr(rs, score)(r)
