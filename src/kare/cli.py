@@ -50,6 +50,7 @@ from .data import (
     preprocess_mnist,
     split_train_test,
     subsample,
+    write_csv,
 )
 from .estimators import (
     RidgeScores,
@@ -67,7 +68,7 @@ from .sct import (
     solve_sct,
 )
 from .synthetic import draw, mean_and_stderr, rbf_gaussian_gram_spectrum, sample_spectra
-from .spectral import NumericalError, decompose
+from .spectral import NumericalError, check_count, decompose
 from .validation import run_suite
 
 class ConfigError(ValueError):
@@ -79,6 +80,29 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _option(parse):
+    """An argparse type from parse(text), which raises ValueError on a bad
+    value; argparse names the option when it raises."""
+    def option(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return option
+
+
+def _count(low: int):
+    """An option that is a whole number >= low, written as an integer or
+    an integral float."""
+    return _option(lambda text: check_count(
+        int(text) if text.strip().lstrip("+-").isdecimal() else float(text), "value", low))
+
+
+def _n_values(text: str) -> tuple[int, ...]:
+    """An --n-grid value: a grid whose points, rounded, are sample counts >= 1."""
+    return tuple(check_count(round(v), "rounded sample count", 1) for v in parse_grid(text))
 
 
 def _output_fault(path: str) -> str | None:
@@ -390,8 +414,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
-    D = distances(cfg.family, train.X, train.X)
+    for multiple in cfg.lengthscale_multiples:
+        if multiple * dim == math.inf:
+            raise ConfigError(f"grid.lengthscale: multiple {multiple!r} times the input "
+                              f"dimension {dim} overflows float64")
     kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
+    D = distances(cfg.family, train.X, train.X)
 
     # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
     # before the next lengthscale builds its own.
@@ -442,25 +470,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     return [record for records, _ in passes for record in records]
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _write_csv(path: str, columns: tuple[str, ...], records) -> None:
-    with open(path, "w") as handle:
-        handle.write(",".join(columns) + "\n")
-        for r in records:
-            handle.write(",".join(
-                _format_cell(getattr(r, column)) for column in columns
-            ) + "\n")
+def _write_records(path: str, columns: tuple[str, ...], records) -> None:
+    write_csv(path, columns, ([getattr(r, column) for column in columns] for r in records))
 
 
 def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
-    _write_csv(path, SWEEP_COLUMNS, records)
+    _write_records(path, SWEEP_COLUMNS, records)
 
 
 def run_sct_curves(
@@ -501,8 +516,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sct(args) -> int:
-    n_values = tuple(int(round(v)) for v in parse_grid(args.n_grid))
-    ridges = parse_grid(args.ridge_grid)
     if args.spectrum == "rbf-gaussian":
         lengthscale = args.lengthscale if args.lengthscale is not None else float(args.dim)
         spectrum = rbf_gaussian_spectrum(args.dim, lengthscale, args.sigma, args.k_max)
@@ -514,8 +527,9 @@ def _cmd_sct(args) -> int:
         def sampler(n, seed):
             return decompose(draw(spectrum, zero_f, n, seed).G)
 
-    records = run_sct_curves(spectrum, sampler, n_values, ridges, args.trials, args.seed)
-    _write_csv(args.out, SCT_COLUMNS, records)
+    records = run_sct_curves(spectrum, sampler, args.n_grid, args.ridge_grid, args.trials,
+                             args.seed)
+    _write_records(args.out, SCT_COLUMNS, records)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -551,16 +565,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sct = sub.add_parser("sct", help="threshold curves, solved and estimated")
     p_sct.add_argument("--spectrum", required=True, choices=("rbf-gaussian", "power-law"))
-    p_sct.add_argument("--dim", type=int, default=5)
+    p_sct.add_argument("--dim", type=_count(1), default=5)
     p_sct.add_argument("--lengthscale", type=float, default=None,
                        help="defaults to the input dimension")
     p_sct.add_argument("--sigma", type=float, default=1.0)
-    p_sct.add_argument("--k-max", type=int, default=50)
+    p_sct.add_argument("--k-max", type=_count(0), default=50)
     p_sct.add_argument("--beta", type=float, default=2.0)
-    p_sct.add_argument("--count", type=int, default=100)
-    p_sct.add_argument("--n-grid", default="50:1600:6:log2")
-    p_sct.add_argument("--ridge-grid", default="1e-4:1:9:log10")
-    p_sct.add_argument("--trials", type=int, default=10)
+    p_sct.add_argument("--count", type=_count(1), default=100)
+    p_sct.add_argument("--n-grid", type=_option(_n_values), default="50:1600:6:log2")
+    p_sct.add_argument("--ridge-grid", type=_option(parse_grid), default="1e-4:1:9:log10")
+    p_sct.add_argument("--trials", type=_count(2), default=10)
     p_sct.add_argument("--seed", type=_seed, default=0)
     p_sct.add_argument("--out", type=_out, required=True)
     p_sct.set_defaults(func=_cmd_sct)

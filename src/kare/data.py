@@ -8,10 +8,13 @@ format (magic 2051 for images, 2049 for labels).
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .spectral import check_count
 
 SENTINEL = -999.0
 
@@ -56,7 +59,8 @@ def load_csv(
 
     label_map translates categorical labels (e.g. {"s": 1, "b": -1});
     without it the label cell must parse as a number.  With drop_sentinel
-    every row containing a -999 feature is discarded.
+    every row containing a -999 feature is discarded.  A header naming a
+    column twice, or a label column among feature_columns, is a ParseError.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -65,6 +69,9 @@ def load_csv(
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if header.index(name) != i:
+                raise ParseError(f"{path}: column {name!r} appears twice in the header")
         if label_column not in header:
             raise ParseError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
@@ -75,6 +82,8 @@ def load_csv(
             for name in feature_columns:
                 if name not in header:
                     raise ParseError(f"{path}: feature column {name!r} not in header")
+                if name == label_column:
+                    raise ParseError(f"{path}: label column {name!r} is also a feature column")
                 feature_idx.append(header.index(name))
         if not feature_idx:
             raise ParseError(f"{path}: no feature columns")
@@ -126,14 +135,27 @@ def load_csv(
     return Dataset(X, y, meta)
 
 
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")  # round-trips exactly
+    return str(value)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header of column names and one line per row, each ended by
+    a bare newline: floats at full precision, None as an empty cell."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_cell(value) for value in row] for row in rows)
+
+
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
     """Write a dataset back out with full float precision (round-trips exactly)."""
     names = ds.meta.get("feature_names") or [f"x{i}" for i in range(ds.X.shape[1])]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(names) + [label_column])
-        for row, label in zip(ds.X, ds.y):
-            writer.writerow([format(v, ".17g") for v in row] + [format(label, ".17g")])
+    write_csv(path, [*names, label_column], ([*row, label] for row, label in zip(ds.X, ds.y)))
 
 
 def _read_idx(path, expected_magic: int, dims: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -146,7 +168,7 @@ def _read_idx(path, expected_magic: int, dims: int) -> tuple[tuple[int, ...], np
     if magic != expected_magic:
         raise FormatError(f"{path}: bad magic {magic}, expected {expected_magic}")
     shape = struct.unpack(f">{dims}I", raw[4:header_bytes])
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     if len(raw) != header_bytes + count:
         raise FormatError(
             f"{path}: expected {header_bytes + count} bytes, found {len(raw)}"
@@ -171,7 +193,7 @@ def load_mnist_idx(
         raise FormatError(
             f"{images_path}: {n_images} images but {n_labels} labels"
         )
-    a, b = int(digits[0]), int(digits[1])
+    a, b = (check_count(digit, "digit", 0, 255) for digit in digits)
     for digit in (a, b):
         if not np.any(labels == digit):
             raise ValueError(f"{labels_path}: no images of digit {digit}")
@@ -181,7 +203,7 @@ def load_mnist_idx(
     _check_finite(X, y, str(images_path))
     meta = {
         "source": str(images_path),
-        "image_shape": (int(rows), int(cols)),
+        "image_shape": (rows, cols),
         "digits": (a, b),
         "preprocessing": [],
     }
@@ -217,11 +239,10 @@ def preprocess_maxabs(ds: Dataset) -> Dataset:
 def subsample(ds: Dataset, n: int, seed) -> Dataset:
     """Uniform sample of n rows without replacement, deterministic per seed."""
     total = ds.X.shape[0]
-    if n > total:
-        raise ValueError(f"requested {n} samples from {total} rows")
+    n = check_count(n, "sample size", 1, total)
     idx = np.random.default_rng(seed).choice(total, size=n, replace=False)
     meta = dict(ds.meta)
-    meta["subsample"] = {"n": int(n), "seed": seed}
+    meta["subsample"] = {"n": n, "seed": seed}
     return Dataset(ds.X[idx], ds.y[idx], meta)
 
 
@@ -234,10 +255,8 @@ def split_train_test(
     draws the test rows from the remainder.
     """
     total = ds.X.shape[0]
-    if n_train + n_test > total:
-        raise ValueError(
-            f"requested {n_train}+{n_test} samples from {total} rows"
-        )
+    n_train = check_count(n_train, "training size", 1, total)
+    n_test = check_count(n_test, "test size", 0, total - n_train)
     s_train, s_test = np.random.SeedSequence(seed).spawn(2)
     train_idx = np.random.default_rng(s_train).choice(total, size=n_train, replace=False)
     pool = np.setdiff1d(np.arange(total), train_idx)

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import krr
 from .kernels import KernelSpec, gram_matrix
-from .spectral import GramSpectrum, at_ridge, check_gram, check_labels, check_ridge, stieltjes
+from .spectral import (GramSpectrum, at_ridge, check_count, check_gram, check_labels, check_ridge,
+                       stieltjes)
 from .sct import SctResult, Spectrum, solve_sct
 
 
@@ -143,28 +144,25 @@ def classical_alignment(y, G) -> float:
     return float(y @ G @ y) / (gnorm * ynorm2)
 
 
-def checked_modes(spec: Spectrum, f: TrueFunction | None = None, indices=()) -> np.ndarray:
-    """The spectrum's expanded eigenvalues, one per mode.
+def checked_modes(spec: Spectrum, f: TrueFunction | None = None, indices=()) -> tuple:
+    """The spectrum's expanded eigenvalues, one per mode, and indices as ints.
 
     Raises ValueError unless the target f (if given) has one coefficient
-    per mode and every mode index in indices names one of the modes.
+    per mode and every index in indices is a whole number naming a mode.
     """
     d = spec.expand()
     if f is not None and f.coeffs.shape[0] != d.shape[0]:
         raise ValueError(
             f"{f.coeffs.shape[0]} coefficients but {d.shape[0]} expanded modes"
         )
-    for k in indices:
-        if not 0 <= k < d.shape[0]:
-            raise ValueError(f"mode index {k} out of range for {d.shape[0]} modes")
-    return d
+    return d, tuple(check_count(k, "mode index", 0, d.shape[0] - 1) for k in indices)
 
 
 def _sct_and_bias(
-    spec: Spectrum, f: TrueFunction, n: int, ridge: float, indices=()
+    spec: Spectrum, f: TrueFunction, n: int, ridge: float
 ) -> tuple[np.ndarray, SctResult, float]:
     # The checked modes d, the SCT, and the bias sum_k b_k^2 theta^2/(theta+d_k)^2.
-    d = checked_modes(spec, f, indices)
+    d, _ = checked_modes(spec, f)
     res = solve_sct(spec, n, ridge)
     return d, res, float(np.sum(f.coeffs**2 * (res.theta / (res.theta + d)) ** 2))
 
@@ -188,7 +186,7 @@ def mean_predictor_coeffs(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float
 ) -> np.ndarray:
     """Expected predictor coefficient per mode: b_k * d_k / (theta + d_k)."""
-    d = checked_modes(spec, f)
+    d, _ = checked_modes(spec, f)
     theta = solve_sct(spec, n, ridge).theta
     return f.coeffs * d / (theta + d)
 
@@ -197,7 +195,8 @@ def predictor_variance_component(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float, k: int
 ) -> float:
     """Predicted variance of the predictor coefficient along expanded mode k."""
-    d, res, bias = _sct_and_bias(spec, f, n, ridge, (k,))
+    [k] = checked_modes(spec, f, (k,))[1]
+    d, res, bias = _sct_and_bias(spec, f, n, ridge)
     theta = res.theta
     own = f.coeffs[k] ** 2 * (theta / (theta + d[k])) ** 2
     return (
@@ -250,8 +249,7 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     y = check_labels(y)
     n = y.shape[0]
     G = check_gram(G, n)
-    if not 2 <= folds <= n:
-        raise ValueError(f"folds must be between 2 and {n}, got {folds}")
+    folds = check_count(folds, "folds", 2, n)
     ridges = [check_ridge(ridge) for ridge in ridges]
     order = np.random.default_rng(seed).permutation(n)
     errors = [[] for _ in ridges]

@@ -33,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import GramSpectrum, check_ridge, representable, stieltjes, stieltjes_derivative
+from .spectral import (GramSpectrum, check_count, check_ridge, representable, stieltjes,
+                       stieltjes_derivative)
 
 # Multiplicities above this are no longer exactly representable once they
 # reach float arithmetic; the spectrum is truncated instead.
@@ -50,12 +51,10 @@ class Spectrum:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        entries = tuple((float(d), int(m)) for d, m in self.entries)
-        for d, m in entries:
+        entries = tuple((float(d), check_count(m, "multiplicity", 1)) for d, m in self.entries)
+        for d, _ in entries:
             if not 0 < d < math.inf:
                 raise ValueError(f"eigenvalues must be positive and finite, got {d}")
-            if m < 1:
-                raise ValueError(f"multiplicities must be >= 1, got {m}")
         object.__setattr__(self, "entries", entries)
         d = np.array([d for d, _ in entries], dtype=float)
         m = np.array([float(m) for _, m in entries], dtype=float)
@@ -187,6 +186,7 @@ def sct_from_gram(s: GramSpectrum, ridge: float) -> SctResult:
 
 def shell_multiplicity(dim: int, k: int) -> int:
     """Number of degree-k modes for the squared-exponential kernel in dim inputs."""
+    dim, k = check_count(dim, "dimension", 1), check_count(k, "degree", 0)
     if k == 0:
         return 1
     return sum(
@@ -208,12 +208,9 @@ def rbf_gaussian_spectrum(
     multiplicity shell_multiplicity(dim, k).  Shells whose multiplicity
     exceeds MULTIPLICITY_CAP are truncated with a warning.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    dim, k_max = check_count(dim, "dimension", 1), check_count(k_max, "k_max", 0)
     if not 0 < lengthscale < math.inf or not 0 < sigma < math.inf:
         raise ValueError("lengthscale and sigma must be positive and finite")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
     var = sigma * sigma
     c = math.sqrt(1.0 / (4.0 * var) + 2.0 / lengthscale) / (2.0 * sigma)
     a = 1.0 / (4.0 * var) + 1.0 / lengthscale + c
@@ -238,6 +235,5 @@ def power_law_spectrum(beta: float, count: int) -> Spectrum:
     """Unit-multiplicity spectrum d_k = k^(-beta), k = 1..count, beta > 1."""
     if not beta > 1:
         raise ValueError(f"decay exponent must exceed 1, got {beta}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_count(count, "count", 1)
     return Spectrum(tuple((float(k) ** -beta, 1) for k in range(1, count + 1)))

@@ -9,6 +9,7 @@ This module owns the checks every eigen view shares: ``check_gram``
 validates G (cross-validation and kernel alignment call it too),
 ``GramSpectrum`` checks and clamps its eigenvalues,
 ``check_ridge`` validates a ridge, ``check_labels`` validates labels,
+``check_count`` validates every count and index the package is handed,
 ``at_ridge`` declares every quantity f(x, ridge) the package computes at
 a ridge (it checks the ridge, and the result must be finite), and
 ``representable`` is the float64 guard it applies, called directly only
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -41,19 +43,25 @@ class NumericalError(ValueError, ArithmeticError):
 class GramSpectrum:
     """Eigenvalues of (1/n) G, ascending, as a read-only nonnegative array.
 
-    The one eigen view of a Gram matrix.  Eigenvalues in [-1e-8, 0) are
-    floating noise on a PSD matrix and are clamped to zero; a minimum
-    below -1e-8 (or NaN) signals a broken kernel and raises
-    NumericalError.  n is the number of eigenvalues.
+    The one eigen view of a Gram matrix, from a non-empty 1-D array
+    (ValueError otherwise).  Eigenvalues in [-1e-8, 0) are floating noise
+    on a PSD matrix and are clamped to zero; a minimum below -1e-8 (or
+    NaN) signals a broken kernel, and so does an infinite eigenvalue:
+    both raise NumericalError.  n is the number of eigenvalues.
     """
 
     def __init__(self, eigenvalues):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
+        if eigenvalues.ndim != 1 or not eigenvalues.size:
+            raise ValueError(f"expected a non-empty 1-D array of eigenvalues, "
+                             f"got shape {eigenvalues.shape}")
         lowest = np.min(eigenvalues)
         if not lowest >= EIGENVALUE_FLOOR:
             raise NumericalError(
                 f"matrix is not positive semidefinite (min eigenvalue {lowest:.3e})"
             )
+        if not np.max(eigenvalues) < math.inf:
+            raise NumericalError("matrix has an infinite eigenvalue")
         self.eigenvalues = np.clip(eigenvalues, 0.0, None)
         self.eigenvalues.flags.writeable = False
         self.n = self.eigenvalues.shape[0]
@@ -65,6 +73,21 @@ def check_ridge(ridge: float) -> float:
     if not 0 < ridge < math.inf:
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
     return ridge
+
+
+def check_count(value, what: str, low: int, high: int | None = None) -> int:
+    """value as an int; raises ValueError naming what unless it is a whole
+    number (an int, a NumPy integer or an integral float) in [low, high],
+    with no upper bound when high is None."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
+        count = int(value) if whole else None
+    if count is None or count < low or (high is not None and count > high):
+        span = f">= {low}" if high is None else f"between {low} and {high}"
+        raise ValueError(f"{what} must be a whole number {span}, got {value}")
+    return count
 
 
 def representable(name: str, ridge: float, compute):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .estimators import RidgeScores, TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
-from .spectral import GramSpectrum, at_ridge, check_ridge, decompose, representable, stieltjes
+from .spectral import (GramSpectrum, at_ridge, check_count, check_ridge, decompose, representable,
+                       stieltjes)
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -84,13 +85,9 @@ class ObservationDraw:
         return RidgeScores.__new__(RidgeScores)._from_eigen(spectrum.eigenvalues, R, self.y)
 
 
-def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> np.ndarray:
-    # The sampling checks; checked_modes checks the target and indices.
-    size = spec.expanded_size
-    if size < 1:
-        raise ValueError("cannot sample from an empty spectrum")
-    if size > MAX_MODES:
-        raise ValueError(f"expanded spectrum has {size} modes, above the {MAX_MODES} cap")
+def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> tuple:
+    # The sampling check; checked_modes checks the target and indices.
+    check_count(spec.expanded_size, "expanded mode count under the sampling cap", 1, MAX_MODES)
     return checked_modes(spec, f, indices)
 
 
@@ -100,9 +97,8 @@ def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
     The draw keeps the expanded spectrum d; its Gram matrix G is built
     only when ``.G`` is read, and no oracle reads it.
     """
-    if not n >= 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    d = _expanded(spec, f)
+    n = check_count(n, "sample count", 1)
+    d, _ = _expanded(spec, f)
     rng = np.random.default_rng(seed)
     O = rng.standard_normal((n, d.shape[0]))
     e = rng.standard_normal(n)
@@ -148,30 +144,22 @@ def empirical_train_error(dr: ObservationDraw, ridge: float) -> float:
     return dr.scores.train_error(ridge)
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-
-
 def mean_and_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean and its standard error std(ddof=1)/sqrt(k) along
     the first axis of k >= 2 samples."""
     samples = np.asarray(samples, dtype=float)
-    k = samples.shape[0]
-    _check_trials(k)
+    k = check_count(samples.shape[0], "trials", 2)
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(k)
 
 
 def sample_draws(spec: Spectrum, f: TrueFunction, n: int, trials: int, seed: int, read) -> list:
     """read(draw(spec, f, n, (seed, t))) for t < trials, keeping no draw; needs trials >= 2."""
-    _check_trials(trials)
-    return [read(draw(spec, f, n, (seed, t))) for t in range(trials)]
+    return [read(draw(spec, f, n, (seed, t))) for t in range(check_count(trials, "trials", 2))]
 
 
 def sample_spectra(sampler, n: int, trials: int, seed: int) -> list:
     """sampler(n, (seed, n, t)) for t < trials; needs trials >= 2 before it samples."""
-    _check_trials(trials)
-    return [sampler(n, (seed, n, t)) for t in range(trials)]
+    return [sampler(n, (seed, n, t)) for t in range(check_count(trials, "trials", 2))]
 
 
 def mc_expected_risk(
@@ -221,8 +209,7 @@ def mc_operator_moments(
     them, and the mean gap |1/theta - m(-ridge)| between the solved
     threshold and the Gram Stieltjes transform.
     """
-    idx = tuple(int(k) for k in k_indices)
-    d = _expanded(spec, None, idx)
+    d, idx = _expanded(spec, None, k_indices)
     ridge = check_ridge(ridge)
     zero_f = TrueFunction(np.zeros(d.shape[0]), 0.0)
     theta = solve_sct(spec, n, ridge).theta
@@ -260,8 +247,7 @@ def mc_coeff_stats(
     k_indices: tuple[int, ...],
 ) -> CoeffStats:
     """Sample the predictor coefficients a_k over independent draws."""
-    idx = tuple(int(k) for k in k_indices)
-    _expanded(spec, f, idx)
+    idx = _expanded(spec, f, k_indices)[1]
     cols = np.array(idx, dtype=int)
     samples = np.array(sample_draws(spec, f, n, trials, seed,
                                     lambda dr: predictor_coeffs(dr, ridge)[cols]))

@@ -95,7 +95,7 @@ def test_criterion_10_random_target_risk():
     _timed("bayes", budget=120.0)
 
 
-def test_criterion_11_real_data_smoke():
+def test_criterion_11_real_data_smoke(tmp_path):
     """Optional: set KARE_SMOKE_CSV (and KARE_SMOKE_LABEL_COLUMN /
     KARE_SMOKE_LABEL_MAP for categorical labels) to run a 12x12 sweep on
     a real dataset and check that the alignment score tracks held-out
@@ -122,11 +122,11 @@ def test_criterion_11_real_data_smoke():
         "grid.ridge = 1e-7:1e2:12:log10",
         "scores.loglik = true",
         "scores.alignment = true",
-        "output = unused.csv",
+        f"output = {tmp_path / 'unused.csv'}",
     ]
     if label_map:
         config_lines.append(f"data.label_map = {label_map}")
-    cfg_path = "/tmp/kare_smoke.cfg"
+    cfg_path = str(tmp_path / "kare_smoke.cfg")
     with open(cfg_path, "w") as handle:
         handle.write("\n".join(config_lines) + "\n")
     records = run_sweep(parse_sweep_config(cfg_path))

@@ -633,3 +633,61 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
             "arithmetic": "division by zero",
             "representable": "theta is not representable in float64"}[failure] in err
     assert len(cv_calls) == (1 if cv else 0)
+
+
+@pytest.mark.parametrize("header, feature_columns, message", [
+    ("a,label,b", "a,label", "label column 'label' is also a feature column"),
+    ("a,a,label", None, "column 'a' appears twice in the header"),
+])
+def test_csv_column_clashes_are_a_data_error(tmp_path, capsys, header, feature_columns, message):
+    # Before, the labels loaded as feature 2, or the first 'a' was read.
+    rows = np.random.default_rng(0).standard_normal((60, 3)).tolist()
+    data_path = tmp_path / "clash.csv"
+    data_path.write_text(header + "\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+    cfg = _config(tmp_path, **{
+        "data.type": "csv", "data.path": str(data_path), "data.label_column": "label",
+        "data.feature_columns": feature_columns,
+    })
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"data error: {data_path}: {message}\n"
+
+
+def test_overflowing_lengthscale_names_the_grid_key(tmp_path, capsys):
+    # Before: "config error: lengthscale must be positive and finite, got inf".
+    cfg = _config(tmp_path, **{"grid.lengthscale": "1e308:1e308:1:log2", "data.dim": "5"})
+    assert main(["sweep", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "config error: grid.lengthscale: multiple 1e+308 times the input dimension 5 "
+        "overflows float64\n")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--dim", "0", "value must be a whole number >= 1, got 0"),
+    ("--dim", "2.5", "value must be a whole number >= 1, got 2.5"),
+    ("--k-max", "-1", "value must be a whole number >= 0, got -1"),
+    ("--count", "nan", "value must be a whole number >= 1, got nan"),
+    ("--count", "ten", "could not convert string to float: 'ten'"),
+    ("--trials", "1", "value must be a whole number >= 2, got 1"),
+    ("--trials", "2.5", "value must be a whole number >= 2, got 2.5"),
+    ("--n-grid", "0.2:0.4:2:log2", "rounded sample count must be a whole number >= 1, got 0"),
+    ("--ridge-grid", "0:1:2:log2", "grid '0:1:2:log2': need positive finite bounds"),
+])
+def test_bad_sct_option_names_the_option(tmp_path, capsys, option, value, message):
+    # Before, --n-grid 0.2:0.4:2:log2 gave "config error: need at least one
+    # point" (rbf-gaussian) or "sample count must be >= 1, got 0" (power-law).
+    for spectrum in ("rbf-gaussian", "power-law"):
+        assert main(["sct", "--spectrum", spectrum, option, value,
+                     "--out", str(tmp_path / "sct.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"kare sct: error: argument {option}: {message}")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "sct.csv").exists()
+
+
+def test_sct_counts_accept_integral_floats(tmp_path):
+    outs = [tmp_path / "int.csv", tmp_path / "float.csv"]
+    for out, count, trials in zip(outs, ("20", "20.0"), ("2", "2e0")):
+        assert main(["sct", "--spectrum", "power-law", "--count", count, "--trials", trials,
+                     "--n-grid", "30:30:1:log2", "--ridge-grid", "1e-2:1e-2:1:log10",
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

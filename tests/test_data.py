@@ -14,6 +14,7 @@ from kare.data import (
     save_csv,
     split_train_test,
     subsample,
+    write_csv,
 )
 
 
@@ -75,6 +76,14 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.y, ds.y)
 
 
+def test_csv_writer_cells_and_line_ends(tmp_path):
+    out = tmp_path / "w.csv"
+    write_csv(out, ("a", "b", "c"), [[0.1, None, 3], [np.float64(1 / 3), 2.0, "x"]])
+    assert out.read_bytes() == b"a,b,c\n0.10000000000000001,,3\n0.33333333333333331,2,x\n"
+    save_csv(Dataset(np.array([[0.1, 2.0]]), np.array([-1.0]), {}), out)
+    assert out.read_bytes() == b"x0,x1,label\n0.10000000000000001,2,-1\n"
+
+
 def _idx_files(tmp_path, images, labels):
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
@@ -90,6 +99,10 @@ def test_load_mnist_idx_filters_digits(tmp_path):
     images = np.arange(4 * 28 * 28, dtype=np.uint8).reshape(4, 28, 28)
     ipath, lpath = _idx_files(tmp_path, images, [7, 3, 9, 7])
     ds = load_mnist_idx(ipath, lpath, (7, 9))
+    for digits in ((7.5, 9), (7, np.nan), (7, 256)):
+        with pytest.raises(ValueError, match="^digit must be a whole number between 0 and 255"):
+            load_mnist_idx(ipath, lpath, digits)
+    assert load_mnist_idx(ipath, lpath, (np.int64(7), 9.0)).meta == ds.meta
     assert ds.X.shape == (3, 784)
     np.testing.assert_allclose(ds.y, [1.0, -1.0, 1.0])
     np.testing.assert_array_equal(ds.X[0], images[0].reshape(-1).astype(float))

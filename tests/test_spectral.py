@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -135,6 +136,19 @@ def test_gram_spectrum_enforces_its_invariant():
     assert rs.n == 3 and rs.eigenvalues.tolist() == [0.0, 1.0, 2.0]
     assert not rs.eigenvalues.flags.writeable
     assert stieltjes(rs, 1.0) == stieltjes(decompose(G), 1.0)
+
+
+def test_gram_spectrum_takes_a_non_empty_vector_of_finite_eigenvalues():
+    # Before, [1, inf] built a spectrum whose stieltjes(., 0.1) was 0.4545,
+    # as if the inf mode were absent; a 2 x 2 array built one; and []
+    # failed inside np.min.
+    for bad in ([1.0, np.inf], [np.inf]):
+        with pytest.raises(NumericalError, match="^matrix has an infinite eigenvalue$"):
+            GramSpectrum(bad)
+    for bad, shape in ((np.eye(2), (2, 2)), ([], (0,)), (1.0, ())):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")) as error:
+            GramSpectrum(bad)
+        assert not isinstance(error.value, NumericalError)
 
 
 def test_numerical_failures_raise_one_error_class():

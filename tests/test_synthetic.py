@@ -352,9 +352,9 @@ def test_samplers_read_each_seeded_trial_in_order():
     def unread(*args):
         raise AssertionError("sampled with fewer than 2 trials")
     for trials in (0, 1):
-        with pytest.raises(ValueError, match=f"^need at least 2 trials, got {trials}$"):
+        with pytest.raises(ValueError, match=f"^trials must be a whole number >= 2, got {trials}$"):
             sample_draws(spec, f, 8, trials, 5, unread)
-        with pytest.raises(ValueError, match=f"^need at least 2 trials, got {trials}$"):
+        with pytest.raises(ValueError, match=f"^trials must be a whole number >= 2, got {trials}$"):
             sample_spectra(unread, 4, trials, 7)
 
 
