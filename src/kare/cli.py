@@ -25,6 +25,11 @@ Config file format: flat "key = value" lines, '#' comments.  Grids are
 "start:stop:count:log2" or "start:stop:count:log10" (count log-spaced
 values from start to stop inclusive).  The keys, their defaults and
 their meaning are the tables _REQUIRED_KEYS and _OPTIONAL_KEYS below.
+
+Each config key and each option has one parser from text to value
+(``_count``, ``_real``, ``_output``, ``parse_grid``...) that raises
+ValueError naming its bound; a bad key reads "PATH: KEY: ..." and a bad
+option "argument --OPT: ...".  Counts and seeds accept integral floats.
 """
 
 from __future__ import annotations
@@ -68,18 +73,11 @@ from .sct import (
     solve_sct,
 )
 from .synthetic import draw, mean_and_stderr, rbf_gaussian_gram_spectrum, sample_spectra
-from .spectral import NumericalError, check_count, decompose
+from .spectral import NumericalError, check_count, check_real, decompose
 from .validation import run_suite
 
 class ConfigError(ValueError):
     """Bad sweep configuration."""
-
-
-def _seed(text: str) -> int:
-    """A --seed value; argparse names the option when this raises."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
 
 
 def _option(parse):
@@ -94,10 +92,15 @@ def _option(parse):
 
 
 def _count(low: int):
-    """An option that is a whole number >= low, written as an integer or
-    an integral float."""
-    return _option(lambda text: check_count(
-        int(text) if text.strip().lstrip("+-").isdecimal() else float(text), "value", low))
+    """A parser of a whole number >= low, written as an integer or an
+    integral float."""
+    return lambda text: check_count(
+        int(text) if text.strip().lstrip("+-").isdecimal() else float(text), "value", low)
+
+
+def _real(low: float = 0.0, strict: bool = True):
+    """A parser of a finite number > low (>= low when strict is False)."""
+    return lambda text: check_real(text, "value", low, strict)
 
 
 def _n_values(text: str) -> tuple[int, ...]:
@@ -105,20 +108,13 @@ def _n_values(text: str) -> tuple[int, ...]:
     return tuple(check_count(round(v), "rounded sample count", 1) for v in parse_grid(text))
 
 
-def _output_fault(path: str) -> str | None:
-    """The rule an output file path breaks, if any."""
+def _output(path: str) -> str:
+    """An output file path: a file, not a directory, in an existing directory."""
     if os.path.isdir(path):
-        return "a file, not a directory"
+        raise ValueError(f"must be a file, not a directory, got {path!r}")
     if not os.path.isdir(os.path.dirname(path) or "."):
-        return "in an existing directory"
-    return None
-
-
-def _out(text: str) -> str:
-    """An --out path; argparse names the option when this raises."""
-    if fault := _output_fault(text):
-        raise argparse.ArgumentTypeError(f"must be {fault}, got {text!r}")
-    return text
+        raise ValueError(f"must be in an existing directory, got {path!r}")
+    return path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,14 +192,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 4:
         raise ConfigError(f"grid {text!r} is not start:stop:count:scale")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = check_real(parts[0], "start"), check_real(parts[1], "stop")
+        count = check_count(int(parts[2]), "count", 1)
     except ValueError as exc:
         raise ConfigError(f"grid {text!r}: {exc}") from None
     scale = parts[3]
     if scale not in ("log2", "log10"):
         raise ConfigError(f"grid {text!r}: scale must be log2 or log10")
-    if count < 1 or not 0 < start < math.inf or not 0 < stop < math.inf:
-        raise ConfigError(f"grid {text!r}: need positive finite bounds and count >= 1")
     if count == 1:
         return (start,)
     base = 2.0 if scale == "log2" else 10.0
@@ -251,8 +246,8 @@ _REQUIRED_KEYS = {
     "kernel.family": _choice(*FAMILIES),
     "grid.lengthscale": parse_grid,     # in multiples of the input dimension
     "grid.ridge": parse_grid,
-    "data.n": int,                      # training rows, >= 1
-    "output": str,                      # output CSV file, in an existing directory
+    "data.n": _count(1),                # training rows
+    "output": _output,                  # output CSV file
 }
 
 # key -> (default, parser); the default is already parsed.  The data
@@ -267,11 +262,11 @@ _OPTIONAL_KEYS = {
     "data.labels": (None, str),                         # [idx] label file
     "data.digits": (None, _parse_digits),               # [idx] "7,9"
     "data.preprocess": ("none", _choice("none", "maxabs", "mnist")),
-    "data.test_n": (0, int),                            # held-out rows; 0 disables test risk
-    "data.seed": (0, int),                              # sampling and CV fold seed
-    "data.dim": (5, int),                               # [synthetic] input dimension
-    "data.noise": (0.1, float),                         # [synthetic] label noise level
-    "scores.cv_folds": (0, int),                        # 0 disables cross-validation
+    "data.test_n": (0, _count(0)),                      # held-out rows; 0 disables test risk
+    "data.seed": (0, _count(0)),                        # sampling and CV fold seed
+    "data.dim": (5, _count(1)),                         # [synthetic] input dimension
+    "data.noise": (0.1, _real(strict=False)),           # [synthetic] label noise level
+    "scores.cv_folds": (0, _count(0)),                  # 0, or 2 to data.n; 0 disables CV
     "scores.loglik": (False, _parse_bool),
     "scores.alignment": (False, _parse_bool),
 }
@@ -307,18 +302,8 @@ def parse_sweep_config(path: str) -> SweepConfig:
         if not values[key]:
             raise ConfigError(f"{path}: data.type = {values['data.type']} needs key {key!r}")
     n, folds = values["data.n"], values["scores.cv_folds"]
-    output_fault = _output_fault(values["output"])
-    for key, within, bound in (
-        ("data.n", n >= 1, ">= 1"),
-        ("data.test_n", values["data.test_n"] >= 0, ">= 0"),
-        ("data.seed", values["data.seed"] >= 0, ">= 0"),
-        ("data.dim", values["data.dim"] >= 1, ">= 1"),
-        ("data.noise", 0 <= values["data.noise"] < math.inf, ">= 0 and finite"),
-        ("scores.cv_folds", folds == 0 or 2 <= folds <= n, f"0 or between 2 and data.n = {n}"),
-        ("output", output_fault is None, output_fault),
-    ):
-        if not within:
-            raise ConfigError(f"{path}: {key} must be {bound}")
+    if folds and not 2 <= folds <= n:
+        raise ConfigError(f"{path}: scores.cv_folds must be 0 or between 2 and data.n = {n}")
     return SweepConfig(
         data={key[len("data."):]: value for key, value in values.items()
               if key.startswith("data.")},
@@ -565,23 +550,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sct = sub.add_parser("sct", help="threshold curves, solved and estimated")
     p_sct.add_argument("--spectrum", required=True, choices=("rbf-gaussian", "power-law"))
-    p_sct.add_argument("--dim", type=_count(1), default=5)
-    p_sct.add_argument("--lengthscale", type=float, default=None,
+    p_sct.add_argument("--dim", type=_option(_count(1)), default=5)
+    p_sct.add_argument("--lengthscale", type=_option(_real()), default=None,
                        help="defaults to the input dimension")
-    p_sct.add_argument("--sigma", type=float, default=1.0)
-    p_sct.add_argument("--k-max", type=_count(0), default=50)
-    p_sct.add_argument("--beta", type=float, default=2.0)
-    p_sct.add_argument("--count", type=_count(1), default=100)
+    p_sct.add_argument("--sigma", type=_option(_real()), default=1.0)
+    p_sct.add_argument("--k-max", type=_option(_count(0)), default=50)
+    p_sct.add_argument("--beta", type=_option(_real(1)), default=2.0)
+    p_sct.add_argument("--count", type=_option(_count(1)), default=100)
     p_sct.add_argument("--n-grid", type=_option(_n_values), default="50:1600:6:log2")
     p_sct.add_argument("--ridge-grid", type=_option(parse_grid), default="1e-4:1:9:log10")
-    p_sct.add_argument("--trials", type=_count(2), default=10)
-    p_sct.add_argument("--seed", type=_seed, default=0)
-    p_sct.add_argument("--out", type=_out, required=True)
+    p_sct.add_argument("--trials", type=_option(_count(2)), default=10)
+    p_sct.add_argument("--seed", type=_option(_count(0)), default=0)
+    p_sct.add_argument("--out", type=_option(_output), required=True)
     p_sct.set_defaults(func=_cmd_sct)
 
     p_val = sub.add_parser("validate", help="run a validation suite")
     p_val.add_argument("--suite", required=True)
-    p_val.add_argument("--seed", type=_seed, default=0)
+    p_val.add_argument("--seed", type=_option(_count(0)), default=0)
     p_val.set_defaults(func=_cmd_validate)
 
     return parser

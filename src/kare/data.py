@@ -60,7 +60,8 @@ def load_csv(
     label_map translates categorical labels (e.g. {"s": 1, "b": -1});
     without it the label cell must parse as a number.  With drop_sentinel
     every row containing a -999 feature is discarded.  A header naming a
-    column twice, or a label column among feature_columns, is a ParseError.
+    column twice, a feature_columns list naming one twice, or a label
+    column among feature_columns, is a ParseError.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -84,6 +85,8 @@ def load_csv(
                     raise ParseError(f"{path}: feature column {name!r} not in header")
                 if name == label_column:
                     raise ParseError(f"{path}: label column {name!r} is also a feature column")
+                if header.index(name) in feature_idx:
+                    raise ParseError(f"{path}: feature column {name!r} is listed twice")
                 feature_idx.append(header.index(name))
         if not feature_idx:
             raise ParseError(f"{path}: no feature columns")

@@ -18,15 +18,14 @@ given covariance spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import krr
 from .kernels import KernelSpec, gram_matrix
-from .spectral import (GramSpectrum, at_ridge, check_count, check_gram, check_labels, check_ridge,
-                       stieltjes)
+from .spectral import (GramSpectrum, at_ridge, check_count, check_gram, check_labels, check_real,
+                       check_ridge, stieltjes)
 from .sct import SctResult, Spectrum, solve_sct
 
 
@@ -43,8 +42,7 @@ class TrueFunction:
         object.__setattr__(self, "coeffs", coeffs)
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("target coefficients have non-finite entries")
-        if not 0 <= self.noise < math.inf:
-            raise ValueError(f"noise level must be finite and >= 0, got {self.noise}")
+        check_real(self.noise, "noise level", strict=False)
 
 
 class RidgeScores(GramSpectrum):
@@ -219,8 +217,7 @@ def bayesian_risk(
     spec_sigma = spec_k and ridge = noise^2/n this collapses to
     n*theta(noise^2/n), the optimal configuration.
     """
-    if not 0 <= noise < math.inf:
-        raise ValueError(f"noise level must be finite and >= 0, got {noise}")
+    noise = check_real(noise, "noise level", strict=False)
     if len(spec_k.entries) != len(spec_sigma.entries) or any(
         mk != ms
         for (_, mk), (_, ms) in zip(spec_k.entries, spec_sigma.entries)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import NumericalError
+from .spectral import NumericalError, check_real
 
 FAMILIES = ("rbf", "laplacian", "l1exp")
 
@@ -64,8 +64,7 @@ class KernelSpec:
 
     def __post_init__(self):
         _check_family(self.family)
-        if not 0 < self.lengthscale < np.inf:
-            raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
+        check_real(self.lengthscale, "lengthscale")
 
 
 def _as_points(X) -> np.ndarray:

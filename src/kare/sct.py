@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import (GramSpectrum, check_count, check_ridge, representable, stieltjes,
-                       stieltjes_derivative)
+from .spectral import (GramSpectrum, check_count, check_real, check_ridge, representable,
+                       stieltjes, stieltjes_derivative)
 
 # Multiplicities above this are no longer exactly representable once they
 # reach float arithmetic; the spectrum is truncated instead.
@@ -51,10 +51,8 @@ class Spectrum:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        entries = tuple((float(d), check_count(m, "multiplicity", 1)) for d, m in self.entries)
-        for d, _ in entries:
-            if not 0 < d < math.inf:
-                raise ValueError(f"eigenvalues must be positive and finite, got {d}")
+        entries = tuple((check_real(d, "eigenvalues"), check_count(m, "multiplicity", 1))
+                        for d, m in self.entries)
         object.__setattr__(self, "entries", entries)
         d = np.array([d for d, _ in entries], dtype=float)
         m = np.array([float(m) for _, m in entries], dtype=float)
@@ -209,8 +207,7 @@ def rbf_gaussian_spectrum(
     exceeds MULTIPLICITY_CAP are truncated with a warning.
     """
     dim, k_max = check_count(dim, "dimension", 1), check_count(k_max, "k_max", 0)
-    if not 0 < lengthscale < math.inf or not 0 < sigma < math.inf:
-        raise ValueError("lengthscale and sigma must be positive and finite")
+    lengthscale, sigma = check_real(lengthscale, "lengthscale"), check_real(sigma, "sigma")
     var = sigma * sigma
     c = math.sqrt(1.0 / (4.0 * var) + 2.0 / lengthscale) / (2.0 * sigma)
     a = 1.0 / (4.0 * var) + 1.0 / lengthscale + c
@@ -233,7 +230,5 @@ def rbf_gaussian_spectrum(
 
 def power_law_spectrum(beta: float, count: int) -> Spectrum:
     """Unit-multiplicity spectrum d_k = k^(-beta), k = 1..count, beta > 1."""
-    if not beta > 1:
-        raise ValueError(f"decay exponent must exceed 1, got {beta}")
-    count = check_count(count, "count", 1)
+    beta, count = check_real(beta, "decay exponent", low=1), check_count(count, "count", 1)
     return Spectrum(tuple((float(k) ** -beta, 1) for k in range(1, count + 1)))

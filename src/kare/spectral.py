@@ -8,9 +8,10 @@ axis, i.e. m(-ridge) for ridge > 0.
 This module owns the checks every eigen view shares: ``check_gram``
 validates G (cross-validation and kernel alignment call it too),
 ``GramSpectrum`` checks and clamps its eigenvalues,
-``check_ridge`` validates a ridge, ``check_labels`` validates labels,
+``check_real`` validates every real number the package is handed (a
+ridge through ``check_ridge``), ``check_labels`` validates labels,
 ``check_count`` validates every count and index the package is handed,
-``at_ridge`` declares every quantity f(x, ridge) the package computes at
+``at_ridge`` declares every quantity f(..., ridge) the package computes at
 a ridge (it checks the ridge, and the result must be finite), and
 ``representable`` is the float64 guard it applies, called directly only
 for named intermediate values.  ``NumericalError`` is the one error for
@@ -67,12 +68,20 @@ class GramSpectrum:
         self.n = self.eigenvalues.shape[0]
 
 
+def check_real(value, what: str, low: float = 0.0, strict: bool = True) -> float:
+    """float(value); raises ValueError naming what unless it is finite and
+    above low (at least low when strict is False)."""
+    x = float(value)
+    if not (low < x < math.inf or x == low and not strict):
+        rule = ("positive and finite" if strict and low == 0
+                else f"finite and {'>' if strict else '>='} {low:g}")
+        raise ValueError(f"{what} must be {rule}, got {x}")
+    return x
+
+
 def check_ridge(ridge: float) -> float:
     """The ridge as a float; raises unless it is positive and finite."""
-    ridge = float(ridge)
-    if not 0 < ridge < math.inf:
-        raise ValueError(f"ridge must be positive and finite, got {ridge}")
-    return ridge
+    return check_real(ridge, "ridge")
 
 
 def check_count(value, what: str, low: int, high: int | None = None) -> int:
@@ -106,18 +115,20 @@ def representable(name: str, ridge: float, compute):
 
 
 def at_ridge(formula=None, *, name: str | None = None):
-    """``@at_ridge`` or ``@at_ridge(name=...)`` on a quantity formula(x, ridge):
-    the formula receives the float ``check_ridge`` returns, and its result
-    passes ``representable`` under name (default: the formula's name), so
-    an overflow near the ends of the float64 range raises NumericalError."""
+    """``@at_ridge`` or ``@at_ridge(name=...)`` on a quantity formula(*x, ridge),
+    the ridge last and positional: the formula receives the float
+    ``check_ridge`` returns, and its result passes ``representable`` under
+    name (default: the formula's name), so an overflow near the ends of the
+    float64 range raises NumericalError."""
     if formula is None:
         return functools.partial(at_ridge, name=name)
     label = name or formula.__name__
 
     @functools.wraps(formula)
-    def quantity(x, ridge: float):
+    def quantity(*args):
+        *x, ridge = args
         ridge = check_ridge(ridge)
-        return representable(label, ridge, lambda: formula(x, ridge))
+        return representable(label, ridge, lambda: formula(*x, ridge))
     return quantity
 
 

@@ -121,6 +121,7 @@ def predictor_coeffs(dr: ObservationDraw, ridge: float) -> np.ndarray:
     return _reconstruct(dr, ridge, dr.y)
 
 
+@at_ridge(name="exact risk")
 def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
     """sum_k (a_k - b_k)^2 + noise^2, computed exactly in the eigenbasis.
 
@@ -129,12 +130,8 @@ def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
     if f.coeffs.shape[0] != dr.d.shape[0]:
         raise ValueError(f"{f.coeffs.shape[0]} coefficients but the draw has "
                          f"{dr.d.shape[0]} modes")
-    ridge = check_ridge(ridge)
-
-    def risk():
-        r = _reconstruct(dr, ridge, dr.y) - f.coeffs
-        return float(r @ r) + f.noise**2
-    return representable("exact risk", ridge, risk)
+    r = _reconstruct(dr, ridge, dr.y) - f.coeffs
+    return float(r @ r) + f.noise**2
 
 
 @at_ridge(name="train error")
@@ -265,6 +262,7 @@ def rbf_gaussian_gram_spectrum(
     MAX_MODES already at moderate dimension, so eigenbasis sampling is
     not an option there.
     """
+    dim, n = check_count(dim, "dimension", 1), check_count(n, "sample count", 1)
     rng = np.random.default_rng(seed)
     X = sigma * rng.standard_normal((n, dim))
     return decompose(gram_matrix(KernelSpec("rbf", lengthscale), X))

@@ -164,7 +164,7 @@ def test_validate_exit_codes(capsys):
     assert main(["validate", "--suite", "nosuch", "--seed", "1"]) == 1
     capsys.readouterr()
     assert main(["validate", "--suite", "prop4", "--seed", "-1"]) == 1
-    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert "argument --seed: value must be a whole number >= 0, got -1" in capsys.readouterr().err
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):
@@ -199,7 +199,7 @@ def test_bad_paths_fail_before_any_work(tmp_path, capsys, monkeypatch, case):
     argv, named = {
         "sweep-output-is-a-directory": (
             ["sweep", "--config", _config(tmp_path, out_name="")],
-            "output must be a file, not a directory"),
+            "output: must be a file, not a directory"),
         "sweep-config-is-a-directory": (["sweep", "--config", directory], directory),
         "sct-out-is-a-directory": (["sct", "--spectrum", "power-law", "--out", directory],
                                    "argument --out: must be a file, not a directory"),
@@ -428,21 +428,36 @@ def test_malformed_config_value_names_the_key(tmp_path, capsys, key, value):
     assert f"config error: {path}: {key}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value, bound", [
-    ("data.n", "0", ">= 1"), ("data.dim", "0", ">= 1"), ("data.test_n", "-5", ">= 0"),
-    ("data.seed", "-1", ">= 0"),
-    ("data.noise", "-1", ">= 0 and finite"), ("data.noise", "inf", ">= 0 and finite"),
-    ("scores.cv_folds", "1", "0 or between 2 and data.n = 40"),
-    ("scores.cv_folds", "41", "0 or between 2 and data.n = 40"),
-    ("output", "nodir/o.csv", "in an existing directory"),
-])
-def test_out_of_range_config_value_names_the_key(tmp_path, capsys, monkeypatch, key, value, bound):
+# key, value, the bound its message names, the message after "PATH: ".  A key's
+# own parser names it as "KEY: "; the cross-key cv_folds check names data.n.
+_OUT_OF_RANGE = [
+    ("data.n", "0", ">= 1", "data.n: value must be a whole number >= 1, got 0"),
+    ("data.dim", "0", ">= 1", "data.dim: value must be a whole number >= 1, got 0"),
+    ("data.test_n", "-5", ">= 0", "data.test_n: value must be a whole number >= 0, got -5"),
+    ("data.seed", "-1", ">= 0", "data.seed: value must be a whole number >= 0, got -1"),
+    ("data.noise", "-1", ">= 0 and finite", "data.noise: value must be finite and >= 0, got -1.0"),
+    ("data.noise", "inf", ">= 0 and finite", "data.noise: value must be finite and >= 0, got inf"),
+    ("scores.cv_folds", "1", "0 or between 2 and data.n = 40",
+     "scores.cv_folds must be 0 or between 2 and data.n = 40"),
+    ("scores.cv_folds", "41", "0 or between 2 and data.n = 40",
+     "scores.cv_folds must be 0 or between 2 and data.n = 40"),
+    ("output", "nodir/o.csv", "in an existing directory",
+     "output: must be in an existing directory, got 'nodir/o.csv'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param(key, value, message, id=f"{key}-{value}-{bound}")
+    for key, value, bound, message in _OUT_OF_RANGE])
+def test_out_of_range_config_value_names_the_key(tmp_path, capsys, monkeypatch, key, value,
+                                                 message):
+    # Before, each read "PATH: KEY must be BOUND", from a range table after parsing.
     monkeypatch.chdir(tmp_path)  # a relative output path resolves here
     path = _config(tmp_path, **{key: value})
-    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {key} must be {bound}')}$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
         parse_sweep_config(path)
     assert main(["sweep", "--config", path]) == 1
-    assert f"config error: {path}: {key} must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("family", ["rbf", "laplacian", "l1exp"])
@@ -638,9 +653,11 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
 @pytest.mark.parametrize("header, feature_columns, message", [
     ("a,label,b", "a,label", "label column 'label' is also a feature column"),
     ("a,a,label", None, "column 'a' appears twice in the header"),
+    ("a,b,label", "a,a", "feature column 'a' is listed twice"),
 ])
 def test_csv_column_clashes_are_a_data_error(tmp_path, capsys, header, feature_columns, message):
-    # Before, the labels loaded as feature 2, or the first 'a' was read.
+    # Before, the labels loaded as feature 2, the first 'a' was read, or
+    # feature 'a' loaded twice.
     rows = np.random.default_rng(0).standard_normal((60, 3)).tolist()
     data_path = tmp_path / "clash.csv"
     data_path.write_text(header + "\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
@@ -670,11 +687,18 @@ def test_overflowing_lengthscale_names_the_grid_key(tmp_path, capsys):
     ("--trials", "1", "value must be a whole number >= 2, got 1"),
     ("--trials", "2.5", "value must be a whole number >= 2, got 2.5"),
     ("--n-grid", "0.2:0.4:2:log2", "rounded sample count must be a whole number >= 1, got 0"),
-    ("--ridge-grid", "0:1:2:log2", "grid '0:1:2:log2': need positive finite bounds"),
+    ("--ridge-grid", "0:1:2:log2", "grid '0:1:2:log2': start must be positive and finite, got 0.0"),
+    ("--sigma", "nan", "value must be positive and finite, got nan"),
+    ("--lengthscale", "-1", "value must be positive and finite, got -1.0"),
+    ("--beta", "1", "value must be finite and > 1, got 1.0"),
+    ("--beta", "inf", "value must be finite and > 1, got inf"),
+    ("--seed", "-1", "value must be a whole number >= 0, got -1"),
 ])
 def test_bad_sct_option_names_the_option(tmp_path, capsys, option, value, message):
     # Before, --n-grid 0.2:0.4:2:log2 gave "config error: need at least one
-    # point" (rbf-gaussian) or "sample count must be >= 1, got 0" (power-law).
+    # point" (rbf-gaussian) or "sample count must be >= 1, got 0" (power-law);
+    # --sigma nan exited 0 (power-law) or gave an unnamed "config error"
+    # (rbf-gaussian), as did --lengthscale -1 and --beta 1 or inf.
     for spectrum in ("rbf-gaussian", "power-law"):
         assert main(["sct", "--spectrum", spectrum, option, value,
                      "--out", str(tmp_path / "sct.csv")]) == 1
@@ -691,3 +715,21 @@ def test_sct_counts_accept_integral_floats(tmp_path):
                      "--n-grid", "30:30:1:log2", "--ridge-grid", "1e-2:1e-2:1:log10",
                      "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_integral_float_counts_and_seeds_give_the_same_bytes(tmp_path, capsys):
+    # Before, data.n = 2.0 and data.seed = 2.0 failed int("2.0"), and
+    # --seed 2.0 was not a non-negative integer.
+    outputs = {}
+    for text in ("2", "2.0"):
+        sweep, sct = tmp_path / f"sweep-{text}.csv", tmp_path / f"sct-{text}.csv"
+        cfg = _config(tmp_path, **{"data.n": text, "data.seed": text, "scores.cv_folds": "2",
+                                   "output": str(sweep)})
+        assert main(["sweep", "--config", cfg]) == 0
+        assert main(["sct", "--spectrum", "power-law", "--count", "20", "--trials", "2",
+                     "--n-grid", "30:30:1:log2", "--ridge-grid", "1e-2:1e-2:1:log10",
+                     "--seed", text, "--out", str(sct)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--suite", "identities", "--seed", text]) == 0
+        outputs[text] = (sweep.read_bytes(), sct.read_bytes(), capsys.readouterr().out)
+    assert outputs["2"] == outputs["2.0"]

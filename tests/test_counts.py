@@ -1,13 +1,17 @@
-"""Every whole number the library takes passes spectral.check_count."""
+"""Every whole number the library takes passes spectral.check_count, and
+every real number spectral.check_real."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+from kare.cli import parse_grid
 from kare.data import Dataset, split_train_test, subsample
 from kare.estimators import (
     TrueFunction,
+    bayesian_risk,
     checked_modes,
     cross_validation_risk,
     cross_validation_risks,
@@ -15,12 +19,13 @@ from kare.estimators import (
 )
 from kare.kernels import KernelSpec, gram_matrix
 from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, shell_multiplicity
-from kare.spectral import check_count
+from kare.spectral import check_count, check_real
 from kare.synthetic import (
     draw,
     mc_coeff_stats,
     mc_expected_risk,
     mc_operator_moments,
+    rbf_gaussian_gram_spectrum,
     sample_draws,
     sample_spectra,
 )
@@ -69,6 +74,12 @@ COUNTS = {
     "split_train_test n_train": (
         lambda n: split_train_test(_DS, n, 2, 0), "training size", 11, 4),
     "split_train_test n_test": (lambda n: split_train_test(_DS, 4, n, 0), "test size", 7, 3),
+    "rbf_gaussian_gram_spectrum dim": (
+        lambda dim: rbf_gaussian_gram_spectrum(dim, 2.0, 1.0, 4, 0).eigenvalues,
+        "dimension", 0, 2),
+    "rbf_gaussian_gram_spectrum n": (
+        lambda n: rbf_gaussian_gram_spectrum(2, 2.0, 1.0, n, 0).eigenvalues,
+        "sample count", 0, 3),
 }
 
 
@@ -82,6 +93,69 @@ def test_every_count_is_a_checked_whole_number(entry):
     expected = pickle.dumps(call(inside))
     for same in (np.int64(inside), float(inside), np.float64(inside)):
         assert pickle.dumps(call(same)) == expected
+
+
+# entry -> (call of one real number, the quantity its error names, its rule,
+#           the bound it excludes or a value below the bound it includes,
+#           a whole number in range).  The ridge has its own table,
+#           test_spectral.RIDGE_ENTRY_POINTS.
+REALS = {
+    "KernelSpec lengthscale": (
+        lambda length: gram_matrix(KernelSpec("rbf", length), _X), "lengthscale",
+        "positive and finite", 0.0, 2),
+    "Spectrum eigenvalue": (
+        lambda d: Spectrum(((d, 2), (0.5, 1))).entries, "eigenvalues",
+        "positive and finite", 0.0, 2),
+    "rbf_gaussian_spectrum lengthscale": (
+        lambda length: rbf_gaussian_spectrum(2, length, 1.0, 2).entries, "lengthscale",
+        "positive and finite", 0.0, 3),
+    "rbf_gaussian_spectrum sigma": (
+        lambda sigma: rbf_gaussian_spectrum(2, 1.0, sigma, 2).entries, "sigma",
+        "positive and finite", 0.0, 2),
+    "power_law_spectrum beta": (
+        lambda beta: power_law_spectrum(beta, 3).entries, "decay exponent",
+        "finite and > 1", 1.0, 2),
+    "TrueFunction noise": (
+        lambda noise: draw(_SPEC, TrueFunction(_F.coeffs, noise), 5, 0).y, "noise level",
+        "finite and >= 0", -0.5, 1),
+    "bayesian_risk noise": (
+        lambda noise: bayesian_risk(_SPEC, _SPEC, noise, 10, 0.1), "noise level",
+        "finite and >= 0", -0.5, 1),
+    "parse_grid start": (lambda start: parse_grid(f"{start}:8:4:log2"), "start",
+                         "positive and finite", 0.0, 1),
+    "parse_grid stop": (lambda stop: parse_grid(f"1:{stop}:4:log2"), "stop",
+                        "positive and finite", 0.0, 8),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REALS))
+def test_every_real_is_checked_and_named(entry):
+    call, what, rule, outside, inside = REALS[entry]
+    for bad in (np.nan, np.inf, outside):
+        # parse_grid prefixes the grid's text, as "grid '0.0:8:4:log2': ".
+        message = f"(^|: ){re.escape(f'{what} must be {rule}, got {bad}')}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    # An int and a NumPy float give the float's result, bit for bit.
+    expected = pickle.dumps(call(float(inside)))
+    for same in (int(inside), np.float64(inside)):
+        assert pickle.dumps(call(same)) == expected
+
+
+def test_check_real_returns_a_float_in_range():
+    assert check_real("0.5", "x") == 0.5
+    assert type(check_real(np.float32(2.0), "x", low=1)) is float
+    assert check_real(0, "x", strict=False) == 0.0
+    for bad, low, strict, message in (
+            (0.0, 0.0, True, "x must be positive and finite, got 0.0"),
+            (-np.inf, 0.0, True, "x must be positive and finite, got -inf"),
+            (-1e-300, 0.0, False, "x must be finite and >= 0, got -1e-300"),
+            (np.inf, 0.0, False, "x must be finite and >= 0, got inf"),
+            (1, 1.0, True, "x must be finite and > 1, got 1.0"),
+            (np.nan, 1.0, False, "x must be finite and >= 1, got nan"),
+            (0.5, 0.5, True, "x must be finite and > 0.5, got 0.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_real(bad, "x", low, strict)
 
 
 def test_check_count_returns_an_int_in_range():
