@@ -40,7 +40,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -91,11 +91,11 @@ def _option(parse):
     return option
 
 
-def _count(low: int):
+def _count(low: int, what: str = "value"):
     """A parser of a whole number >= low, written as an integer or an
     integral float."""
     return lambda text: check_count(
-        int(text) if text.strip().lstrip("+-").isdecimal() else float(text), "value", low)
+        int(text) if text.strip().lstrip("+-").isdecimal() else float(text), what, low)
 
 
 def _real(low: float = 0.0, strict: bool = True):
@@ -193,7 +193,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"grid {text!r} is not start:stop:count:scale")
     try:
         start, stop = check_real(parts[0], "start"), check_real(parts[1], "stop")
-        count = check_count(int(parts[2]), "count", 1)
+        count = _count(1, "count")(parts[2])
     except ValueError as exc:
         raise ConfigError(f"grid {text!r}: {exc}") from None
     scale = parts[3]
@@ -234,7 +234,7 @@ def _parse_columns(text: str) -> list[str] | None:
 
 
 def _parse_digits(text: str) -> tuple[int, ...] | None:
-    digits = tuple(int(v) for v in text.split(",")) if text else None
+    digits = tuple(map(_count(0, "digit"), text.split(","))) if text else None
     if digits is not None and (len(digits) != 2 or digits[0] == digits[1]):
         raise ValueError("must name exactly two distinct digits")
     return digits
@@ -360,11 +360,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     The train-train and test-train distances are each computed once per
     sweep, and each lengthscale turns them into its Gram and cross-Gram.
-    The sweep makes up to three passes over the lengthscales:
+    The sweep makes up to three passes over the lengthscales, and builds
+    each record once, after the last pass, from their results:
 
     1. Scores: each Gram is read by the alignment, scaled by 1/n in place
-       and decomposed once (one eigh, in NumPy) for all ridges.  With a
-       test set, each ridge's dual ((1/n)G + ridge I)^{-1} y / n is kept.
+       and decomposed once (one eigh, in NumPy) for all ridges.  The pass
+       makes no symmetry scan: a Gram of the mirrored distances is
+       exactly symmetric and finite.  With a test set, each ridge's dual
+       ((1/n)G + ridge I)^{-1} y / n is kept.
     2. CV (with CV on): each Gram is rebuilt and cross-validated from its
        own slices: each fold's Gram is scaled by 1/m once, in Fortran
        order, and each ridge factors a copy of it in place (one Cholesky
@@ -408,51 +411,49 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
     # before the next lengthscale builds its own.
-    def scores(kern: KernelSpec) -> tuple[list[SweepRecord], list[np.ndarray]]:
+    def scores(kern: KernelSpec) -> tuple[list[partial], list[np.ndarray]]:
+        # Each ridge's record, short of its CV and test risks, and its dual.
         G = from_distances(kern, D)
         align = classical_alignment(train.y, G) if cfg.alignment else None
         rs = RidgeScores._scaling_in_place(G, train.y)  # G is (1/n)G from here on
-        records, duals = [], []
+        cells, duals = [], []
         for ridge in cfg.ridges:
             with _cell(kern.lengthscale, ridge):
                 est = sct_from_gram(rs, ridge)
-                records.append(SweepRecord(
-                    lengthscale=kern.lengthscale,
-                    ridge=float(ridge),
-                    train_error=rs.train_error(ridge),
-                    kare=rs.kare(ridge),
+                cells.append(partial(
+                    SweepRecord, lengthscale=kern.lengthscale, ridge=float(ridge),
+                    train_error=rs.train_error(ridge), kare=rs.kare(ridge),
                     varrho=rs.varrho(ridge),
-                    cv_risk=None,
                     loglik=rs.log_marginal_likelihood(ridge) if cfg.loglik else None,
-                    alignment=align,
-                    test_risk=None,
-                    sct_hat=est.theta,
-                    sct_deriv_hat=est.theta_prime,
-                    seed=cfg.data["seed"],
-                    n=n,
-                ))
+                    alignment=align, sct_hat=est.theta, sct_deriv_hat=est.theta_prime,
+                    seed=cfg.data["seed"], n=n))
                 if test is not None:
                     duals.append(rs.solve(ridge) / n)
-        return records, duals
+        return cells, duals
 
     passes = [scores(kern) for kern in kerns]
+    cv_risks = test_risks = [[None] * len(cfg.ridges)] * len(kerns)
     if cfg.cv_folds:
-        for kern, (records, _) in zip(kerns, passes):
+        cv_risks = []
+        for kern in kerns:
             with _cell(kern.lengthscale):
-                risks = cross_validation_risks(from_distances(kern, D), train.y, cfg.ridges,
-                                               cfg.cv_folds, seed=cfg.data["seed"])
-            records[:] = [replace(r, cv_risk=risk) for r, risk in zip(records, risks)]
+                cv_risks.append(cross_validation_risks(
+                    from_distances(kern, D), train.y, cfg.ridges, cfg.cv_folds,
+                    seed=cfg.data["seed"]))
     del D
     if test is not None:
         D_test = distances(cfg.family, test.X, train.X)
-        for kern, (records, duals) in zip(kerns, passes):
+        test_risks = []
+        for kern, (_, duals) in zip(kerns, passes):
             K_test = from_distances(kern, D_test)
-            for i, (ridge, dual) in enumerate(zip(cfg.ridges, duals)):
+            test_risks.append([])
+            for ridge, dual in zip(cfg.ridges, duals):
                 with _cell(kern.lengthscale, ridge):
-                    records[i] = replace(records[i],
-                                         test_risk=held_out_risk(K_test, dual, test.y))
+                    test_risks[-1].append(held_out_risk(K_test, dual, test.y))
             del K_test
-    return [record for records, _ in passes for record in records]
+    return [cell(cv_risk=cv_risk, test_risk=test_risk)
+            for (cells, _), cv_row, test_row in zip(passes, cv_risks, test_risks)
+            for cell, cv_risk, test_risk in zip(cells, cv_row, test_row)]
 
 
 def _write_records(path: str, columns: tuple[str, ...], records) -> None:

@@ -65,11 +65,11 @@ class RidgeScores(GramSpectrum):
 
     @classmethod
     def _scaling_in_place(cls, G: np.ndarray, y) -> RidgeScores:
-        """RidgeScores(G, y) for a Gram the caller no longer reads: a
-        float64 G is divided by n in place, with the bits of G / n, so no
-        second n x n array is made.  ``__init__`` does not run."""
+        """RidgeScores(G, y), dividing G by n in place (the bits of G / n, and
+        no second n x n array) for a caller that no longer reads it.  G is not
+        scanned: it must be a finite, exactly symmetric n x n float64 array, as
+        ``from_distances`` makes from mirrored distances.  No ``__init__`` runs."""
         y = check_labels(y)
-        G = check_gram(G, y.shape[0])
         return cls.__new__(cls)._from_eigen(*np.linalg.eigh(np.divide(G, y.shape[0], out=G)), y)
 
     def _from_eigen(self, eigenvalues, vectors: np.ndarray, y: np.ndarray) -> RidgeScores:

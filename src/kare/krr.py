@@ -88,10 +88,8 @@ def predict(p: Predictor, X_test) -> np.ndarray:
 
 
 def train_error(p: Predictor, y) -> float:
-    """(1/n) ||predictions on X_train - y||^2."""
-    y = check_labels(y, p.X_train.shape[0])
-    r = predict(p, p.X_train) - y
-    return float(r @ r) / y.shape[0]
+    """(1/n) ||predictions on X_train - y||^2: the test risk on the training set."""
+    return test_risk(p, p.X_train, y)
 
 
 def train_error_closed_form(p: Predictor) -> float:

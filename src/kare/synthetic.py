@@ -30,8 +30,8 @@ import numpy as np
 
 from .estimators import RidgeScores, TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
-from .spectral import (GramSpectrum, at_ridge, check_count, check_ridge, decompose, representable,
-                       stieltjes)
+from .spectral import (GramSpectrum, at_ridge, check_count, check_real, check_ridge, decompose,
+                       representable, stieltjes)
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -263,7 +263,7 @@ def rbf_gaussian_gram_spectrum(
     not an option there.
     """
     dim, n = check_count(dim, "dimension", 1), check_count(n, "sample count", 1)
-    rng = np.random.default_rng(seed)
-    X = sigma * rng.standard_normal((n, dim))
+    sigma = check_real(sigma, "sigma")
+    X = sigma * np.random.default_rng(seed).standard_normal((n, dim))
     return decompose(gram_matrix(KernelSpec("rbf", lengthscale), X))
 

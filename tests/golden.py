@@ -1,0 +1,106 @@
+"""Golden values of every sweep and sct column, and the script that makes them.
+
+    python tests/golden.py             # regenerate tests/golden.json
+    python tests/golden.py --compare   # largest relative gap per column against it
+
+Each case runs ``kare sweep`` or ``kare sct`` in-process on a small fixed
+input and reads its CSV back.  ``tests/test_golden.py`` checks every
+value against ``golden.json`` at rtol 1e-9: far above the last-digit
+changes of a reordered computation (about 1e-11 on well-conditioned
+cells) and far below a formula error.  Regenerating the fixture is a
+deliberate change to the sweep and sct output contracts; run
+``--compare`` first and keep its table with the change.  Run as a
+script, it imports kare from the ``src`` next to this directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+FIXTURE = Path(__file__).with_name("golden.json")
+
+# 3 lengthscales x 4 ridges at n = 60, with CV, a test set and every score.
+_SWEEP = {
+    "data.type": "synthetic",
+    "data.dim": "3",
+    "data.n": "60",
+    "data.test_n": "30",
+    "data.noise": "0.2",
+    "data.seed": "0",
+    "grid.lengthscale": "0.5:2:3:log2",
+    "grid.ridge": "1e-3:1:4:log10",
+    "scores.cv_folds": "4",
+    "scores.loglik": "true",
+    "scores.alignment": "true",
+}
+_SCT_GRIDS = ["--n-grid", "20:40:2:log2", "--ridge-grid", "1e-3:1e-1:3:log10",
+              "--trials", "3", "--seed", "0"]
+
+# case -> the sct arguments, or the sweep's kernel family
+CASES = {
+    **{f"sweep-{family}": family for family in ("rbf", "laplacian", "l1exp")},
+    "sct-power-law": ["--spectrum", "power-law", "--beta", "2", "--count", "50", *_SCT_GRIDS],
+    "sct-rbf-gaussian": ["--spectrum", "rbf-gaussian", "--dim", "3", "--sigma", "1",
+                         "--k-max", "10", *_SCT_GRIDS],
+}
+
+
+def values(case: str) -> dict[str, list[float | None]]:
+    """The case's CSV as column -> values, an empty cell as None."""
+    from kare.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out.csv")
+        if isinstance(CASES[case], str):
+            config = Path(tmp) / "sweep.cfg"
+            keys = {**_SWEEP, "kernel.family": CASES[case], "output": out}
+            config.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+            argv = ["sweep", "--config", str(config)]
+        else:
+            argv = ["sct", *CASES[case], "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(argv) != 0:
+                raise RuntimeError(f"{case}: kare {argv[0]} failed")
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+    return {column: [float(row[column]) if row[column] else None for row in rows]
+            for column in rows[0]}
+
+
+def relative_gap(new: list, old: list) -> float:
+    """The largest |new - old| / |old| over one column; inf where the two
+    differ in length or in which cells are empty."""
+    if len(new) != len(old) or any((a is None) != (b is None) for a, b in zip(new, old)):
+        return math.inf
+    return max((abs(a - b) / abs(b) if b else (0.0 if a == b else math.inf)
+                for a, b in zip(new, old) if b is not None), default=0.0)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", action="store_true",
+                        help=f"print gaps against {FIXTURE.name} instead of writing it")
+    args = parser.parse_args(argv)
+    fresh = {case: values(case) for case in CASES}
+    if not args.compare:
+        FIXTURE.write_text(json.dumps(fresh, indent=1) + "\n")
+        print(f"wrote {len(fresh)} cases to {FIXTURE}")
+        return 0
+    committed = json.loads(FIXTURE.read_text())
+    for case, columns in fresh.items():
+        for column, new in columns.items():
+            old = committed.get(case, {}).get(column, [])
+            print(f"{case:18} {column:24} {relative_gap(new, old):.3e}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.exit(main())

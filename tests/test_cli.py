@@ -350,17 +350,21 @@ def test_idx_dataset_sweep(tmp_path, capsys):
     image_path, label_path = tmp_path / "images.idx", tmp_path / "labels.idx"
     image_path.write_bytes(struct.pack(">IIII", 2051, 20, 28, 28) + images.tobytes())
     label_path.write_bytes(struct.pack(">II", 2049, 20) + labels.tobytes())
-    cfg = _config(tmp_path, **{
+    keys = {
         "data.type": "idx", "data.images": str(image_path), "data.labels": str(label_path),
         "data.digits": "7,9", "data.preprocess": "mnist",
         "data.n": "12", "data.test_n": "6", "scores.cv_folds": "3",
         "grid.ridge": "1e-2:1e-1:2:log10",
-    })
-    assert main(["sweep", "--config", cfg]) == 0
+    }
+    assert main(["sweep", "--config", _config(tmp_path, **keys)]) == 0
     with open(tmp_path / "out.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 4
     assert all(np.isfinite(float(row["kare"])) for row in rows)
+    # Digits written as integral floats select the same images.
+    swept = (tmp_path / "out.csv").read_bytes()
+    assert main(["sweep", "--config", _config(tmp_path, **{**keys, "data.digits": "7.0,9"})]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == swept
     # One digit named twice would sweep a one-class problem.
     cfg = _config(tmp_path, **{
         "data.type": "idx", "data.images": str(image_path), "data.labels": str(label_path),
@@ -443,6 +447,9 @@ _OUT_OF_RANGE = [
      "scores.cv_folds must be 0 or between 2 and data.n = 40"),
     ("output", "nodir/o.csv", "in an existing directory",
      "output: must be in an existing directory, got 'nodir/o.csv'"),
+    ("grid.ridge", "1e-3:1:2.5:log10", ">= 1",
+     "grid.ridge: grid '1e-3:1:2.5:log10': count must be a whole number >= 1, got 2.5"),
+    ("data.digits", "2.5,9", ">= 0", "data.digits: digit must be a whole number >= 0, got 2.5"),
 ]
 
 
@@ -532,6 +539,34 @@ def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(traced) == 2
     assert max(traced) <= 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize("alignment", ["true", "false"])
+@pytest.mark.parametrize("folds", ["3", "0"])
+def test_sweep_scans_each_gram_once_per_reader_and_builds_each_record_once(
+        tmp_path, monkeypatch, alignment, folds):
+    # The alignment and cross-validation each check the Gram they read; the
+    # score pass scales a Gram of mirrored distances without a scan.  Each
+    # record is built once, after the passes.
+    from kare import cli, spectral
+    scans, built, original = [], [], spectral._max_asymmetry
+
+    def max_asymmetry(G):
+        scans.append(G.shape)
+        return original(G)
+
+    class Record(SweepRecord):
+        def __init__(self, **columns):
+            built.append(columns)
+            super().__init__(**columns)
+    monkeypatch.setattr(spectral, "_max_asymmetry", max_asymmetry)
+    monkeypatch.setattr(cli, "SweepRecord", Record)
+    cfg = parse_sweep_config(_config(tmp_path, **{
+        "grid.lengthscale": "0.5:2:3:log2", "scores.alignment": alignment,
+        "scores.cv_folds": folds}))
+    records = run_sweep(cfg)
+    assert len(records) == len(built) == 3 * 3
+    assert scans == [(40, 40)] * 3 * ((alignment == "true") + (folds != "0"))
 
 
 @pytest.mark.parametrize("lengthscales, ridges, folds", [
@@ -718,12 +753,13 @@ def test_sct_counts_accept_integral_floats(tmp_path):
 
 
 def test_integral_float_counts_and_seeds_give_the_same_bytes(tmp_path, capsys):
-    # Before, data.n = 2.0 and data.seed = 2.0 failed int("2.0"), and
-    # --seed 2.0 was not a non-negative integer.
+    # Before, data.n = 2.0, data.seed = 2.0 and a grid count of 2.0 failed
+    # int("2.0"), and --seed 2.0 was not a non-negative integer.
     outputs = {}
     for text in ("2", "2.0"):
         sweep, sct = tmp_path / f"sweep-{text}.csv", tmp_path / f"sct-{text}.csv"
         cfg = _config(tmp_path, **{"data.n": text, "data.seed": text, "scores.cv_folds": "2",
+                                   "grid.ridge": f"1e-3:1e-1:{text}:log10",
                                    "output": str(sweep)})
         assert main(["sweep", "--config", cfg]) == 0
         assert main(["sct", "--spectrum", "power-law", "--count", "20", "--trials", "2",

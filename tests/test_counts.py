@@ -80,6 +80,7 @@ COUNTS = {
     "rbf_gaussian_gram_spectrum n": (
         lambda n: rbf_gaussian_gram_spectrum(2, 2.0, 1.0, n, 0).eigenvalues,
         "sample count", 0, 3),
+    "parse_grid count": (lambda count: parse_grid(f"1:8:{count}:log2"), "count", 0, 4),
 }
 
 
@@ -87,7 +88,9 @@ COUNTS = {
 def test_every_count_is_a_checked_whole_number(entry):
     call, what, outside, inside = COUNTS[entry]
     for bad in (2.5, np.nan, outside):
-        with pytest.raises(ValueError, match=f"^{what} must be a whole number .*, got {bad}$"):
+        # parse_grid prefixes the grid's text, as "grid '1:8:2.5:log2': ".
+        with pytest.raises(ValueError,
+                           match=f"(^|: ){what} must be a whole number [^:]*, got {bad}$"):
             call(bad)
     # NumPy integers and integral floats give the int's result, bit for bit.
     expected = pickle.dumps(call(inside))
@@ -121,6 +124,9 @@ REALS = {
     "bayesian_risk noise": (
         lambda noise: bayesian_risk(_SPEC, _SPEC, noise, 10, 0.1), "noise level",
         "finite and >= 0", -0.5, 1),
+    "rbf_gaussian_gram_spectrum sigma": (
+        lambda sigma: rbf_gaussian_gram_spectrum(2, 2.0, sigma, 4, 0).eigenvalues, "sigma",
+        "positive and finite", 0.0, 1),
     "parse_grid start": (lambda start: parse_grid(f"{start}:8:4:log2"), "start",
                          "positive and finite", 0.0, 1),
     "parse_grid stop": (lambda stop: parse_grid(f"1:{stop}:4:log2"), "stop",

@@ -50,6 +50,19 @@ def test_kare_identity_gram_ones():
     assert varrho(y, G, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_varrho_on_a_non_flat_spectrum_equals_its_formula():
+    # y^T B^{-2} y / Tr B^{-2}, B = (1/n)G + ridge I, by a dense inverse.  On
+    # a flat spectrum (a zero or identity Gram) varrho is blind to the ridge.
+    rng = np.random.default_rng(11)
+    n = 12
+    G = n * _random_psd(rng, n)
+    y = rng.standard_normal(n)
+    for ridge in (1e-2, 0.3, 2.0):
+        B_inv2 = np.linalg.matrix_power(np.linalg.inv(G / n + ridge * np.eye(n)), 2)
+        expected = float(y @ B_inv2 @ y) / float(np.trace(B_inv2))
+        assert varrho(y, G, ridge) == pytest.approx(expected, rel=1e-10)
+
+
 def test_scale_invariance():
     rng = np.random.default_rng(0)
     for _ in range(5):

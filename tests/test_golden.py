@@ -1,0 +1,36 @@
+"""Every sweep and sct column against the golden values in golden.json.
+
+The fixture and the script that regenerates it are tests/golden.py.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import golden
+
+_COMMITTED = json.loads(golden.FIXTURE.read_text())
+
+
+def test_fixture_holds_every_case():
+    assert sorted(_COMMITTED) == sorted(golden.CASES)
+
+
+@pytest.mark.parametrize("case", sorted(golden.CASES))
+def test_every_column_keeps_its_golden_values(case):
+    fresh, committed = golden.values(case), _COMMITTED[case]
+    assert list(fresh) == list(committed)
+    for column, old in committed.items():
+        new = fresh[column]
+        assert [v is None for v in new] == [v is None for v in old], column
+        np.testing.assert_allclose([v for v in new if v is not None],
+                                   [v for v in old if v is not None],
+                                   rtol=1e-9, atol=0, err_msg=f"{case}: {column}")
+
+
+def test_relative_gap():
+    assert golden.relative_gap([1.0, None, 0.0], [1.0, None, 0.0]) == 0.0
+    assert golden.relative_gap([1.5, 2.0], [1.0, 2.0]) == 0.5
+    assert golden.relative_gap([1.0], [None]) == golden.relative_gap([1.0], []) == np.inf
+    assert golden.relative_gap([1e-300], [0.0]) == np.inf

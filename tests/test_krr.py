@@ -52,6 +52,10 @@ def test_train_error_two_routes_agree():
         direct = krr.train_error(p, y)
         closed = krr.train_error_closed_form(p)
         assert direct == pytest.approx(closed, rel=1e-8)
+        # The direct route is the test risk on the training set, with the
+        # bits of the predictions' residual norm.
+        r = krr.predict(p, X) - y
+        assert direct == krr.test_risk(p, X, y) == float(r @ r) / n
 
 
 def test_rescaling_covariance_matrix_level():

@@ -121,6 +121,14 @@ def test_small_negative_clamped_large_rejected():
         decompose(np.diag([-1e-3, 1.0, 2.0]) * 3)
 
 
+def test_eigenvalue_floor_rejects_minus_1e_6_and_clamps_minus_1e_9():
+    # The floor is -1e-8: a lowest eigenvalue of -1e-6 signals a broken
+    # kernel, one of -1e-9 is floating noise on a PSD matrix.
+    with pytest.raises(NumericalError, match=r"\(min eigenvalue -1\.000e-06\)$"):
+        GramSpectrum(np.array([-1e-6, 0.5, 2.0]))
+    assert GramSpectrum(np.array([-1e-9, 0.5, 2.0])).eigenvalues.tolist() == [0.0, 0.5, 2.0]
+
+
 def test_gram_spectrum_enforces_its_invariant():
     # The minimum is checked wherever it sits, and NaN is no minimum.
     for bad in ([1.0, -5.0, 2.0], [np.nan, 1.0]):

@@ -10,6 +10,7 @@ from kare.spectral import NumericalError, decompose, stieltjes
 from kare.synthetic import (
     MAX_MODES,
     ObservationDraw,
+    _variance_stderr,
     draw,
     empirical_train_error,
     exact_risk,
@@ -337,6 +338,14 @@ def test_mc_moments_match_the_sample_formulas():
             mc_coeff_stats(spec, f, 20, 0.05, args["trials"], 0, args["k_indices"])
         with pytest.raises(ValueError):
             mc_operator_moments(spec, 20, 0.05, args["trials"], 0, args["k_indices"])
+
+
+def test_variance_stderr_is_the_fourth_moment_formula():
+    # sqrt((m4 - s2^2) / n), with s2 the sample variance (ddof 1) and m4 the
+    # mean fourth central moment: for 1, 2, 3, 4, 10 (mean 4), s2 = 50/4 and
+    # m4 = 1394/5.
+    assert _variance_stderr(np.array([1.0, 2.0, 3.0, 4.0, 10.0])) == pytest.approx(
+        np.sqrt((1394 / 5 - (50 / 4) ** 2) / 5), rel=1e-12)
 
 
 def test_samplers_read_each_seeded_trial_in_order():
