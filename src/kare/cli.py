@@ -65,6 +65,7 @@ from .estimators import (
 )
 from .kernels import FAMILIES, KernelSpec, distances, from_distances
 from .krr import held_out_risk
+from .lapack import LinAlgError, matvec
 from .sct import (
     Spectrum,
     power_law_spectrum,
@@ -124,7 +125,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-_NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)
+_NUMERICAL_ERRORS = (LinAlgError, ArithmeticError)
 
 
 @contextmanager
@@ -322,7 +323,7 @@ def _synthetic_dataset(dim: int, n: int, noise: float, seed) -> Dataset:
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, dim))
     w = np.ones(dim) / np.sqrt(dim)
-    y = np.sin(X @ w) + noise * rng.standard_normal(n)
+    y = np.sin(matvec(X, w)) + noise * rng.standard_normal(n)
     return Dataset(X, y, {"source": "synthetic", "preprocessing": []})
 
 
@@ -364,34 +365,32 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     each record once, after the last pass, from their results:
 
     1. Scores: each Gram is read by the alignment, scaled by 1/n in place
-       and decomposed once (one eigh, in NumPy) for all ridges.  The pass
-       makes no symmetry scan: a Gram of the mirrored distances is
-       exactly symmetric and finite.  With a test set, each ridge's dual
-       ((1/n)G + ridge I)^{-1} y / n is kept.
+       and decomposed once for all ridges, in its own buffer, which then
+       holds the eigenvectors.  The pass makes no symmetry scan: a Gram of
+       the mirrored distances is exactly symmetric and finite.  With a
+       test set, each ridge's dual ((1/n)G + ridge I)^{-1} y / n is kept.
     2. CV (with CV on): each Gram is rebuilt and cross-validated from its
        own slices: each fold's Gram is scaled by 1/m once, in Fortran
        order, and each ridge factors a copy of it in place (one Cholesky
-       per fold and ridge, in SciPy).
+       per fold and ridge).
     3. Test (with a test set): the train distances are dropped, the test
        distances computed, and each lengthscale's cross-Gram scores its
        kept duals.
 
     So at each eigh the sweep holds two n x n arrays, the train distances
-    and the scaled Gram, besides eigh's own workspace and the duals kept
-    so far (L x R x n floats for L lengthscales and R ridges).  The test
-    distances (test_n x n) are made after the last eigh; the duals
-    outweigh them only when L x R > test_n.
+    and the scaled Gram, besides LAPACK's workspace (2 n x n) and the duals
+    kept so far (L x R x n floats for L lengthscales and R ridges): a peak
+    near 4 n^2 + L R n floats.  The test distances (test_n x n) are made
+    after the last eigh; the duals outweigh them only when L x R > test_n.
 
-    NumPy and SciPy each bring their own OpenBLAS, whose thread pools
-    busy-wait after every call, so eighs and Choleskys alternating per
-    lengthscale slow each other (on 2 cores, in fresh processes, a
-    500 x 500 eigh took 0.046-0.163 s right after one lengthscale's 40
-    Choleskys, 0.028-0.038 s alone).  Passes 1 and 2 make the calls of
-    one interleaved pass on the same inputs, so every result keeps its
-    bits, for one more exp per lengthscale.  The eighs come first: their
-    frees raise glibc's mmap and trim thresholds, so CV's per-fold copies
-    reuse heap pages (about 370 minor faults for one lengthscale's
-    500-point, 4-fold pass in a fresh process, 3.1K without the eighs).
+    Every eigh, product and solve of the three passes goes through
+    ``kare.lapack``, so they share SciPy's one OpenBLAS and its one thread
+    pool.  (NumPy's OpenBLAS is a second one, whose pool busy-waited
+    after its calls and slowed SciPy's when the two alternated.)  CV stays
+    a pass of its own because the eigh consumes the Gram that CV would
+    slice; rebuilding it costs one more exp per lengthscale.  The eighs
+    come first: their frees raise glibc's mmap and trim thresholds, so
+    CV's per-fold copies reuse heap pages.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
     NumericalError naming it.  CV runs once per lengthscale, with no
@@ -415,7 +414,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         # Each ridge's record, short of its CV and test risks, and its dual.
         G = from_distances(kern, D)
         align = classical_alignment(train.y, G) if cfg.alignment else None
-        rs = RidgeScores._scaling_in_place(G, train.y)  # G is (1/n)G from here on
+        rs = RidgeScores._scaling_in_place(G, train.y)  # G holds the eigenvectors from here on
         cells, duals = [], []
         for ridge in cfg.ridges:
             with _cell(kern.lengthscale, ridge):

@@ -18,11 +18,14 @@ given covariance spectrum.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import krr
+from .lapack import dot, eigh, matvec
 from .kernels import KernelSpec, gram_matrix
 from .spectral import (GramSpectrum, at_ridge, check_count, check_gram, check_labels, check_real,
                        check_ridge, stieltjes)
@@ -61,23 +64,27 @@ class RidgeScores(GramSpectrum):
 
     def __init__(self, G, y):
         y = check_labels(y)
-        self._from_eigen(*np.linalg.eigh(check_gram(G, y.shape[0]) / y.shape[0]), y)
+        G = check_gram(G, y.shape[0])
+        self._from_eigen(*eigh(np.divide(G, y.shape[0], out=np.empty(G.shape, order="F"))), y)
 
     @classmethod
     def _scaling_in_place(cls, G: np.ndarray, y) -> RidgeScores:
-        """RidgeScores(G, y), dividing G by n in place (the bits of G / n, and
-        no second n x n array) for a caller that no longer reads it.  G is not
-        scanned: it must be a finite, exactly symmetric n x n float64 array, as
-        ``from_distances`` makes from mirrored distances.  No ``__init__`` runs."""
+        """RidgeScores(G, y) for a caller that no longer reads G: G is divided
+        by n in place (the bits of G / n), and ``lapack.eigh`` decomposes it
+        in its own buffer, so G's buffer ends up holding the eigenvectors
+        (G.T has the bits of ``vectors``), and ``vectors`` is the only new
+        n x n array.  G is not scanned: it must be a finite, exactly
+        symmetric, C-contiguous n x n float64 array, as ``from_distances``
+        makes from mirrored distances.  No ``__init__`` runs."""
         y = check_labels(y)
-        return cls.__new__(cls)._from_eigen(*np.linalg.eigh(np.divide(G, y.shape[0], out=G)), y)
+        return cls.__new__(cls)._from_eigen(*eigh(np.divide(G, y.shape[0], out=G).T), y)
 
     def _from_eigen(self, eigenvalues, vectors: np.ndarray, y: np.ndarray) -> RidgeScores:
         """Self, from the n eigenvalues of (1/n)G and orthonormal eigenvectors of its k largest."""
         GramSpectrum.__init__(self, eigenvalues)
         n, k = vectors.shape
-        self.vectors, self.w = vectors, vectors.T @ y
-        self._residual = y - vectors @ self.w if k < n else 0.0
+        self.vectors, self.w = vectors, matvec(vectors.T, y)
+        self._residual = y - matvec(vectors, self.w) if k < n else 0.0
         weight = np.zeros(n - k)
         weight[:1] = np.sum(self._residual**2)
         self._w2 = np.concatenate([weight, self.w**2])
@@ -87,7 +94,7 @@ class RidgeScores(GramSpectrum):
     def solve(self, ridge: float) -> np.ndarray:
         """((1/n)G + ridge I)^{-1} y."""
         mu = self.eigenvalues[-self.w.size:]
-        return self.vectors @ (self.w / (mu + ridge)) + self._residual / ridge
+        return matvec(self.vectors, self.w / (mu + ridge)) + self._residual / ridge
 
     @at_ridge
     def kare(self, ridge: float) -> float:
@@ -130,16 +137,32 @@ def log_marginal_likelihood(y, G, ridge: float) -> float:
 
 
 def classical_alignment(y, G) -> float:
-    """y^T G y / (||G||_F ||y||^2), in [-1, 1]."""
+    """y^T G y / (||G||_F ||y||^2), in [-1, 1].
+
+    The ratio is scale-free, so where a sum leaves the normal float64 range
+    (as for 1e200 * G or 1e-170 * G), G and y are first scaled by powers of
+    two, exactly, to a largest entry in [1/2, 1).  Raises ValueError when y
+    or G is identically zero.
+    """
     y = check_labels(y)
     G = check_gram(G, y.shape[0])
-    gnorm = float(np.linalg.norm(G))
-    ynorm2 = float(y @ y)
-    if ynorm2 == 0.0:
-        raise ValueError("labels are identically zero")
-    if gnorm == 0.0:
-        raise ValueError("Gram matrix is identically zero")
-    return float(y @ G @ y) / (gnorm * ynorm2)
+    yGy, gg, yy = _alignment_sums(y, G)
+    if not all(sys.float_info.min <= abs(s) < math.inf
+               for s in (yGy, gg, yy, math.sqrt(gg) * yy)):
+        if not y.any():
+            raise ValueError("labels are identically zero")
+        if not G.any():
+            raise ValueError("Gram matrix is identically zero")
+        yGy, gg, yy = _alignment_sums(
+            *(np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (y, G)))
+    return yGy / (math.sqrt(gg) * yy)
+
+
+def _alignment_sums(y: np.ndarray, G: np.ndarray) -> tuple[float, float, float]:
+    # y^T G y, ||G||_F^2 and ||y||^2 with the bits of y @ G @ y, of the sum
+    # under np.linalg.norm(G), and of y @ y.
+    flat = G.ravel(order="K")
+    return dot(matvec(G.T, y), y), dot(flat, flat), dot(y, y)
 
 
 def checked_modes(spec: Spectrum, f: TrueFunction | None = None, indices=()) -> tuple:

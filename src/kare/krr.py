@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import KernelSpec, _as_points, cross_gram, gram_matrix
+from .lapack import LinAlgError, cho_factor, cho_solve, dot, matvec
 from .spectral import NumericalError, check_labels, check_ridge
 
 
@@ -61,7 +61,7 @@ def ridge_solve(G, rhs, ridges) -> list[np.ndarray]:
         B[diagonal] += ridge
         try:
             factor = cho_factor(B, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        except LinAlgError as exc:
             raise NumericalError(
                 f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64"
             ) from exc
@@ -84,7 +84,7 @@ def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
 
 
 def predict(p: Predictor, X_test) -> np.ndarray:
-    return cross_gram(p.kernel, X_test, p.X_train) @ p.dual
+    return matvec(cross_gram(p.kernel, X_test, p.X_train), p.dual)
 
 
 def train_error(p: Predictor, y) -> float:
@@ -99,14 +99,14 @@ def train_error_closed_form(p: Predictor) -> float:
     is needed.
     """
     n = p.dual.shape[0]
-    return p.ridge**2 * n * float(p.dual @ p.dual)
+    return p.ridge**2 * n * dot(p.dual, p.dual)
 
 
 def held_out_risk(K: np.ndarray, dual: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error of the predictions K @ dual against y, where K
     is the cross-Gram of the held-out points against the training points."""
-    r = K @ dual - y
-    return float(r @ r) / y.shape[0]
+    r = matvec(K, dual) - y
+    return dot(r, r) / y.shape[0]
 
 
 def test_risk(p: Predictor, X_test, y_test) -> float:

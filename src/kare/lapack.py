@@ -1,0 +1,96 @@
+"""Every dense linear-algebra call of a sweep, in SciPy's BLAS and LAPACK.
+
+NumPy and SciPy each load their own OpenBLAS, and each library's thread
+pool busy-waits after its calls, so a sweep that alternates the two slows
+both.  This is the one module of kare that imports SciPy, and the sweep's
+modules (``cli``, ``estimators``, ``krr``, ``kernels``, ``data``) make
+their eigendecompositions, products and solves through it.  Each routine
+returns the bits of the NumPy expression it stands for, because it calls
+the same BLAS or LAPACK routine on the same memory layout that NumPy
+passes it:
+
+- ``eigh(A)`` is ``np.linalg.eigh(A)``, decomposed in A's own buffer;
+- ``matvec(A, x)`` is ``A @ x``, so ``matvec(A.T, x)`` is ``A.T @ x``;
+- ``dot(x, y)`` is ``x @ y``;
+- ``cho_factor`` and ``cho_solve`` are SciPy's, for ``krr.ridge_solve``,
+  and ``LinAlgError`` is the error they and ``eigh`` raise.
+
+The Monte Carlo draws (``synthetic``), ``spectral.decompose`` and the
+validation suites' dense references stay on NumPy, so ``kare sct`` calls
+no SciPy.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import eigh as _eigh
+from scipy.linalg import blas as _blas
+
+# SciPy's LAPACK counts in 32-bit integers, and dsyevd's workspace for
+# eigenvectors is 1 + 6n + 2n^2 floats: at n >= 32,767 SciPy's workspace
+# query wraps without an error.
+_MAX_WORKSPACE = 2**31 - 1
+
+# NumPy's x @ y calls ddot on at most this many entries at a time.
+_DOT_CHUNK = 2**30
+
+
+def check_order(n: int) -> int:
+    """n, or ValueError naming n when an n x n ``eigh`` needs a LAPACK
+    workspace beyond SciPy's 32-bit sizes (n >= 32,767)."""
+    if 1 + 6 * n + 2 * n * n > _MAX_WORKSPACE:
+        raise ValueError(f"an eigendecomposition of order {n} needs a LAPACK workspace of "
+                         f"more than 2**31 - 1 floats; the order must be at most 32766")
+    return n
+
+
+def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(A)``: the ascending eigenvalues and the C-order
+    eigenvectors of the symmetric matrix whose lower triangle is A's, with
+    NumPy's bits, decomposed in A's own buffer.
+
+    A must be a Fortran-contiguous n x n float64 array that the caller no
+    longer reads: LAPACK's dsyevd overwrites it with the eigenvectors.  NumPy
+    runs the same dsyevd on a Fortran-order copy of A, so this holds one n x n
+    array fewer (a C-order symmetric G is passed as ``G.T``).  The vectors are
+    returned as a C-order copy, as NumPy returns them: ``matvec`` on a
+    Fortran-order matrix would call the other gemv kernel, whose bits differ.
+    Raises ValueError for another layout and when ``check_order`` does.
+    """
+    n = check_order(A.shape[0])
+    if A.dtype != np.float64 or A.shape != (n, n) or not A.flags.f_contiguous:
+        raise ValueError(f"expected a Fortran-contiguous square float64 array, "
+                         f"got {A.dtype} with shape {A.shape}")
+    eigenvalues, vectors = _eigh(A, overwrite_a=True, check_finite=False, driver="evd")
+    return eigenvalues, np.ascontiguousarray(vectors)
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x``, with its bits, for a 2-D A and a 1-D x.
+
+    NumPy's matmul hands a one-row A to its ddot, and a C- or
+    Fortran-contiguous float64 A with two or more columns to its dgemv,
+    with the transpose flag that reads A in place; SciPy's routines get the
+    same calls here.  Any other A is ``A @ x`` itself.
+    """
+    m, n = A.shape
+    if m == 1:
+        return np.array([dot(A[0], x)])
+    if (m and n > 1 and x.shape == (n,) and A.dtype == x.dtype == np.float64
+            and x.flags.c_contiguous):
+        if A.flags.c_contiguous:
+            return _blas.dgemv(1.0, A.T, x, trans=1)
+        if A.flags.f_contiguous:
+            return _blas.dgemv(1.0, A, x, trans=0)
+    return A @ x
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x @ y`` for 1-D x and y, with its bits: SciPy's ddot where both are
+    contiguous float64 vectors, as NumPy calls its own, and ``x @ y``
+    itself otherwise."""
+    if (0 < x.size < _DOT_CHUNK and x.shape == y.shape and x.dtype == y.dtype == np.float64
+            and x.flags.c_contiguous and y.flags.c_contiguous):
+        return 0.0 + _blas.ddot(x, y)  # NumPy adds the ddot to a sum that starts at 0.0
+    return float(x @ y)

@@ -523,15 +523,22 @@ def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
     # At each eigh the sweep holds its train distances and the Gram,
     # scaled by 1/n in place; the test distances are made after the last
     # eigh.  Before, the test distances and an unscaled copy of the Gram
-    # were live too: 4 n x n arrays.
+    # were live too: 4 n x n arrays.  The eigh decomposes the Gram in its
+    # own buffer: inside it, LAPACK's workspace (2 n x n, a SciPy array)
+    # and then the C-order copy of the vectors are added, and a copy of
+    # the Gram, as NumPy's eigh made, would break the second bound.
+    from kare import estimators
     n = 400
     cfg = parse_sweep_config(_config(tmp_path, **{"data.n": str(n), "data.test_n": str(n)}))
-    traced, original = [], np.linalg.eigh
+    traced, peaks, original = [], [], estimators.eigh
 
     def eigh(*args, **kwargs):
         traced.append(tracemalloc.get_traced_memory()[0])
-        return original(*args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+        tracemalloc.reset_peak()
+        result = original(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return result
+    monkeypatch.setattr(estimators, "eigh", eigh)
     tracemalloc.start()
     try:
         assert len(run_sweep(cfg)) == 2 * 3
@@ -539,6 +546,7 @@ def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(traced) == 2
     assert max(traced) <= 2.5 * n * n * 8
+    assert max(peaks) <= 4.5 * n * n * 8
 
 
 @pytest.mark.parametrize("alignment", ["true", "false"])
@@ -616,11 +624,10 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
 
 def test_sweep_decomposes_every_lengthscale_before_the_first_cross_validation(
         tmp_path, monkeypatch):
-    # NumPy (eigh) and SciPy (Cholesky) each run their own OpenBLAS
-    # thread pool; the sweep runs all of one library's work, then the
-    # other's, instead of alternating them per lengthscale.  The eighs
-    # come first, so they do not follow the CV pass's allocations.
-    from kare import cli
+    # The eigh decomposes each Gram in its own buffer, so CV rebuilds its
+    # Grams from the distances in a pass of its own.  The eighs come first,
+    # so that CV's per-fold copies reuse the heap pages their frees leave.
+    from kare import cli, estimators
     events = []
 
     def logged(event, original):
@@ -631,7 +638,7 @@ def test_sweep_decomposes_every_lengthscale_before_the_first_cross_validation(
 
     monkeypatch.setattr(cli, "cross_validation_risks",
                         logged("cv", cli.cross_validation_risks))
-    monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
+    monkeypatch.setattr(estimators, "eigh", logged("eigh", estimators.eigh))
     cfg = parse_sweep_config(_config(tmp_path, **{"grid.lengthscale": "0.5:2:3:log2"}))
     assert len(run_sweep(cfg)) == 3 * 3
     assert events == ["eigh"] * 3 + ["cv"] * 3

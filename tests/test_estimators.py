@@ -222,8 +222,9 @@ def test_ridge_scores_match_functional_api():
 
 
 def test_ridge_scores_leaves_its_gram_untouched():
-    # The sweep's private path scales its own Gram in place; the public
-    # constructor copies, and both give the same bits.
+    # The sweep's private path scales its own Gram in place and decomposes
+    # it there, so the Gram's buffer ends up holding the eigenvectors; the
+    # public constructor copies, and both give the same bits.
     rng = np.random.default_rng(5)
     G = gram_matrix(KernelSpec("rbf", 3.0), rng.standard_normal((30, 3)))
     y = rng.standard_normal(30)
@@ -232,7 +233,7 @@ def test_ridge_scores_leaves_its_gram_untouched():
     assert G.tobytes() == before
     scratch = G.copy()
     in_place = RidgeScores._scaling_in_place(scratch, y)
-    assert scratch.tobytes() == (G / 30).tobytes()
+    assert scratch.T.tobytes() == in_place.vectors.tobytes()
     for name in ("eigenvalues", "vectors", "w"):
         assert getattr(in_place, name).tobytes() == getattr(rs, name).tobytes()
     assert in_place.n == rs.n and in_place.kare(0.1) == rs.kare(0.1)
@@ -294,6 +295,30 @@ def test_classical_alignment_cases():
     with pytest.raises(ValueError):
         classical_alignment(y, np.zeros((8, 8)))
 
+
+
+def test_classical_alignment_is_scale_free_at_the_ends_of_the_float_range():
+    # Before, 1e200 * ones gave 0.0 after an overflow warning, and
+    # 1e-170 * I raised "Gram matrix is identically zero".
+    y = np.array([1.0, 2.0, 3.0])
+    assert classical_alignment(y, 1e200 * np.ones((3, 3))) == pytest.approx(
+        classical_alignment(y, np.ones((3, 3))), rel=1e-15)
+    assert classical_alignment(y, np.ones((3, 3))) == pytest.approx(6 / 7, rel=1e-15)
+    assert classical_alignment(y, 1e-170 * np.eye(3)) == pytest.approx(
+        1 / math.sqrt(3), rel=1e-15)
+    # Scaling by a power of two is exact, so the rescaled sums give the
+    # same bits.
+    rng = np.random.default_rng(2)
+    G = gram_matrix(KernelSpec("rbf", 3.0), rng.standard_normal((20, 3)))
+    y = rng.standard_normal(20)
+    reference = classical_alignment(y, G)
+    for k in (600, -600):
+        assert classical_alignment(y, 2.0**k * G) == reference
+        assert classical_alignment(2.0**k * y, G) == reference
+    with pytest.raises(ValueError, match="Gram matrix is identically zero"):
+        classical_alignment(y, np.zeros((20, 20)))
+    with pytest.raises(ValueError, match="labels are identically zero"):
+        classical_alignment(np.zeros(20), 1e-170 * np.eye(20))
 
 def test_theoretical_risk_golden_case():
     spec = Spectrum(((1.0, 1),))

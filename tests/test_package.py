@@ -1,3 +1,8 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import kare
 
 
@@ -19,3 +24,41 @@ def test_public_names_are_fixed():
         "train_error", "train_error_closed_form", "varrho",
     ]
     assert all(hasattr(kare, name) for name in kare.__all__)
+
+
+_SOURCE = Path(kare.__file__).parent
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_lapack_imports_scipy():
+    # NumPy and SciPy each load their own OpenBLAS; kare.lapack is the one
+    # door to SciPy's.
+    importers = {path.name for path in _SOURCE.glob("*.py")
+                 if any(name.split(".")[0] == "scipy"
+                        for name in _imported_modules(ast.parse(path.read_text())))}
+    assert importers == {"lapack.py"}
+
+
+@pytest.mark.parametrize("module", ["cli.py", "estimators.py", "krr.py", "kernels.py", "data.py"])
+def test_sweep_modules_make_no_numpy_blas_call(module):
+    # A NumPy product or decomposition in a sweep would wake NumPy's
+    # OpenBLAS thread pool next to SciPy's; the sweep's modules go through
+    # kare.lapack instead.
+    tree = ast.parse((_SOURCE / module).read_text())
+    banned = {"linalg", "dot", "matmul", "inner"}
+    found = [f"line {node.lineno}: @" for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    found += [f"line {node.lineno}: np.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in banned
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    found += [f"import {name}" for name in _imported_modules(tree)
+              if name.split(".")[0] == "numpy" and set(name.split(".")[1:]) & banned]
+    assert found == []
