@@ -105,8 +105,12 @@ def _real(low: float = 0.0, strict: bool = True):
 
 
 def _n_values(text: str) -> tuple[int, ...]:
-    """An --n-grid value: a grid whose points, rounded, are sample counts >= 1."""
-    return tuple(check_count(round(v), "rounded sample count", 1) for v in parse_grid(text))
+    """An --n-grid value: a grid whose points round to distinct sample counts >= 1."""
+    counts = tuple(check_count(round(v), "rounded sample count", 1) for v in parse_grid(text))
+    if len(set(counts)) < len(counts):
+        raise ValueError(f"rounded sample count {max(counts, key=counts.count)} "
+                         f"appears more than once in {counts}")
+    return counts
 
 
 def _output(path: str) -> str:
@@ -226,8 +230,16 @@ def _parse_bool(value: str) -> bool:
 
 # The three list-valued keys read an empty value as unset.
 def _parse_label_map(text: str) -> dict[str, float] | None:
-    pairs = (pair.partition(":") for pair in text.split(",")) if text else ()
-    return {name.strip(): float(value) for name, _, value in pairs} or None
+    label_map = {}
+    for pair in text.split(",") if text else ():
+        name, _, value = (part.strip() for part in pair.partition(":"))
+        if name in label_map:
+            raise ValueError(f"label {name!r} is mapped more than once")
+        try:
+            label_map[name] = check_real(value, "label", -math.inf)
+        except ValueError:
+            raise ValueError(f"label {name!r} must map to a finite number, got {value!r}") from None
+    return label_map or None
 
 
 def _parse_columns(text: str) -> list[str] | None:
@@ -360,44 +372,32 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cell, in deterministic grid order.
 
     The train-train and test-train distances are each computed once per
-    sweep, and each lengthscale turns them into its Gram and cross-Gram.
-    The sweep makes up to three passes over the lengthscales, and builds
-    each record once, after the last pass, from their results:
+    sweep, and each lengthscale turns them into its Gram and cross-Gram,
+    once each.  One pass per lengthscale reads the Gram with the alignment
+    and with CV, which slices it (each fold's Gram is scaled by 1/m once,
+    in Fortran order, and each ridge factors a copy of it in place), then
+    scales it by 1/n in place and decomposes it once for all ridges, in
+    its own buffer, which then holds the eigenvectors.  The scaling and the
+    eigh make no symmetry scan: a Gram of the mirrored distances is exactly
+    symmetric and finite.  With a test set, it keeps each ridge's dual
+    ((1/n)G + ridge I)^{-1} y / n, and a last pass, after the train
+    distances are dropped, scores the duals on each cross-Gram.  Each
+    record is built once, from its lengthscale's pass and its test risk.
 
-    1. Scores: each Gram is read by the alignment, scaled by 1/n in place
-       and decomposed once for all ridges, in its own buffer, which then
-       holds the eigenvectors.  The pass makes no symmetry scan: a Gram of
-       the mirrored distances is exactly symmetric and finite.  With a
-       test set, each ridge's dual ((1/n)G + ridge I)^{-1} y / n is kept.
-    2. CV (with CV on): each Gram is rebuilt and cross-validated from its
-       own slices: each fold's Gram is scaled by 1/m once, in Fortran
-       order, and each ridge factors a copy of it in place (one Cholesky
-       per fold and ridge).
-    3. Test (with a test set): the train distances are dropped, the test
-       distances computed, and each lengthscale's cross-Gram scores its
-       kept duals.
-
-    So at each eigh the sweep holds two n x n arrays, the train distances
-    and the scaled Gram, besides LAPACK's workspace (2 n x n) and the duals
-    kept so far (L x R x n floats for L lengthscales and R ridges): a peak
-    near 4 n^2 + L R n floats.  The test distances (test_n x n) are made
-    after the last eigh; the duals outweigh them only when L x R > test_n.
-
-    Every eigh, product and solve of the three passes goes through
-    ``kare.lapack``, so they share SciPy's one OpenBLAS and its one thread
-    pool.  (NumPy's OpenBLAS is a second one, whose pool busy-waited
-    after its calls and slowed SciPy's when the two alternated.)  CV stays
-    a pass of its own because the eigh consumes the Gram that CV would
-    slice; rebuilding it costs one more exp per lengthscale.  The eighs
-    come first: their frees raise glibc's mmap and trim thresholds, so
-    CV's per-fold copies reuse heap pages.
+    At each eigh the sweep holds two n x n arrays, the train distances and
+    the scaled Gram (CV's fold copies are freed by then), besides LAPACK's
+    workspace (2 n x n) and the duals kept so far (L x R x n floats for L
+    lengthscales and R ridges): a peak near 4 n^2 + L R n floats.  The
+    test distances (test_n x n) are made after the last eigh; the duals
+    outweigh them only when L x R > test_n.  Every eigh, product and solve
+    goes through ``kare.lapack``, so they share one OpenBLAS and its one
+    thread pool.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
-    NumericalError naming it.  CV runs once per lengthscale, with no
-    retry per ridge: a failed fold solve names its own ridge.  Failures
-    are reported in pass order, so a score failure at any lengthscale
-    comes before a CV failure at an earlier one, and test distances that
-    overflow are reported after the CV pass.
+    NumericalError naming it.  CV runs once per lengthscale, with no retry
+    per ridge: a failed fold solve names its own ridge.  Failures are
+    reported in grid order, CV's before the scores' within a lengthscale,
+    and test distances that overflow after the last lengthscale.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
@@ -411,18 +411,23 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
     # before the next lengthscale builds its own.
     def scores(kern: KernelSpec) -> tuple[list[partial], list[np.ndarray]]:
-        # Each ridge's record, short of its CV and test risks, and its dual.
+        # Each ridge's record, short of its test risk, and its dual.
         G = from_distances(kern, D)
         align = classical_alignment(train.y, G) if cfg.alignment else None
+        cv_risks = [None] * len(cfg.ridges)
+        if cfg.cv_folds:
+            with _cell(kern.lengthscale):
+                cv_risks = cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds,
+                                                  seed=cfg.data["seed"])
         rs = RidgeScores._scaling_in_place(G, train.y)  # G holds the eigenvectors from here on
         cells, duals = [], []
-        for ridge in cfg.ridges:
+        for ridge, cv_risk in zip(cfg.ridges, cv_risks):
             with _cell(kern.lengthscale, ridge):
                 est = sct_from_gram(rs, ridge)
                 cells.append(partial(
                     SweepRecord, lengthscale=kern.lengthscale, ridge=float(ridge),
                     train_error=rs.train_error(ridge), kare=rs.kare(ridge),
-                    varrho=rs.varrho(ridge),
+                    varrho=rs.varrho(ridge), cv_risk=cv_risk,
                     loglik=rs.log_marginal_likelihood(ridge) if cfg.loglik else None,
                     alignment=align, sct_hat=est.theta, sct_deriv_hat=est.theta_prime,
                     seed=cfg.data["seed"], n=n))
@@ -431,15 +436,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         return cells, duals
 
     passes = [scores(kern) for kern in kerns]
-    cv_risks = test_risks = [[None] * len(cfg.ridges)] * len(kerns)
-    if cfg.cv_folds:
-        cv_risks = []
-        for kern in kerns:
-            with _cell(kern.lengthscale):
-                cv_risks.append(cross_validation_risks(
-                    from_distances(kern, D), train.y, cfg.ridges, cfg.cv_folds,
-                    seed=cfg.data["seed"]))
     del D
+    test_risks = [[None] * len(cfg.ridges)] * len(kerns)
     if test is not None:
         D_test = distances(cfg.family, test.X, train.X)
         test_risks = []
@@ -450,9 +448,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
                 with _cell(kern.lengthscale, ridge):
                     test_risks[-1].append(held_out_risk(K_test, dual, test.y))
             del K_test
-    return [cell(cv_risk=cv_risk, test_risk=test_risk)
-            for (cells, _), cv_row, test_row in zip(passes, cv_risks, test_risks)
-            for cell, cv_risk, test_risk in zip(cells, cv_row, test_row)]
+    return [cell(test_risk=test_risk)
+            for (cells, _), test_row in zip(passes, test_risks)
+            for cell, test_risk in zip(cells, test_row)]
 
 
 def _write_records(path: str, columns: tuple[str, ...], records) -> None:

@@ -1,11 +1,12 @@
 """Golden values of every sweep and sct column, and the script that makes them.
 
     python tests/golden.py             # regenerate tests/golden.json
-    python tests/golden.py --compare   # largest relative gap per column against it
+    python tests/golden.py --compare   # largest relative gap per column against it;
+                                       # exits 1 if any is above RTOL
 
 Each case runs ``kare sweep`` or ``kare sct`` in-process on a small fixed
 input and reads its CSV back.  ``tests/test_golden.py`` checks every
-value against ``golden.json`` at rtol 1e-9: far above the last-digit
+value against ``golden.json`` at ``RTOL`` = 1e-9: far above the last-digit
 changes of a reordered computation (about 1e-11 on well-conditioned
 cells) and far below a formula error.  Regenerating the fixture is a
 deliberate change to the sweep and sct output contracts; run
@@ -26,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 FIXTURE = Path(__file__).with_name("golden.json")
+RTOL = 1e-9
 
 # 3 lengthscales x 4 ridges at n = 60, with CV, a test set and every score.
 _SWEEP = {
@@ -94,11 +96,12 @@ def main(argv=None) -> int:
         print(f"wrote {len(fresh)} cases to {FIXTURE}")
         return 0
     committed = json.loads(FIXTURE.read_text())
+    gaps = []
     for case, columns in fresh.items():
         for column, new in columns.items():
-            old = committed.get(case, {}).get(column, [])
-            print(f"{case:18} {column:24} {relative_gap(new, old):.3e}")
-    return 0
+            gaps.append(relative_gap(new, committed.get(case, {}).get(column, [])))
+            print(f"{case:18} {column:24} {gaps[-1]:.3e}")
+    return 0 if all(gap <= RTOL for gap in gaps) else 1
 
 
 if __name__ == "__main__":

@@ -450,6 +450,14 @@ _OUT_OF_RANGE = [
     ("grid.ridge", "1e-3:1:2.5:log10", ">= 1",
      "grid.ridge: grid '1e-3:1:2.5:log10': count must be a whole number >= 1, got 2.5"),
     ("data.digits", "2.5,9", ">= 0", "data.digits: digit must be a whole number >= 0, got 2.5"),
+    # Before, the last pair won, the missing value read "could not convert
+    # string to float: ''", and nan was a data error (exit 2) after loading.
+    ("data.label_map", "s:1,s:-1,b:-1", "once",
+     "data.label_map: label 's' is mapped more than once"),
+    ("data.label_map", "s:1,b", "finite",
+     "data.label_map: label 'b' must map to a finite number, got ''"),
+    ("data.label_map", "s:nan,b:-1", "finite",
+     "data.label_map: label 's' must map to a finite number, got 'nan'"),
 ]
 
 
@@ -480,7 +488,7 @@ def test_sweep_cv_risk_equals_cross_validation_risk(tmp_path, family):
         assert r.cv_risk == cross_validation_risk(
             KernelSpec(family, r.lengthscale), train.X, train.y, r.ridge,
             cfg.cv_folds, seed=cfg.data["seed"])
-    # The CV pass leaves every other column as the sweep without CV has it.
+    # CV leaves every other column as the sweep without CV has it.
     without_cv = run_sweep(dataclasses.replace(cfg, cv_folds=0))
     assert [dataclasses.replace(r, cv_risk=None) for r in records] == without_cv
 
@@ -613,26 +621,25 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     assert len(run_sweep(cfg)) == lengthscales * ridges
     # One Cholesky per (lengthscale, fold, ridge), from one ridge_solve per
     # (lengthscale, fold), and no other kernel work.  Each lengthscale
-    # applies exp to the Gram's distances twice with CV (once per pass)
-    # and once without, plus once to the test distances.
-    assert calls == {"_raw_distances": 2, "from_distances": lengthscales * (3 if folds else 2),
+    # applies exp once to the Gram's distances, with or without CV, and
+    # once to the test distances.
+    assert calls == {"_raw_distances": 2, "from_distances": lengthscales * 2,
                      **({"ridge_solve": lengthscales * folds,
                          "cho_factor": lengthscales * folds * ridges} if folds else {})}
     assert factored == [(True, True, True)] * calls["cho_factor"]
     assert distance_shapes == [(40, 40), (25, 40)]
 
 
-def test_sweep_decomposes_every_lengthscale_before_the_first_cross_validation(
-        tmp_path, monkeypatch):
-    # The eigh decomposes each Gram in its own buffer, so CV rebuilds its
-    # Grams from the distances in a pass of its own.  The eighs come first,
-    # so that CV's per-fold copies reuse the heap pages their frees leave.
+def test_sweep_cross_validates_each_gram_before_its_eigh(tmp_path, monkeypatch):
+    # CV slices each Gram while it is intact; the eigh then decomposes the
+    # same buffer in place, so no lengthscale's Gram is built twice.
     from kare import cli, estimators
-    events = []
+    events, arrays = [], []
 
     def logged(event, original):
         def call(*args, **kwargs):
             events.append(event)
+            arrays.append(args[0])
             return original(*args, **kwargs)
         return call
 
@@ -641,7 +648,8 @@ def test_sweep_decomposes_every_lengthscale_before_the_first_cross_validation(
     monkeypatch.setattr(estimators, "eigh", logged("eigh", estimators.eigh))
     cfg = parse_sweep_config(_config(tmp_path, **{"grid.lengthscale": "0.5:2:3:log2"}))
     assert len(run_sweep(cfg)) == 3 * 3
-    assert events == ["eigh"] * 3 + ["cv"] * 3
+    assert events == ["cv", "eigh"] * 3
+    assert all(np.shares_memory(cv, eigh) for cv, eigh in zip(arrays[::2], arrays[1::2]))
 
 
 def test_sweep_reads_its_one_seed_from_data_seed(tmp_path):
@@ -652,14 +660,16 @@ def test_sweep_reads_its_one_seed_from_data_seed(tmp_path):
     assert {r.seed for r in moved} == {5}
 
 
-@pytest.mark.parametrize("failure", ["cholesky", "cholesky-grid", "arithmetic",
-                                     "representable"])
+@pytest.mark.parametrize("failure", ["cholesky", "cholesky-grid", "cholesky-before-score",
+                                     "arithmetic", "representable"])
 def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, failure):
     # Ten points, each four times: at ridge 1e-19 a fold's (1/n)G + ridge I
     # is singular in float64 and its Cholesky factorization fails; at
     # ridge 1e-320 the Stieltjes transform of this rank-10 Gram overflows.
     # The failed fold solve names its ridge, so CV runs once per
-    # lengthscale even when only one ridge of the grid fails.
+    # lengthscale even when only one ridge of the grid fails.  Failures
+    # come in grid order: CV's at the first lengthscale is reported before
+    # a score failure forced at the second.
     from kare import cli
     rng = np.random.default_rng(0)
     X = np.repeat(rng.standard_normal((10, 2)), 4, axis=0)
@@ -669,7 +679,8 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
     cv = failure.startswith("cholesky")
     cfg = _config(tmp_path, **{
         "data.type": "csv", "data.path": str(data), "data.label_column": "y",
-        "data.test_n": "0", "grid.lengthscale": "1:1:1:log2",
+        "data.test_n": "0",
+        "grid.lengthscale": "1:2:2:log2" if failure == "cholesky-before-score" else "1:1:1:log2",
         "grid.ridge": (f"1e-2:{ridge}:2:log10" if failure == "cholesky-grid"
                        else f"{ridge}:{ridge}:1:log10"),
         "scores.cv_folds": "4" if cv else "0"})
@@ -677,6 +688,15 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
         def divide(*args):
             raise ZeroDivisionError("float division by zero")
         monkeypatch.setattr("kare.cli.sct_from_gram", divide)
+    if failure == "cholesky-before-score":
+        scored, sct_from_gram = [], cli.sct_from_gram
+
+        def divide_at_second_lengthscale(rs, ridge):
+            scored.append(rs)
+            if rs is not scored[0]:
+                raise ZeroDivisionError("float division by zero")
+            return sct_from_gram(rs, ridge)
+        monkeypatch.setattr(cli, "sct_from_gram", divide_at_second_lengthscale)
     cv_calls, original = [], cli.cross_validation_risks
 
     def cross_validation_risks(*args, **kwargs):
@@ -687,6 +707,7 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
     err = capsys.readouterr().err
     assert err.startswith(f"numerical error: lengthscale 2.0, ridge {ridge}: ")
     assert {"cholesky": "not positive definite", "cholesky-grid": "not positive definite",
+            "cholesky-before-score": "not positive definite",
             "arithmetic": "division by zero",
             "representable": "theta is not representable in float64"}[failure] in err
     assert len(cv_calls) == (1 if cv else 0)
@@ -729,6 +750,7 @@ def test_overflowing_lengthscale_names_the_grid_key(tmp_path, capsys):
     ("--trials", "1", "value must be a whole number >= 2, got 1"),
     ("--trials", "2.5", "value must be a whole number >= 2, got 2.5"),
     ("--n-grid", "0.2:0.4:2:log2", "rounded sample count must be a whole number >= 1, got 0"),
+    ("--n-grid", "1:1.4:3:log2", "rounded sample count 1 appears more than once in (1, 1, 1)"),
     ("--ridge-grid", "0:1:2:log2", "grid '0:1:2:log2': start must be positive and finite, got 0.0"),
     ("--sigma", "nan", "value must be positive and finite, got nan"),
     ("--lengthscale", "-1", "value must be positive and finite, got -1.0"),
@@ -738,7 +760,8 @@ def test_overflowing_lengthscale_names_the_grid_key(tmp_path, capsys):
 ])
 def test_bad_sct_option_names_the_option(tmp_path, capsys, option, value, message):
     # Before, --n-grid 0.2:0.4:2:log2 gave "config error: need at least one
-    # point" (rbf-gaussian) or "sample count must be >= 1, got 0" (power-law);
+    # point" (rbf-gaussian) or "sample count must be >= 1, got 0" (power-law),
+    # and --n-grid 1:1.4:3:log2 wrote three identical blocks for n = 1;
     # --sigma nan exited 0 (power-law) or gave an unnamed "config error"
     # (rbf-gaussian), as did --lengthscale -1 and --beta 1 or inf.
     for spectrum in ("rbf-gaussian", "power-law"):

@@ -26,7 +26,7 @@ def test_every_column_keeps_its_golden_values(case):
         assert [v is None for v in new] == [v is None for v in old], column
         np.testing.assert_allclose([v for v in new if v is not None],
                                    [v for v in old if v is not None],
-                                   rtol=1e-9, atol=0, err_msg=f"{case}: {column}")
+                                   rtol=golden.RTOL, atol=0, err_msg=f"{case}: {column}")
 
 
 def test_relative_gap():
@@ -34,3 +34,15 @@ def test_relative_gap():
     assert golden.relative_gap([1.5, 2.0], [1.0, 2.0]) == 0.5
     assert golden.relative_gap([1.0], [None]) == golden.relative_gap([1.0], []) == np.inf
     assert golden.relative_gap([1e-300], [0.0]) == np.inf
+
+
+def test_compare_exits_1_above_rtol(tmp_path, monkeypatch, capsys):
+    fixture = {"sweep-rbf": json.loads(json.dumps(_COMMITTED["sweep-rbf"]))}
+    monkeypatch.setattr(golden, "CASES", {"sweep-rbf": golden.CASES["sweep-rbf"]})
+    monkeypatch.setattr(golden, "FIXTURE", tmp_path / "golden.json")
+    golden.FIXTURE.write_text(json.dumps(fixture))
+    assert golden.main(["--compare"]) == 0
+    fixture["sweep-rbf"]["kare"][0] *= 1 + 2 * golden.RTOL
+    golden.FIXTURE.write_text(json.dumps(fixture))
+    assert golden.main(["--compare"]) == 1
+    assert "sweep-rbf          kare                     2.000e-09" in capsys.readouterr().out
