@@ -65,7 +65,7 @@ from .estimators import (
 )
 from .kernels import FAMILIES, KernelSpec, distances, from_distances
 from .krr import held_out_risk
-from .lapack import LinAlgError, matvec
+from .lapack import LinAlgError, check_order, matvec
 from .sct import (
     Spectrum,
     power_law_spectrum,
@@ -73,7 +73,7 @@ from .sct import (
     sct_from_gram,
     solve_sct,
 )
-from .synthetic import draw, mean_and_stderr, rbf_gaussian_gram_spectrum, sample_spectra
+from .synthetic import MAX_MODES, draw, mean_and_stderr, rbf_gaussian_gram_spectrum, sample_spectra
 from .spectral import NumericalError, check_count, check_real, decompose
 from .validation import run_suite
 
@@ -135,8 +135,8 @@ _NUMERICAL_ERRORS = (LinAlgError, ArithmeticError)
 @contextmanager
 def _cell(lengthscale: float, ridge: float | None = None):
     """Re-raise a numerical failure inside the block as a NumericalError
-    naming the sweep cell.  Without a ridge, the failure names its own
-    (as a failed ``krr.ridge_solve`` does)."""
+    naming the sweep cell.  Without a ridge, the failure names its own (as
+    a failed ``krr.ridge_solve`` does) or none (as a failed eigh)."""
     try:
         yield
     except _NUMERICAL_ERRORS as exc:
@@ -259,7 +259,7 @@ _REQUIRED_KEYS = {
     "kernel.family": _choice(*FAMILIES),
     "grid.lengthscale": parse_grid,     # in multiples of the input dimension
     "grid.ridge": parse_grid,
-    "data.n": _count(1),                # training rows
+    "data.n": lambda text: check_order(_count(1)(text)),  # training rows; the eigh's order
     "output": _output,                  # output CSV file
 }
 
@@ -394,10 +394,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     thread pool.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
-    NumericalError naming it.  CV runs once per lengthscale, with no retry
-    per ridge: a failed fold solve names its own ridge.  Failures are
-    reported in grid order, CV's before the scores' within a lengthscale,
-    and test distances that overflow after the last lengthscale.
+    NumericalError naming it: CV, run once per lengthscale, names the ridge
+    whose dposv returns a nonzero info, and a failed eigh names only its
+    lengthscale.  Failures come in grid order (CV's, the eigh's, then the
+    scores' within a lengthscale), and overflowing test distances last.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
@@ -415,11 +415,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         G = from_distances(kern, D)
         align = classical_alignment(train.y, G) if cfg.alignment else None
         cv_risks = [None] * len(cfg.ridges)
-        if cfg.cv_folds:
-            with _cell(kern.lengthscale):
+        with _cell(kern.lengthscale):
+            if cfg.cv_folds:
                 cv_risks = cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds,
                                                   seed=cfg.data["seed"])
-        rs = RidgeScores._scaling_in_place(G, train.y)  # G holds the eigenvectors from here on
+            rs = RidgeScores._scaling_in_place(G, train.y)  # G now holds the eigenvectors
         cells, duals = [], []
         for ridge, cv_risk in zip(cfg.ridges, cv_risks):
             with _cell(kern.lengthscale, ridge):
@@ -554,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sct.add_argument("--sigma", type=_option(_real()), default=1.0)
     p_sct.add_argument("--k-max", type=_option(_count(0)), default=50)
     p_sct.add_argument("--beta", type=_option(_real(1)), default=2.0)
-    p_sct.add_argument("--count", type=_option(_count(1)), default=100)
+    p_sct.add_argument("--count", default=100, type=_option(
+        lambda text: check_count(_count(1)(text), "value", 1, MAX_MODES)))
     p_sct.add_argument("--n-grid", type=_option(_n_values), default="50:1600:6:log2")
     p_sct.add_argument("--ridge-grid", type=_option(parse_grid), default="1e-4:1:9:log10")
     p_sct.add_argument("--trials", type=_option(_count(2)), default=10)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, _as_points, cross_gram, gram_matrix
-from .lapack import LinAlgError, cho_factor, cho_solve, dot, matvec
+from .lapack import dot, dposv, matvec
 from .spectral import NumericalError, check_labels, check_ridge
 
 
@@ -30,15 +30,15 @@ class Predictor:
 
 def ridge_solve(G, rhs, ridges) -> list[np.ndarray]:
     """((1/n)G + ridge I)^{-1} rhs for each ridge, n the size of G, by one
-    Cholesky factorization per ridge.
+    LAPACK dposv (Cholesky factor, then solve) per ridge.
 
     G is not modified.  The one Cholesky solve of the package, for ``fit``,
     cross-validation and the dense reference routes.  (1/n)G is formed once,
     in Fortran order, and checked to be finite once, with rhs; each ridge
     copies it into one reused buffer, adds the ridge to the diagonal and
-    factors the buffer in place.  LAPACK reads the lower triangle of (1/n)G,
-    so the solutions have the bits of SciPy's
-    ``cho_solve(cho_factor(G / n + ridge * I, lower=True), rhs)``.
+    factors the buffer in place.  dposv runs the dpotrf and dpotrs of SciPy's
+    ``cho_solve(cho_factor(G / n + ridge * I, lower=True), rhs)`` on the lower
+    triangle of (1/n)G, so the solutions have its bits.
 
     A diagonal that overflows float64 when the ridge is added, or a
     factorization that fails (as at a tiny ridge on a rank-deficient G),
@@ -59,13 +59,11 @@ def ridge_solve(G, rhs, ridges) -> list[np.ndarray]:
             raise NumericalError(f"ridge {ridge!r}: (1/n)G + ridge I overflows float64")
         np.copyto(B, scaled)
         B[diagonal] += ridge
-        try:
-            factor = cho_factor(B, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError as exc:
+        _, x, info = dposv(B, rhs, lower=1, overwrite_a=1)
+        if info:
             raise NumericalError(
-                f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64"
-            ) from exc
-        solutions.append(cho_solve(factor, rhs, check_finite=False))
+                f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64")
+        solutions.append(x)
     return solutions
 
 

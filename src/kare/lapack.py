@@ -12,8 +12,8 @@ passes it:
 - ``eigh(A)`` is ``np.linalg.eigh(A)``, decomposed in A's own buffer;
 - ``matvec(A, x)`` is ``A @ x``, so ``matvec(A.T, x)`` is ``A.T @ x``;
 - ``dot(x, y)`` is ``x @ y``;
-- ``cho_factor`` and ``cho_solve`` are SciPy's, for ``krr.ridge_solve``,
-  and ``LinAlgError`` is the error they and ``eigh`` raise.
+- ``dposv`` is LAPACK's Cholesky factor-and-solve, for ``krr.ridge_solve``,
+  and ``LinAlgError`` is the error ``eigh`` raises.
 
 The Monte Carlo draws (``synthetic``), ``spectral.decompose`` and the
 validation suites' dense references stay on NumPy, so ``kare sct`` calls
@@ -23,9 +23,10 @@ no SciPy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 from scipy.linalg import eigh as _eigh
 from scipy.linalg import blas as _blas
+from scipy.linalg.lapack import dposv
 
 # SciPy's LAPACK counts in 32-bit integers, and dsyevd's workspace for
 # eigenvectors is 1 + 6n + 2n^2 floats: at n >= 32,767 SciPy's workspace

@@ -10,8 +10,10 @@ value against ``golden.json`` at ``RTOL`` = 1e-9: far above the last-digit
 changes of a reordered computation (about 1e-11 on well-conditioned
 cells) and far below a formula error.  Regenerating the fixture is a
 deliberate change to the sweep and sct output contracts; run
-``--compare`` first and keep its table with the change.  Run as a
-script, it imports kare from the ``src`` next to this directory.
+``--compare`` first and keep its table with the change.  The table's
+first line is ``environment()``: the sweep's last digits depend on the
+BLAS thread count.  Run as a script, it imports kare from the ``src``
+next to this directory.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -76,6 +79,17 @@ def values(case: str) -> dict[str, list[float | None]]:
             for column in rows[0]}
 
 
+def environment() -> str:
+    """One line: the NumPy and SciPy versions, the BLAS thread settings
+    and the core count."""
+    import numpy
+    import scipy
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"numpy {numpy.__version__} scipy {scipy.__version__} {threads} "
+            f"cpu_count={os.cpu_count()}")
+
+
 def relative_gap(new: list, old: list) -> float:
     """The largest |new - old| / |old| over one column; inf where the two
     differ in length or in which cells are empty."""
@@ -96,6 +110,7 @@ def main(argv=None) -> int:
         print(f"wrote {len(fresh)} cases to {FIXTURE}")
         return 0
     committed = json.loads(FIXTURE.read_text())
+    print(environment())
     gaps = []
     for case, columns in fresh.items():
         for column, new in columns.items():

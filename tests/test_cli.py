@@ -602,7 +602,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
             result = original(*args, **kwargs)
             if name == "_raw_distances":
                 distance_shapes.append(result.shape)
-            if name == "cho_factor":
+            if name == "dposv":
                 # Each factorization runs in place on a Fortran-order B.
                 factored.append((args[0].flags.f_contiguous, kwargs.get("overwrite_a"),
                                  result[0] is args[0]))
@@ -612,7 +612,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     for owner, name in [(kernels, "_raw_distances"), (kernels, "gram_matrix"),
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
-                        (krr, "ridge_solve"), (krr, "cho_factor"), (cli, "from_distances")]:
+                        (krr, "ridge_solve"), (krr, "dposv"), (cli, "from_distances")]:
         count(owner, name)
     cfg = parse_sweep_config(_config(tmp_path, **{
         "grid.lengthscale": f"0.5:2:{lengthscales}:log2",
@@ -625,8 +625,8 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     # once to the test distances.
     assert calls == {"_raw_distances": 2, "from_distances": lengthscales * 2,
                      **({"ridge_solve": lengthscales * folds,
-                         "cho_factor": lengthscales * folds * ridges} if folds else {})}
-    assert factored == [(True, True, True)] * calls["cho_factor"]
+                         "dposv": lengthscales * folds * ridges} if folds else {})}
+    assert factored == [(True, True, True)] * calls["dposv"]
     assert distance_shapes == [(40, 40), (25, 40)]
 
 
@@ -661,16 +661,19 @@ def test_sweep_reads_its_one_seed_from_data_seed(tmp_path):
 
 
 @pytest.mark.parametrize("failure", ["cholesky", "cholesky-grid", "cholesky-before-score",
-                                     "arithmetic", "representable"])
+                                     "arithmetic", "representable", "eigh-negative",
+                                     "eigh-linalgerror"])
 def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, failure):
     # Ten points, each four times: at ridge 1e-19 a fold's (1/n)G + ridge I
-    # is singular in float64 and its Cholesky factorization fails; at
-    # ridge 1e-320 the Stieltjes transform of this rank-10 Gram overflows.
+    # is singular in float64 and dposv reports a nonzero info; at ridge
+    # 1e-320 the Stieltjes transform of this rank-10 Gram overflows.
     # The failed fold solve names its ridge, so CV runs once per
     # lengthscale even when only one ridge of the grid fails.  Failures
     # come in grid order: CV's at the first lengthscale is reported before
-    # a score failure forced at the second.
-    from kare import cli
+    # a score failure forced at the second.  A failed eigendecomposition
+    # names its lengthscale only; before, it named no cell.
+    from kare import cli, estimators
+    from kare.lapack import LinAlgError
     rng = np.random.default_rng(0)
     X = np.repeat(rng.standard_normal((10, 2)), 4, axis=0)
     data = tmp_path / "dup.csv"
@@ -697,6 +700,16 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
                 raise ZeroDivisionError("float division by zero")
             return sct_from_gram(rs, ridge)
         monkeypatch.setattr(cli, "sct_from_gram", divide_at_second_lengthscale)
+    if failure.startswith("eigh"):
+        eigh = estimators.eigh
+
+        def failing_eigh(A):
+            if failure == "eigh-linalgerror":
+                raise LinAlgError("dsyevd failed to converge")
+            eigenvalues, vectors = eigh(A)
+            eigenvalues[0] = -1e-3
+            return eigenvalues, vectors
+        monkeypatch.setattr(estimators, "eigh", failing_eigh)
     cv_calls, original = [], cli.cross_validation_risks
 
     def cross_validation_risks(*args, **kwargs):
@@ -705,11 +718,16 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
     monkeypatch.setattr(cli, "cross_validation_risks", cross_validation_risks)
     assert main(["sweep", "--config", cfg]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"numerical error: lengthscale 2.0, ridge {ridge}: ")
-    assert {"cholesky": "not positive definite", "cholesky-grid": "not positive definite",
-            "cholesky-before-score": "not positive definite",
-            "arithmetic": "division by zero",
-            "representable": "theta is not representable in float64"}[failure] in err
+    if failure.startswith("eigh"):
+        assert err == "numerical error: lengthscale 2.0, " + {
+            "eigh-negative": "matrix is not positive semidefinite (min eigenvalue -1.000e-03)",
+            "eigh-linalgerror": "dsyevd failed to converge"}[failure] + "\n"
+    else:
+        assert err.startswith(f"numerical error: lengthscale 2.0, ridge {ridge}: ")
+        assert {"cholesky": "not positive definite", "cholesky-grid": "not positive definite",
+                "cholesky-before-score": "not positive definite",
+                "arithmetic": "division by zero",
+                "representable": "theta is not representable in float64"}[failure] in err
     assert len(cv_calls) == (1 if cv else 0)
 
 
@@ -747,6 +765,8 @@ def test_overflowing_lengthscale_names_the_grid_key(tmp_path, capsys):
     ("--k-max", "-1", "value must be a whole number >= 0, got -1"),
     ("--count", "nan", "value must be a whole number >= 1, got nan"),
     ("--count", "ten", "could not convert string to float: 'ten'"),
+    # Before, "config error: expanded mode count under the sampling cap ..." (power-law).
+    ("--count", "5001", "value must be a whole number between 1 and 5000, got 5001"),
     ("--trials", "1", "value must be a whole number >= 2, got 1"),
     ("--trials", "2.5", "value must be a whole number >= 2, got 2.5"),
     ("--n-grid", "0.2:0.4:2:log2", "rounded sample count must be a whole number >= 1, got 0"),
@@ -771,6 +791,32 @@ def test_bad_sct_option_names_the_option(tmp_path, capsys, option, value, messag
         assert err.startswith(f"kare sct: error: argument {option}: {message}")
         assert err.count("\n") == 1
     assert not (tmp_path / "sct.csv").exists()
+
+
+def test_sct_count_parses_up_to_the_sampling_cap(tmp_path):
+    from kare.cli import _build_parser
+    from kare.synthetic import MAX_MODES
+    args = _build_parser().parse_args(["sct", "--spectrum", "power-law", "--count",
+                                       str(MAX_MODES), "--out", str(tmp_path / "sct.csv")])
+    assert args.count == MAX_MODES == 5000
+
+
+def test_data_n_beyond_the_eigh_order_limit_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # Before, data.n = 40000 parsed, and the sweep built its 12.8 GB of
+    # distances before the eigh rejected the order.
+    from kare import cli
+
+    def no_distances(*args):
+        raise AssertionError("distances computed")
+    monkeypatch.setattr(cli, "distances", no_distances)
+    assert parse_sweep_config(_config(tmp_path, **{"data.n": "32766"})).data["n"] == 32766
+    path = _config(tmp_path, **{"data.n": "40000"})
+    message = (f"{path}: data.n: an eigendecomposition of order 40000 needs a LAPACK "
+               f"workspace of more than 2**31 - 1 floats; the order must be at most 32766")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_sweep_config(path)
+    assert main(["sweep", "--config", path]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_sct_counts_accept_integral_floats(tmp_path):

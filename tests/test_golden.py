@@ -4,6 +4,7 @@ The fixture and the script that regenerates it are tests/golden.py.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def test_every_column_keeps_its_golden_values(case):
                                    rtol=golden.RTOL, atol=0, err_msg=f"{case}: {column}")
 
 
+def test_environment_names_the_versions_and_thread_settings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    line = golden.environment()
+    assert line.startswith(f"numpy {np.__version__} scipy ")
+    assert line.endswith(f" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+                         f"cpu_count={os.cpu_count()}")
+
+
 def test_relative_gap():
     assert golden.relative_gap([1.0, None, 0.0], [1.0, None, 0.0]) == 0.0
     assert golden.relative_gap([1.5, 2.0], [1.0, 2.0]) == 0.5
@@ -42,6 +52,7 @@ def test_compare_exits_1_above_rtol(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(golden, "FIXTURE", tmp_path / "golden.json")
     golden.FIXTURE.write_text(json.dumps(fixture))
     assert golden.main(["--compare"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == golden.environment()
     fixture["sweep-rbf"]["kare"][0] *= 1 + 2 * golden.RTOL
     golden.FIXTURE.write_text(json.dumps(fixture))
     assert golden.main(["--compare"]) == 1
