@@ -44,6 +44,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
+import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from .data import (
     Dataset,

@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from .spectral import check_count
 
@@ -262,7 +263,9 @@ def split_train_test(
     n_test = check_count(n_test, "test size", 0, total - n_train)
     s_train, s_test = np.random.SeedSequence(seed).spawn(2)
     train_idx = np.random.default_rng(s_train).choice(total, size=n_train, replace=False)
-    pool = np.setdiff1d(np.arange(total), train_idx)
+    keep = np.ones(total, bool)
+    keep[train_idx] = False
+    pool = np.flatnonzero(keep)
     test_pick = np.random.default_rng(s_test).choice(pool.shape[0], size=n_test, replace=False)
     test_idx = pool[test_pick]
     meta = dict(ds.meta)

@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from . import krr
 from .lapack import dot, eigh, matvec
@@ -274,7 +275,9 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     order = np.random.default_rng(seed).permutation(n)
     errors = [[] for _ in ridges]
     for held in np.array_split(order, folds):
-        rest = np.setdiff1d(order, held)
+        keep = np.ones(n, bool)
+        keep[held] = False
+        rest = np.flatnonzero(keep)
         G_rest, K_held = G[np.ix_(rest, rest)], G[np.ix_(held, rest)]
         solutions = krr.ridge_solve(G_rest, y[rest], ridges)
         for fold_errors, solution in zip(errors, solutions):

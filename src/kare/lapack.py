@@ -18,15 +18,48 @@ passes it:
 The Monte Carlo draws (``synthetic``), ``spectral.decompose`` and the
 validation suites' dense references stay on NumPy, so ``kare sct`` calls
 no SciPy.
+
+kare loads only SciPy's two compiled wrappers, ``scipy.linalg._flapack``
+and ``scipy.linalg._fblas``, and not the ``scipy.linalg`` package: that
+package's ``__init__`` loads SciPy's array-API layer, and with it
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, which took about half
+of ``import kare``.  The two modules are registered under their own names,
+so a later ``import scipy.linalg`` uses the same objects and the same
+OpenBLAS.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg import eigh as _eigh
-from scipy.linalg import blas as _blas
-from scipy.linalg.lapack import dposv
+import scipy
+from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
+
+
+def _scipy_extension(name: str):
+    """SciPy's compiled ``scipy.linalg.<name>``, loaded and registered in
+    ``sys.modules`` without running the ``scipy.linalg`` package ``__init__``."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = PathFinder.find_spec(full, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"kare needs SciPy's compiled {full}, which SciPy "
+                          f"{scipy.__version__} does not have", name=full)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full] = module
+    return module
+
+
+_flapack = _scipy_extension("_flapack")
+_blas = _scipy_extension("_fblas")
+_dsyevd, _dsyevd_lwork = _flapack.dsyevd, _flapack.dsyevd_lwork
+dposv = _flapack.dposv
 
 # SciPy's LAPACK counts in 32-bit integers, and dsyevd's workspace for
 # eigenvectors is 1 + 6n + 2n^2 floats: at n >= 32,767 SciPy's workspace
@@ -57,13 +90,22 @@ def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     array fewer (a C-order symmetric G is passed as ``G.T``).  The vectors are
     returned as a C-order copy, as NumPy returns them: ``matvec`` on a
     Fortran-order matrix would call the other gemv kernel, whose bits differ.
-    Raises ValueError for another layout and when ``check_order`` does.
+    Raises ValueError for another layout and when ``check_order`` does, and
+    LinAlgError when LAPACK reports a failure.
     """
     n = check_order(A.shape[0])
     if A.dtype != np.float64 or A.shape != (n, n) or not A.flags.f_contiguous:
         raise ValueError(f"expected a Fortran-contiguous square float64 array, "
                          f"got {A.dtype} with shape {A.shape}")
-    eigenvalues, vectors = _eigh(A, overwrite_a=True, check_finite=False, driver="evd")
+    # The workspace size sets dsytrd's blocking, so NumPy's bits need the
+    # size LAPACK asks for, as NumPy and scipy.linalg.eigh pass it.
+    work, iwork, info = _dsyevd_lwork(n=n, compute_v=1, lower=1)
+    if info:
+        raise LinAlgError(f"dsyevd's workspace query for order {n} failed (info {info})")
+    eigenvalues, vectors, info = _dsyevd(A, compute_v=1, lower=1, lwork=int(work),
+                                         liwork=iwork, overwrite_a=1)
+    if info:
+        raise LinAlgError(f"dsyevd failed on an eigendecomposition of order {n} (info {info})")
     return eigenvalues, np.ascontiguousarray(vectors)
 
 

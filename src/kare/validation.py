@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from . import krr
 from .estimators import (

@@ -672,8 +672,7 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
     # come in grid order: CV's at the first lengthscale is reported before
     # a score failure forced at the second.  A failed eigendecomposition
     # names its lengthscale only; before, it named no cell.
-    from kare import cli, estimators
-    from kare.lapack import LinAlgError
+    from kare import cli, estimators, lapack
     rng = np.random.default_rng(0)
     X = np.repeat(rng.standard_normal((10, 2)), 4, axis=0)
     data = tmp_path / "dup.csv"
@@ -700,16 +699,17 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
                 raise ZeroDivisionError("float division by zero")
             return sct_from_gram(rs, ridge)
         monkeypatch.setattr(cli, "sct_from_gram", divide_at_second_lengthscale)
-    if failure.startswith("eigh"):
+    if failure == "eigh-linalgerror":
+        # dsyevd's nonzero info, which lapack.eigh raises as LinAlgError.
+        monkeypatch.setattr(lapack, "_dsyevd", lambda a, **kwargs: (None, a, 3))
+    if failure == "eigh-negative":
         eigh = estimators.eigh
 
-        def failing_eigh(A):
-            if failure == "eigh-linalgerror":
-                raise LinAlgError("dsyevd failed to converge")
+        def negative_eigh(A):
             eigenvalues, vectors = eigh(A)
             eigenvalues[0] = -1e-3
             return eigenvalues, vectors
-        monkeypatch.setattr(estimators, "eigh", failing_eigh)
+        monkeypatch.setattr(estimators, "eigh", negative_eigh)
     cv_calls, original = [], cli.cross_validation_risks
 
     def cross_validation_risks(*args, **kwargs):
@@ -721,7 +721,8 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
     if failure.startswith("eigh"):
         assert err == "numerical error: lengthscale 2.0, " + {
             "eigh-negative": "matrix is not positive semidefinite (min eigenvalue -1.000e-03)",
-            "eigh-linalgerror": "dsyevd failed to converge"}[failure] + "\n"
+            "eigh-linalgerror": "dsyevd failed on an eigendecomposition of order 40 (info 3)",
+        }[failure] + "\n"
     else:
         assert err.startswith(f"numerical error: lengthscale 2.0, ridge {ridge}: ")
         assert {"cholesky": "not positive definite", "cholesky-grid": "not positive definite",

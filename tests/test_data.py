@@ -174,3 +174,16 @@ def test_split_train_test_disjoint():
     np.testing.assert_array_equal(test.y, test2.y)
     with pytest.raises(ValueError):
         split_train_test(ds, 25, 10, seed=0)
+
+
+@pytest.mark.parametrize("total, n_train, n_test", [(30, 18, 10), (7, 1, 6), (100, 60, 0),
+                                                    (257, 128, 129)])
+def test_split_train_test_draws_test_rows_from_setdiff1ds_remainder(total, n_train, n_test):
+    ds = Dataset(np.arange(float(total))[:, None], np.arange(float(total)), {})
+    train, test = split_train_test(ds, n_train, n_test, seed=total)
+    s_train, s_test = np.random.SeedSequence(total).spawn(2)
+    train_idx = np.random.default_rng(s_train).choice(total, size=n_train, replace=False)
+    pool = np.setdiff1d(np.arange(total), train_idx)
+    test_idx = pool[np.random.default_rng(s_test).choice(pool.size, size=n_test, replace=False)]
+    np.testing.assert_array_equal(train.y, train_idx)
+    np.testing.assert_array_equal(test.y, test_idx)

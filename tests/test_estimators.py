@@ -499,6 +499,21 @@ def test_cross_validation_risks_have_the_bits_of_one_documented_solve_per_fold_a
                                   [np.mean(fold_errors) for fold_errors in errors])
 
 
+@pytest.mark.parametrize("n, folds", [(2, 2), (13, 3), (30, 4), (101, 7), (50, 50)])
+def test_cross_validation_fits_each_fold_on_setdiff1ds_indices(n, folds, monkeypatch):
+    # Each fold fits on the sorted complement of its held-out block, the
+    # indices np.setdiff1d gives; the labels 0..n-1 name the fitted rows.
+    fitted = []
+
+    def ridge_solve(G, y, ridges):
+        fitted.append(y.tolist())
+        return [np.zeros(y.size) for _ in ridges]
+    monkeypatch.setattr(krr, "ridge_solve", ridge_solve)
+    cross_validation_risks(np.eye(n), np.arange(float(n)), (0.1,), folds, seed=n)
+    order = np.random.default_rng(n).permutation(n)
+    assert fitted == [np.setdiff1d(order, held).tolist() for held in np.array_split(order, folds)]
+
+
 def test_cross_validation_risks_rejects_a_mismatched_gram():
     with pytest.raises(ValueError, match="sample count 5 does not match matrix size 4"):
         cross_validation_risks(np.eye(4), np.zeros(5), (0.1,), 2)

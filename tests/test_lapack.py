@@ -30,12 +30,12 @@ MATRICES = {**{f"{family}-{n}": (family, n) for family in ("rbf", "laplacian", "
 def test_eigh_has_numpys_bits_and_overwrites_its_input(name, monkeypatch):
     G = _draw_gram() if MATRICES[name] is None else _gram(*MATRICES[name])
     expected_values, expected_vectors = np.linalg.eigh(G)
-    returned, original = [], lapack._eigh
+    returned, original = [], lapack._dsyevd
 
-    def eigh(*args, **kwargs):
+    def dsyevd(*args, **kwargs):
         returned.append(original(*args, **kwargs))
         return returned[-1]
-    monkeypatch.setattr(lapack, "_eigh", eigh)
+    monkeypatch.setattr(lapack, "_dsyevd", dsyevd)
     A = np.asfortranarray(G)
     values, vectors = lapack.eigh(A)
     np.testing.assert_array_equal(values, expected_values)
@@ -66,13 +66,30 @@ def test_eigh_order_limit_is_checked_before_lapack(monkeypatch):
     # LAPACK is never called.
     def never(*args, **kwargs):
         raise AssertionError("LAPACK called")
-    monkeypatch.setattr(lapack, "_eigh", never)
+    monkeypatch.setattr(lapack, "_dsyevd_lwork", never)
+    monkeypatch.setattr(lapack, "_dsyevd", never)
     assert lapack.check_order(32766) == 32766
     with pytest.raises(ValueError, match="order 32767 .* at most 32766"):
         lapack.check_order(32767)
     huge = np.lib.stride_tricks.as_strided(np.zeros(1), (32767, 32767), (0, 0))
     with pytest.raises(ValueError, match="order 32767"):
         lapack.eigh(huge)
+
+
+def test_eigh_raises_when_lapack_reports_a_failure(monkeypatch):
+    # A nonzero info from dsyevd is a LinAlgError; a failed workspace
+    # query raises before dsyevd is called with a wrong workspace.
+    A = np.asfortranarray(_gram("rbf", 60))
+    monkeypatch.setattr(lapack, "_dsyevd", lambda a, **kwargs: (None, a, 31))
+    with pytest.raises(lapack.LinAlgError, match=r"dsyevd failed .* order 60 \(info 31\)"):
+        lapack.eigh(A)
+
+    def never(*args, **kwargs):
+        raise AssertionError("dsyevd called")
+    monkeypatch.setattr(lapack, "_dsyevd", never)
+    monkeypatch.setattr(lapack, "_dsyevd_lwork", lambda **kwargs: (0.0, 0, -1))
+    with pytest.raises(lapack.LinAlgError, match=r"workspace query for order 60 failed \(info -1\)"):
+        lapack.eigh(A)
 
 
 class _CountedBlas:

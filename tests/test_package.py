@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,29 @@ def test_only_lapack_imports_scipy():
                  if any(name.split(".")[0] == "scipy"
                         for name in _imported_modules(ast.parse(path.read_text())))}
     assert importers == {"lapack.py"}
+
+
+def test_import_loads_scipys_compiled_wrappers_not_scipy_linalg():
+    # scipy.linalg's __init__ loads SciPy's array-API layer and with it
+    # numpy.f2py, numpy.testing and numpy.ma, about half of import kare.
+    # kare.lapack loads the two compiled modules alone, under their own
+    # names, so a later import of scipy.linalg shares them.  Only module
+    # sets are checked, no time.
+    script = (
+        "import sys\n"
+        "import kare, kare.cli, kare.validation\n"
+        "names = ('scipy.linalg._flapack', 'scipy.linalg._fblas', 'scipy.linalg',\n"
+        "         'numpy.f2py', 'numpy.testing', 'numpy.ma')\n"
+        "print(' '.join(name for name in names if name in sys.modules))\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack.dposv is kare.lapack.dposv,\n"
+        "      scipy.linalg.blas.dgemv is kare.lapack._blas.dgemv)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_SOURCE.parent)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    assert result.stdout.splitlines() == ["scipy.linalg._flapack scipy.linalg._fblas",
+                                          "True True"]
 
 
 @pytest.mark.parametrize("module", ["cli.py", "estimators.py", "krr.py", "kernels.py", "data.py"])
