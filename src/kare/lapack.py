@@ -1,23 +1,34 @@
-"""Every dense linear-algebra call of a sweep, in SciPy's BLAS and LAPACK.
+"""Every eigendecomposition of kare, and every dense linear-algebra call of
+a sweep, in SciPy's BLAS and LAPACK.
 
 NumPy and SciPy each load their own OpenBLAS, and each library's thread
 pool busy-waits after its calls, so a sweep that alternates the two slows
-both.  This is the one module of kare that imports SciPy, and the sweep's
-modules (``cli``, ``estimators``, ``krr``, ``kernels``, ``data``) make
-their eigendecompositions, products and solves through it.  Each routine
-returns the bits of the NumPy expression it stands for, because it calls
-the same BLAS or LAPACK routine on the same memory layout that NumPy
-passes it:
+both.  A NumPy eigendecomposition also slows the SciPy calls after it: on
+a 2-core VM, 60 SciPy ``dposv`` solves (40 x 40, 30 right-hand sides) in a
+fresh process took a median 3.9 ms (2.3-60 ms, 12 processes) after one
+``np.linalg.eigh`` of a 40 x 40 matrix, against 2.3 ms (1.8-6.4 ms) after
+this module's ``eigh`` or with no eigh at all.  So this is the one module
+of kare that imports SciPy, every eigendecomposition of kare (the sweep's,
+the Monte Carlo draws' and ``spectral.decompose``'s) runs here, and the
+sweep's modules (``cli``, ``estimators``, ``krr``, ``kernels``, ``data``)
+make their products and solves through it too.  Each routine returns the
+bits of the NumPy expression it stands for, because it calls the same BLAS
+or LAPACK routine on the same memory layout that NumPy passes it:
 
 - ``eigh(A)`` is ``np.linalg.eigh(A)``, decomposed in A's own buffer;
+- ``eigvalsh(A)`` is ``np.linalg.eigvalsh(A)``, also in A's buffer;
 - ``matvec(A, x)`` is ``A @ x``, so ``matvec(A.T, x)`` is ``A.T @ x``;
 - ``dot(x, y)`` is ``x @ y``;
 - ``dposv`` is LAPACK's Cholesky factor-and-solve, for ``krr.ridge_solve``,
   and ``LinAlgError`` is the error ``eigh`` raises.
 
-The Monte Carlo draws (``synthetic``), ``spectral.decompose`` and the
-validation suites' dense references stay on NumPy, so ``kare sct`` calls
-no SciPy.
+What stays on NumPy, measured on the same VM: the Monte Carlo draws'
+products and the QR of their ``scores``, and the validation suites' dense
+``np.linalg.solve`` reference, which stays an independent route.  SciPy's
+dgeqrf + dorgqr gave the draws' QR bits, but with the draws' products still
+on NumPy the thm6 suite went from 0.47-0.71 s to 2.8-3.1 s; SciPy dgemm and
+dsyrk for every product also kept the bits, but thm6 took 0.59-0.62 s
+against 0.47-0.54 s, and bayes 0.05-0.10 s against 0.04 s.
 
 kare loads only SciPy's two compiled wrappers, ``scipy.linalg._flapack``
 and ``scipy.linalg._fblas``, and not the ``scipy.linalg`` package: that
@@ -93,20 +104,37 @@ def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError for another layout and when ``check_order`` does, and
     LinAlgError when LAPACK reports a failure.
     """
-    n = check_order(A.shape[0])
+    check_order(A.shape[0])
+    eigenvalues, vectors = _syevd(A, compute_v=1)
+    return eigenvalues, np.ascontiguousarray(vectors)
+
+
+def eigvalsh(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(A)``, with its bits: the values-only dsyevd
+    (dsytrd, then dsterf) that NumPy runs on a Fortran-order copy of A, run
+    here in A's own buffer, which it overwrites.  A must be a
+    Fortran-contiguous n x n float64 array; the workspace grows with n, so
+    ``check_order`` does not apply.  Raises as ``eigh`` does.
+    """
+    return _syevd(A, compute_v=0)[0]
+
+
+def _syevd(A: np.ndarray, compute_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's dsyevd on the lower triangle of A, in A's buffer."""
+    n = A.shape[0]
     if A.dtype != np.float64 or A.shape != (n, n) or not A.flags.f_contiguous:
         raise ValueError(f"expected a Fortran-contiguous square float64 array, "
                          f"got {A.dtype} with shape {A.shape}")
     # The workspace size sets dsytrd's blocking, so NumPy's bits need the
     # size LAPACK asks for, as NumPy and scipy.linalg.eigh pass it.
-    work, iwork, info = _dsyevd_lwork(n=n, compute_v=1, lower=1)
+    work, iwork, info = _dsyevd_lwork(n=n, compute_v=compute_v, lower=1)
     if info:
         raise LinAlgError(f"dsyevd's workspace query for order {n} failed (info {info})")
-    eigenvalues, vectors, info = _dsyevd(A, compute_v=1, lower=1, lwork=int(work),
+    eigenvalues, vectors, info = _dsyevd(A, compute_v=compute_v, lower=1, lwork=int(work),
                                          liwork=iwork, overwrite_a=1)
     if info:
         raise LinAlgError(f"dsyevd failed on an eigendecomposition of order {n} (info {info})")
-    return eigenvalues, np.ascontiguousarray(vectors)
+    return eigenvalues, vectors
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,8 @@ import operator
 
 import numpy as np
 
+from .lapack import eigvalsh
+
 SYMMETRY_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
 
@@ -191,9 +193,12 @@ def check_labels(y, n: int | None = None) -> np.ndarray:
 
 
 def decompose(G) -> GramSpectrum:
-    """Eigenvalues of G/n as a GramSpectrum."""
+    """Eigenvalues of G/n as a GramSpectrum, with ``np.linalg.eigvalsh``'s
+    bits.  G/n is written once, to a Fortran-order array that
+    ``lapack.eigvalsh`` decomposes in place; NumPy would hold G/n and its
+    own Fortran-order copy of it."""
     G = check_gram(G)
-    return GramSpectrum(np.linalg.eigvalsh(G / G.shape[0]))
+    return GramSpectrum(eigvalsh(np.divide(G, G.shape[0], out=np.empty(G.shape, order="F"))))
 
 
 @at_ridge

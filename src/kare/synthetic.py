@@ -6,9 +6,10 @@ expanded spectrum mode), the Gram matrix is O diag(d) O^T, and labels are
 O b + noise * e.  Risks are then exact sums over modes, no test sampling.
 
 The oracles and scores never form the n x n Gram.  With U = O diag(sqrt d),
-a draw pays one ``np.linalg.eigh``, of U^T U / n when n > M and of
-G/n = U U^T / n when n <= M (U^T U alone would amplify rounding in its null
-space).  By the push-through identity (U^T U / n + ridge I)^{-1} U^T =
+a draw pays one ``lapack.eigh`` (``np.linalg.eigh``'s bits, in the
+product's own buffer), of U^T U / n when n > M and of G/n = U U^T / n when
+n <= M (U^T U alone would amplify rounding in its null space); the product
+stays NumPy's.  By the push-through identity (U^T U / n + ridge I)^{-1} U^T =
 U^T B^{-1}, with B = (1/n)G + ridge I, every oracle at every ridge is a
 diagonal scaling in it, and the draw's ``spectrum`` (a GramSpectrum) and
 ``scores`` (a RidgeScores) come from the same eigh.  A draw builds G only
@@ -31,6 +32,7 @@ import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from .estimators import RidgeScores, TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
+from .lapack import eigh
 from .spectral import (GramSpectrum, at_ridge, check_count, check_real, check_ridge, decompose,
                        representable, stieltjes)
 from .sct import Spectrum, solve_sct
@@ -59,14 +61,16 @@ class ObservationDraw:
         """(spectrum, L, R): the GramSpectrum of G/n, n - M zeros then mu for
         U^T U / n = Q mu Q^T with L = diag(sqrt d) Q, R = U Q (n > M), or mu
         for U U^T / n = P mu P^T with L = diag(sqrt d) U^T P, R = P (n <= M),
-        so that diag(d) O^T B^{-1} = L diag(1/(mu + ridge)) R^T at every ridge."""
+        so that diag(d) O^T B^{-1} = L diag(1/(mu + ridge)) R^T at every ridge.
+        NumPy's syrk mirrors each product, so it is exactly symmetric and its
+        transpose, a Fortran-order view, is decomposed in place."""
         root = np.sqrt(self.d)
         U = self.O * root
         n, M = U.shape
         if n > M:
-            mu, Q = np.linalg.eigh(U.T @ U / n)
+            mu, Q = eigh((U.T @ U / n).T)
             return GramSpectrum(np.concatenate([np.zeros(n - M), mu])), root[:, None] * Q, U @ Q
-        mu, P = np.linalg.eigh(U @ U.T / n)
+        mu, P = eigh((U @ U.T / n).T)
         return GramSpectrum(mu), (self.O * self.d).T @ P, P
 
     @property

@@ -92,6 +92,47 @@ def test_eigh_raises_when_lapack_reports_a_failure(monkeypatch):
         lapack.eigh(A)
 
 
+@pytest.mark.parametrize("family", ["rbf", "laplacian", "l1exp"])
+@pytest.mark.parametrize("n", [60, 400])
+def test_eigvalsh_has_numpys_bits_and_overwrites_its_input(family, n, monkeypatch):
+    G = _gram(family, n)
+    returned, original = [], lapack._dsyevd
+
+    def dsyevd(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+    monkeypatch.setattr(lapack, "_dsyevd", dsyevd)
+    A = np.asfortranarray(G)
+    np.testing.assert_array_equal(lapack.eigvalsh(A), np.linalg.eigvalsh(G))
+    # The values-only dsyevd ran once, in A's buffer.
+    assert len(returned) == 1 and np.shares_memory(returned[0][1], A)
+
+
+def test_eigvalsh_rejects_a_layout_it_would_copy_and_a_failure(monkeypatch):
+    G = _gram("rbf", 60)
+    for A in (G, G.astype(np.float32).T, np.asfortranarray(G)[:, :59]):
+        with pytest.raises(ValueError, match="Fortran-contiguous square float64"):
+            lapack.eigvalsh(A)
+    monkeypatch.setattr(lapack, "_dsyevd", lambda a, **kwargs: (None, a, 7))
+    with pytest.raises(lapack.LinAlgError, match=r"dsyevd failed .* order 60 \(info 7\)"):
+        lapack.eigvalsh(np.asfortranarray(G))
+
+
+@pytest.mark.parametrize("n", [60, 21, 20, 8])
+def test_eigh_has_numpys_bits_on_a_draws_product(n):
+    # A draw of 20 modes decomposes U^T U / n (M x M) when n > M and
+    # U U^T / n (n x n) when n <= M.  NumPy's syrk mirrors either product,
+    # so it equals its transpose bit for bit and that Fortran-order view is
+    # decomposed in place.
+    dr = draw(power_law_spectrum(2.0, 20), TrueFunction(np.ones(20), 0.1), n, 5)
+    U = dr.O * np.sqrt(dr.d)
+    B = U.T @ U / n if n > 20 else U @ U.T / n
+    np.testing.assert_array_equal(B, B.T)
+    expected = np.linalg.eigh(B)
+    for got, want in zip(lapack.eigh(B.T), expected):
+        np.testing.assert_array_equal(got, want)
+
+
 class _CountedBlas:
     """SciPy's BLAS module, counting the calls that go through it."""
 

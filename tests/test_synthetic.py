@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from kare import synthetic
 from kare.estimators import RidgeScores, TrueFunction
 from kare.krr import ridge_solve
 from kare.sct import Spectrum, power_law_spectrum, rbf_gaussian_spectrum, sct_from_gram, solve_sct
@@ -286,11 +287,11 @@ def test_monte_carlo_oracles_never_read_the_gram(monkeypatch):
 
 
 def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
-    # Every oracle, the train error and the scores read one eigh of the
-    # draw's smaller Gram at every ridge (M x M for n = 20 > M = 6, n x n
+    # Every oracle, the train error and the scores read one lapack.eigh of
+    # the draw's smaller Gram at every ridge (M x M for n = 20 > M = 6, n x n
     # for n = 4), and factor nothing.  The three oracles read eigenvalues
     # from the draw's spectrum, so no QR runs for them.
-    shapes, original = [], np.linalg.eigh
+    shapes, original = [], synthetic.eigh
 
     def counted(B, *args, **kwargs):
         shapes.append(B.shape)
@@ -299,7 +300,7 @@ def test_monte_carlo_oracles_decompose_each_draw_once(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("an oracle called ridge_solve or qr")
 
-    monkeypatch.setattr("numpy.linalg.eigh", counted)
+    monkeypatch.setattr(synthetic, "eigh", counted)
     monkeypatch.setattr("kare.krr.ridge_solve", unused)
     spec = power_law_spectrum(2.0, 6)
     f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
