@@ -34,7 +34,6 @@ option "argument --OPT: ...".  Counts and seeds accept integral floats.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -89,6 +88,7 @@ def _option(parse):
         try:
             return parse(text)
         except ValueError as exc:
+            import argparse  # loaded already: only _build_parser's parser calls this
             raise argparse.ArgumentTypeError(str(exc)) from None
     return option
 
@@ -121,13 +121,6 @@ def _output(path: str) -> str:
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"must be in an existing directory, got {path!r}")
     return path
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error on one stderr line; --help shows the usage."""
-
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 _NUMERICAL_ERRORS = (LinAlgError, ArithmeticError)
@@ -536,7 +529,17 @@ def _cmd_validate(args) -> int:
     return 0 if report["passed"] else 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The kare command line's parser.  argparse (with gettext and locale)
+    is imported here, so that importing kare.cli does not load it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error on one stderr line; --help shows the usage."""
+
+        def error(self, message):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="kare",
         description="Kernel ridge regression risk prediction toolkit",

@@ -157,9 +157,16 @@ def write_csv(path, columns, rows) -> None:
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset back out with full float precision (round-trips exactly)."""
+    """Write a dataset back out with full float precision (round-trips exactly).
+
+    Every cell is the float64 value's ``%.17g``, the text ``write_csv``
+    gives a float; each row is formatted in one pass rather than cell by cell.
+    """
     names = ds.meta.get("feature_names") or [f"x{i}" for i in range(ds.X.shape[1])]
-    write_csv(path, [*names, label_column], ([*row, label] for row, label in zip(ds.X, ds.y)))
+    line = ",".join(["%.17g"] * (len(names) + 1)) + "\n"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow([*names, label_column])
+        handle.writelines(line % tuple(row) for row in np.column_stack([ds.X, ds.y]).tolist())
 
 
 def _read_idx(path, expected_magic: int, dims: int) -> tuple[tuple[int, ...], np.ndarray]:

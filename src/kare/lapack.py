@@ -31,12 +31,16 @@ dsyrk for every product also kept the bits, but thm6 took 0.59-0.62 s
 against 0.47-0.54 s, and bayes 0.05-0.10 s against 0.04 s.
 
 kare loads only SciPy's two compiled wrappers, ``scipy.linalg._flapack``
-and ``scipy.linalg._fblas``, and not the ``scipy.linalg`` package: that
-package's ``__init__`` loads SciPy's array-API layer, and with it
-``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, which took about half
-of ``import kare``.  The two modules are registered under their own names,
-so a later ``import scipy.linalg`` uses the same objects and the same
-OpenBLAS.
+and ``scipy.linalg._fblas``, and runs neither the ``scipy.linalg`` nor the
+``scipy`` package ``__init__``: the first loads SciPy's array-API layer,
+and with it ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, which took
+about half of ``import kare``; the second loads ``subprocess``, SciPy's
+test utilities and its C-callback layer.  Without the second, a fresh
+``import kare, kare.cli, kare.validation`` peaked at 39.6 MB resident
+against 41.1 MB and took a median 0.176 s against 0.191 s (20 alternating
+processes each, 2-core VM).  The two modules are registered under their
+own names, so a later ``import scipy.linalg`` uses the same objects and
+the same OpenBLAS.
 """
 
 from __future__ import annotations
@@ -44,26 +48,46 @@ from __future__ import annotations
 import os
 import sys
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
 
 def _scipy_extension(name: str):
     """SciPy's compiled ``scipy.linalg.<name>``, loaded and registered in
-    ``sys.modules`` without running the ``scipy.linalg`` package ``__init__``."""
+    ``sys.modules`` without running the ``scipy`` or ``scipy.linalg``
+    package ``__init__``.  Where that load fails, as where a platform's
+    SciPy makes its libraries findable in ``scipy/__init__`` (the Windows
+    wheels add their DLL directory there), the package is imported and the
+    module loaded once more.  Raises ImportError naming the module when
+    neither route finds it."""
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    spec = PathFinder.find_spec(full, [os.path.join(path, "linalg") for path in scipy.__path__])
+    spec = find_spec("scipy")  # finds the package without executing it
+    try:
+        module = _load(full, spec.submodule_search_locations if spec else [])
+    except ImportError:
+        try:
+            import scipy
+        except ImportError:
+            raise ImportError(f"kare needs SciPy's compiled {full}, and SciPy "
+                              f"does not import", name=full) from None
+        module = _load(full, scipy.__path__)
+    sys.modules[full] = module
+    return module
+
+
+def _load(full: str, scipy_path):
+    """Execute the compiled module ``full`` found under the directories of
+    the ``scipy`` package, or raise ImportError naming it."""
+    spec = PathFinder.find_spec(full, [os.path.join(path, "linalg") for path in scipy_path])
     if spec is None:
-        raise ImportError(f"kare needs SciPy's compiled {full}, which SciPy "
-                          f"{scipy.__version__} does not have", name=full)
+        raise ImportError(f"kare needs SciPy's compiled {full}, which the installed "
+                          f"SciPy does not have", name=full)
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[full] = module
     return module
 
 

@@ -84,6 +84,21 @@ def test_csv_writer_cells_and_line_ends(tmp_path):
     assert out.read_bytes() == b"x0,x1,label\n0.10000000000000001,2,-1\n"
 
 
+def test_save_csv_writes_the_bytes_of_the_per_cell_writer(tmp_path):
+    # save_csv formats each row in one pass; its text is write_csv's,
+    # cell by cell, down to the extreme and non-finite values.
+    X = np.array([[-0.0, 5e-324, 1e308], [-1e308, 3.0, np.inf], [np.nan, -np.inf, 1 / 3]])
+    y = np.array([2.0, -0.0, 1e-300])
+    names = ["a,b", 'say "c"', "d"]
+    fast, per_cell = tmp_path / "fast.csv", tmp_path / "cells.csv"
+    save_csv(Dataset(X, y, {"feature_names": names}), fast, label_column="y")
+    write_csv(per_cell, [*names, "y"], ([*map(float, row), float(label)]
+                                        for row, label in zip(X, y)))
+    assert fast.read_bytes() == per_cell.read_bytes()
+    assert fast.read_bytes().splitlines()[:2] == [
+        b'"a,b","say ""c""",d,y', b"-0,4.9406564584124654e-324,1e+308,2"]
+
+
 def _idx_files(tmp_path, images, labels):
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)

@@ -41,36 +41,88 @@ def _imported_modules(tree: ast.AST):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+def _names_scipy(tree: ast.AST) -> bool:
+    """Whether a module imports SciPy, reads a name ``scipy`` or passes a
+    module name under ``scipy`` as a string (to importlib, say)."""
+    return (any(name.split(".")[0] == "scipy" for name in _imported_modules(tree))
+            or any(isinstance(node, ast.Name) and node.id == "scipy"
+                   or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value.split(".")[0] == "scipy"
+                   for node in ast.walk(tree)))
+
+
 def test_only_lapack_imports_scipy():
     # NumPy and SciPy each load their own OpenBLAS; kare.lapack is the one
-    # door to SciPy's.
-    importers = {path.name for path in _SOURCE.glob("*.py")
-                 if any(name.split(".")[0] == "scipy"
-                        for name in _imported_modules(ast.parse(path.read_text())))}
-    assert importers == {"lapack.py"}
+    # door to SciPy's, and it imports the scipy package only when loading a
+    # compiled module without it fails.  No other module imports SciPy or
+    # names it to an importer.
+    assert {path.name for path in _SOURCE.glob("*.py")
+            if _names_scipy(ast.parse(path.read_text()))} == {"lapack.py"}
+
+
+def _fresh_python(script: str) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": str(_SOURCE.parent)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    return result.stdout.splitlines()
 
 
 def test_import_loads_scipys_compiled_wrappers_not_scipy_linalg():
     # scipy.linalg's __init__ loads SciPy's array-API layer and with it
-    # numpy.f2py, numpy.testing and numpy.ma, about half of import kare.
-    # kare.lapack loads the two compiled modules alone, under their own
-    # names, so a later import of scipy.linalg shares them.  Only module
-    # sets are checked, no time.
+    # numpy.f2py, numpy.testing and numpy.ma, about half of import kare;
+    # scipy's own __init__ loads subprocess among others, and argparse
+    # loads gettext and locale.  kare.lapack loads the two compiled modules
+    # alone, under their own names, so a later import of scipy.linalg
+    # shares them, and kare.cli imports argparse only to parse.  Only
+    # module sets are checked, no time.
     script = (
         "import sys\n"
         "import kare, kare.cli, kare.validation\n"
-        "names = ('scipy.linalg._flapack', 'scipy.linalg._fblas', 'scipy.linalg',\n"
-        "         'numpy.f2py', 'numpy.testing', 'numpy.ma')\n"
+        "names = ('scipy.linalg._flapack', 'scipy.linalg._fblas', 'scipy.linalg', 'scipy',\n"
+        "         'numpy.f2py', 'numpy.testing', 'numpy.ma', 'argparse', 'subprocess')\n"
         "print(' '.join(name for name in names if name in sys.modules))\n"
         "import scipy.linalg\n"
         "print(scipy.linalg.lapack.dposv is kare.lapack.dposv,\n"
         "      scipy.linalg.blas.dgemv is kare.lapack._blas.dgemv)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(_SOURCE.parent)}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True, timeout=60)
-    assert result.stdout.splitlines() == ["scipy.linalg._flapack scipy.linalg._fblas",
-                                          "True True"]
+    assert _fresh_python(script) == ["scipy.linalg._flapack scipy.linalg._fblas", "True True"]
+
+
+def test_import_without_scipy_names_the_missing_module():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # as if SciPy were not installed\n"
+        "try:\n"
+        "    import kare\n"
+        "except ImportError as exc:\n"
+        "    print(exc.name)\n"
+        "    print(exc)\n"
+    )
+    assert _fresh_python(script) == [
+        "scipy.linalg._flapack",
+        "kare needs SciPy's compiled scipy.linalg._flapack, and SciPy does not import"]
+
+
+def test_a_failed_direct_load_falls_back_to_the_scipy_package():
+    # SciPy's Windows wheels add their DLL directory in scipy/__init__, so
+    # there the compiled modules load only after the package has run.
+    script = (
+        "import sys\n"
+        "import numpy, numpy.random\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "create = ExtensionFileLoader.create_module\n"
+        "def create_after_scipy(self, spec):\n"
+        "    if spec.name.startswith('scipy.linalg.') and 'scipy' not in sys.modules:\n"
+        "        raise ImportError('DLL load failed')\n"
+        "    return create(self, spec)\n"
+        "ExtensionFileLoader.create_module = create_after_scipy\n"
+        "import kare\n"
+        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack.dposv is kare.lapack.dposv,\n"
+        "      scipy.linalg.blas.dgemv is kare.lapack._blas.dgemv)\n"
+    )
+    assert _fresh_python(script) == ["True False", "True True"]
 
 
 @pytest.mark.parametrize("module", ["cli.py", "estimators.py", "krr.py", "kernels.py", "data.py"])
