@@ -57,11 +57,15 @@ from .data import (
     subsample,
     write_csv,
 )
+# A sweep's Grams, which from_distances makes from mirrored distances, are
+# exactly symmetric and finite, so the sweep reads them through the
+# estimators' unchecked entries, bound to the public names, at which
+# bench/tracer.py times them.
 from .estimators import (
     RidgeScores,
     TrueFunction,
-    classical_alignment,
-    cross_validation_risks,
+    _alignment as classical_alignment,
+    _cross_validation_risks as cross_validation_risks,
 )
 from .kernels import FAMILIES, KernelSpec, distances, from_distances
 from .krr import held_out_risk
@@ -368,24 +372,27 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     The train-train and test-train distances are each computed once per
     sweep, and each lengthscale turns them into its Gram and cross-Gram,
     once each.  One pass per lengthscale reads the Gram with the alignment
-    and with CV, which slices it (each fold's Gram is scaled by 1/m once,
-    in Fortran order, and each ridge factors a copy of it in place), then
-    scales it by 1/n in place and decomposes it once for all ridges, in
-    its own buffer, which then holds the eigenvectors.  The scaling and the
-    eigh make no symmetry scan: a Gram of the mirrored distances is exactly
-    symmetric and finite.  With a test set, it keeps each ridge's dual
-    ((1/n)G + ridge I)^{-1} y / n, and a last pass, after the train
-    distances are dropped, scores the duals on each cross-Gram.  Each
+    and with CV, which gathers each fold's Gram from it (in Fortran order,
+    scaled by 1/m in place, and each ridge factors a copy of it in one
+    buffer per call), then scales it by 1/n in place and decomposes it once
+    for all ridges, in its own buffer, which then holds the eigenvectors in
+    C order.  None of them makes a symmetry scan: a Gram of the mirrored
+    distances is exactly symmetric and finite.  With a test set, it keeps
+    each ridge's dual ((1/n)G + ridge I)^{-1} y / n, and a last pass,
+    after the train distances are dropped, scores the duals on each
+    cross-Gram.  Each
     record is built once, from its lengthscale's pass and its test risk.
 
     At each eigh the sweep holds two n x n arrays, the train distances and
-    the scaled Gram (CV's fold copies are freed by then), besides LAPACK's
-    workspace (2 n x n) and the duals kept so far (L x R x n floats for L
-    lengthscales and R ridges): a peak near 4 n^2 + L R n floats.  The
-    test distances (test_n x n) are made after the last eigh; the duals
-    outweigh them only when L x R > test_n.  Every eigh, product and solve
-    goes through ``kare.lapack``, so they share one OpenBLAS and its one
-    thread pool.
+    the scaled Gram (CV's fold Grams, at most two of them at a time, are
+    freed by then), besides LAPACK's workspace (2 n x n) and the duals kept
+    so far (L x R x n floats for L lengthscales and R ridges): a peak near
+    4 n^2 + L R n floats.  The eigh's vectors stay in the Gram's buffer, so
+    after it the sweep holds the same two n x n arrays, where NumPy's eigh
+    would add a C-order copy of the vectors.  The test distances
+    (test_n x n) are made after the last eigh; the duals outweigh them only
+    when L x R > test_n.  Every eigh, product and solve goes through
+    ``kare.lapack``, so they share one OpenBLAS and its one thread pool.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
     NumericalError naming it: CV, run once per lengthscale, names the ridge

@@ -72,11 +72,11 @@ class RidgeScores(GramSpectrum):
     def _scaling_in_place(cls, G: np.ndarray, y) -> RidgeScores:
         """RidgeScores(G, y) for a caller that no longer reads G: G is divided
         by n in place (the bits of G / n), and ``lapack.eigh`` decomposes it
-        in its own buffer, so G's buffer ends up holding the eigenvectors
-        (G.T has the bits of ``vectors``), and ``vectors`` is the only new
-        n x n array.  G is not scanned: it must be a finite, exactly
-        symmetric, C-contiguous n x n float64 array, as ``from_distances``
-        makes from mirrored distances.  No ``__init__`` runs."""
+        in its own buffer and transposes the eigenvectors there, so G ends up
+        holding ``vectors`` and the call keeps no new n x n array.  G is not
+        scanned: it must be a finite, exactly symmetric, C-contiguous n x n
+        float64 array, as ``from_distances`` makes from mirrored distances.
+        No ``__init__`` runs."""
         y = check_labels(y)
         return cls.__new__(cls)._from_eigen(*eigh(np.divide(G, y.shape[0], out=G).T), y)
 
@@ -146,7 +146,12 @@ def classical_alignment(y, G) -> float:
     or G is identically zero.
     """
     y = check_labels(y)
-    G = check_gram(G, y.shape[0])
+    return _alignment(y, check_gram(G, y.shape[0]))
+
+
+def _alignment(y: np.ndarray, G: np.ndarray) -> float:
+    """``classical_alignment`` of checked labels y and a finite, symmetric,
+    float64 G that is not scanned again."""
     yGy, gg, yy = _alignment_sums(y, G)
     if not all(sys.float_info.min <= abs(s) < math.inf
                for s in (yGy, gg, yy, math.sqrt(gg) * yy)):
@@ -260,28 +265,40 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
 
     Fold assignment is reproducible: a seeded shuffle of the indices,
     then equal contiguous blocks with the remainder handed out one per
-    fold from the front.  Each fold's Gram and cross-Gram are slices of
-    G, so no kernel is evaluated; each fold is one ``krr.ridge_solve``
-    for all ridges, which scales the fold's Gram once and makes one
-    Cholesky factorization per ridge, in place.  G must be finite and
-    symmetric (the factorization reads the lower triangle); a failed
+    fold from the front.  Each fold's Gram and cross-Gram are gathered
+    from G, so no kernel is evaluated.  Each fold's Gram is gathered once,
+    directly in Fortran order, and scaled by 1/m in place (m training
+    points); every ridge of every fold copies it into one buffer, made once
+    per call, and factors it there (``krr._factor_solves``), so a call
+    holds at most two fold Grams and a held-out block.  G must be finite
+    and symmetric (the factorization reads the lower triangle); a failed
     solve raises NumericalError naming its ridge.
     """
     y = check_labels(y)
+    return _cross_validation_risks(check_gram(G, y.shape[0]), y, ridges, folds, seed)
+
+
+def _cross_validation_risks(G: np.ndarray, y: np.ndarray, ridges, folds: int,
+                            seed: int) -> list[float]:
+    """``cross_validation_risks`` of checked labels y and a finite,
+    symmetric, float64 G that is not scanned again."""
     n = y.shape[0]
-    G = check_gram(G, n)
     folds = check_count(folds, "folds", 2, n)
     ridges = [check_ridge(ridge) for ridge in ridges]
     order = np.random.default_rng(seed).permutation(n)
+    work = np.empty((n - n // folds) ** 2)  # the largest fold's m x m
     errors = [[] for _ in ridges]
     for held in np.array_split(order, folds):
         keep = np.ones(n, bool)
         keep[held] = False
         rest = np.flatnonzero(keep)
-        G_rest, K_held = G[np.ix_(rest, rest)], G[np.ix_(held, rest)]
-        solutions = krr.ridge_solve(G_rest, y[rest], ridges)
+        m = rest.size
+        G_rest = G.T[np.ix_(rest, rest)].T  # G[np.ix_(rest, rest)], in Fortran order
+        solutions = krr._factor_solves(np.divide(G_rest, m, out=G_rest), y[rest], ridges, work)
+        del G_rest  # freed before the next fold gathers its own
+        K_held = G[np.ix_(held, rest)]
         for fold_errors, solution in zip(errors, solutions):
-            fold_errors.append(krr.held_out_risk(K_held, solution / rest.size, y[held]))
+            fold_errors.append(krr.held_out_risk(K_held, solution / m, y[held]))
     return [float(np.mean(fold_errors)) for fold_errors in errors]
 
 

@@ -32,13 +32,13 @@ def ridge_solve(G, rhs, ridges) -> list[np.ndarray]:
     """((1/n)G + ridge I)^{-1} rhs for each ridge, n the size of G, by one
     LAPACK dposv (Cholesky factor, then solve) per ridge.
 
-    G is not modified.  The one Cholesky solve of the package, for ``fit``,
-    cross-validation and the dense reference routes.  (1/n)G is formed once,
-    in Fortran order, and checked to be finite once, with rhs; each ridge
-    copies it into one reused buffer, adds the ridge to the diagonal and
-    factors the buffer in place.  dposv runs the dpotrf and dpotrs of SciPy's
-    ``cho_solve(cho_factor(G / n + ridge * I, lower=True), rhs)`` on the lower
-    triangle of (1/n)G, so the solutions have its bits.
+    G is not modified.  The one Cholesky solve of the package, for ``fit``
+    and the dense reference routes; cross-validation runs its factor loop,
+    ``_factor_solves``, on fold Grams it scales itself.  (1/n)G is formed
+    once, in Fortran order, and checked to be finite once, with rhs.  dposv
+    runs the dpotrf and dpotrs of SciPy's
+    ``cho_solve(cho_factor(G / n + ridge * I, lower=True), rhs)`` on the
+    lower triangle of (1/n)G, so the solutions have its bits.
 
     A diagonal that overflows float64 when the ridge is added, or a
     factorization that fails (as at a tiny ridge on a rank-deficient G),
@@ -50,9 +50,19 @@ def ridge_solve(G, rhs, ridges) -> list[np.ndarray]:
     scaled = np.divide(G, n, out=np.empty(G.shape, order="F"))
     if not (np.isfinite(scaled).all() and np.isfinite(rhs).all()):
         raise ValueError("matrix or right-hand side has non-finite entries")
+    return _factor_solves(scaled, rhs, ridges, np.empty(n * n))
+
+
+def _factor_solves(scaled: np.ndarray, rhs, ridges, work: np.ndarray) -> list[np.ndarray]:
+    """(scaled + ridge I)^{-1} rhs for each checked ridge, ``ridge_solve``'s
+    loop: each ridge copies the finite (1/n)G ``scaled`` into the first n^2
+    floats of the flat buffer ``work``, as a Fortran-order n x n matrix,
+    adds the ridge to its diagonal and factors it there, in place.  Raises
+    NumericalError as ``ridge_solve`` does."""
+    n = scaled.shape[0]
+    B = work[:n * n].reshape((n, n), order="F")
     diagonal = np.diag_indices(n)
     top = float(scaled[diagonal].max())
-    B = np.empty_like(scaled)
     solutions = []
     for ridge in ridges:
         if math.isinf(top + ridge):

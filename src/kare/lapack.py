@@ -15,7 +15,8 @@ make their products and solves through it too.  Each routine returns the
 bits of the NumPy expression it stands for, because it calls the same BLAS
 or LAPACK routine on the same memory layout that NumPy passes it:
 
-- ``eigh(A)`` is ``np.linalg.eigh(A)``, decomposed in A's own buffer;
+- ``eigh(A)`` is ``np.linalg.eigh(A)``, decomposed in A's own buffer, which
+  then holds the C-order eigenvectors, transposed in place;
 - ``eigvalsh(A)`` is ``np.linalg.eigvalsh(A)``, also in A's buffer;
 - ``matvec(A, x)`` is ``A @ x``, so ``matvec(A.T, x)`` is ``A.T @ x``;
 - ``dot(x, y)`` is ``x @ y``;
@@ -104,6 +105,11 @@ _MAX_WORKSPACE = 2**31 - 1
 # NumPy's x @ y calls ddot on at most this many entries at a time.
 _DOT_CHUNK = 2**30
 
+# Side of the square tiles in which ``eigh`` transposes its eigenvectors:
+# a 64 x 64 tile is 32 KB.  At n = 2000 the transpose took 5.7 ms with 64,
+# 9.9 ms with 32 and 16 ms for NumPy's C-order copy (2-core VM).
+_TILE = 64
+
 
 def check_order(n: int) -> int:
     """n, or ValueError naming n when an n x n ``eigh`` needs a LAPACK
@@ -121,16 +127,40 @@ def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A must be a Fortran-contiguous n x n float64 array that the caller no
     longer reads: LAPACK's dsyevd overwrites it with the eigenvectors.  NumPy
-    runs the same dsyevd on a Fortran-order copy of A, so this holds one n x n
-    array fewer (a C-order symmetric G is passed as ``G.T``).  The vectors are
-    returned as a C-order copy, as NumPy returns them: ``matvec`` on a
-    Fortran-order matrix would call the other gemv kernel, whose bits differ.
-    Raises ValueError for another layout and when ``check_order`` does, and
-    LinAlgError when LAPACK reports a failure.
+    runs the same dsyevd on a Fortran-order copy of A, and then copies the
+    vectors to C order; here the vectors are transposed in A's buffer, in
+    square tiles, and returned as a C-order view of it, so A ends up holding
+    ``vectors.T`` and the only n x n array the call allocates is LAPACK's
+    workspace, freed before it returns (a C-order symmetric G is passed as
+    ``G.T``, and then G holds ``vectors``).  The vectors must be in C order,
+    as NumPy returns them: ``matvec`` on a Fortran-order matrix would call
+    the other gemv kernel, whose bits differ.  Raises ValueError for another
+    layout and when ``check_order`` does, and LinAlgError when LAPACK
+    reports a failure.
     """
     check_order(A.shape[0])
     eigenvalues, vectors = _syevd(A, compute_v=1)
-    return eigenvalues, np.ascontiguousarray(vectors)
+    return eigenvalues, _transpose_in_place(vectors).T
+
+
+def _transpose_in_place(A: np.ndarray) -> np.ndarray:
+    """A, a square array, overwritten with A.T: each pair of mirrored
+    _TILE x _TILE tiles is swapped through one reused tile, and each
+    diagonal tile transposed through it."""
+    n = A.shape[0]
+    scratch = np.empty((min(n, _TILE),) * 2)
+    for i in range(0, n, _TILE):
+        diagonal = A[i:i + _TILE, i:i + _TILE]
+        tile = scratch[:diagonal.shape[0], :diagonal.shape[0]]
+        np.copyto(tile, diagonal.T)
+        np.copyto(diagonal, tile)
+        for j in range(i + _TILE, n, _TILE):
+            upper, lower = A[i:i + _TILE, j:j + _TILE], A[j:j + _TILE, i:i + _TILE]
+            tile = scratch[:upper.shape[0], :upper.shape[1]]
+            np.copyto(tile, upper)
+            np.copyto(upper, lower.T)
+            np.copyto(lower, tile.T)
+    return A
 
 
 def eigvalsh(A: np.ndarray) -> np.ndarray:

@@ -533,18 +533,23 @@ def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
     # eigh.  Before, the test distances and an unscaled copy of the Gram
     # were live too: 4 n x n arrays.  The eigh decomposes the Gram in its
     # own buffer: inside it, LAPACK's workspace (2 n x n, a SciPy array)
-    # and then the C-order copy of the vectors are added, and a copy of
-    # the Gram, as NumPy's eigh made, would break the second bound.
+    # is added, and a copy of the Gram, as NumPy's eigh made, would break
+    # the second bound.  The vectors are transposed in that buffer, so
+    # after the eigh the sweep holds only its eigenvalues more (the duals
+    # kept, L x R x n floats, bound it); a C-order copy of the vectors
+    # would add n^2 floats.
     from kare import estimators
     n = 400
     cfg = parse_sweep_config(_config(tmp_path, **{"data.n": str(n), "data.test_n": str(n)}))
-    traced, peaks, original = [], [], estimators.eigh
+    traced, peaks, after, original = [], [], [], estimators.eigh
 
     def eigh(*args, **kwargs):
         traced.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         result = original(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        after.append(current)
         return result
     monkeypatch.setattr(estimators, "eigh", eigh)
     tracemalloc.start()
@@ -555,15 +560,17 @@ def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
     assert len(traced) == 2
     assert max(traced) <= 2.5 * n * n * 8
     assert max(peaks) <= 4.5 * n * n * 8
+    lengthscales, ridges = 2, 3
+    assert all(a - t <= lengthscales * ridges * n * 8 for a, t in zip(after, traced))
 
 
 @pytest.mark.parametrize("alignment", ["true", "false"])
 @pytest.mark.parametrize("folds", ["3", "0"])
 def test_sweep_scans_each_gram_once_per_reader_and_builds_each_record_once(
         tmp_path, monkeypatch, alignment, folds):
-    # The alignment and cross-validation each check the Gram they read; the
-    # score pass scales a Gram of mirrored distances without a scan.  Each
-    # record is built once, after the passes.
+    # A Gram of mirrored distances is exactly symmetric and finite, so
+    # neither the alignment, cross-validation nor the score pass scans it.
+    # Each record is built once, after the passes.
     from kare import cli, spectral
     scans, built, original = [], [], spectral._max_asymmetry
 
@@ -582,7 +589,7 @@ def test_sweep_scans_each_gram_once_per_reader_and_builds_each_record_once(
         "scores.cv_folds": folds}))
     records = run_sweep(cfg)
     assert len(records) == len(built) == 3 * 3
-    assert scans == [(40, 40)] * 3 * ((alignment == "true") + (folds != "0"))
+    assert scans == []
 
 
 @pytest.mark.parametrize("lengthscales, ridges, folds", [
@@ -612,19 +619,21 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     for owner, name in [(kernels, "_raw_distances"), (kernels, "gram_matrix"),
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
-                        (krr, "ridge_solve"), (krr, "dposv"), (cli, "from_distances")]:
+                        (krr, "ridge_solve"), (krr, "_factor_solves"), (krr, "dposv"),
+                        (cli, "from_distances")]:
         count(owner, name)
     cfg = parse_sweep_config(_config(tmp_path, **{
         "grid.lengthscale": f"0.5:2:{lengthscales}:log2",
         "grid.ridge": f"1e-3:1e-1:{ridges}:log10",
         "scores.cv_folds": str(folds)}))
     assert len(run_sweep(cfg)) == lengthscales * ridges
-    # One Cholesky per (lengthscale, fold, ridge), from one ridge_solve per
-    # (lengthscale, fold), and no other kernel work.  Each lengthscale
+    # One Cholesky per (lengthscale, fold, ridge), from one factor loop per
+    # (lengthscale, fold) on the fold's own scaled Gram, no ridge_solve and
+    # no other kernel work.  Each lengthscale
     # applies exp once to the Gram's distances, with or without CV, and
     # once to the test distances.
     assert calls == {"_raw_distances": 2, "from_distances": lengthscales * 2,
-                     **({"ridge_solve": lengthscales * folds,
+                     **({"_factor_solves": lengthscales * folds,
                          "dposv": lengthscales * folds * ridges} if folds else {})}
     assert factored == [(True, True, True)] * calls["dposv"]
     assert distance_shapes == [(40, 40), (25, 40)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -223,17 +224,19 @@ def test_ridge_scores_match_functional_api():
 
 def test_ridge_scores_leaves_its_gram_untouched():
     # The sweep's private path scales its own Gram in place and decomposes
-    # it there, so the Gram's buffer ends up holding the eigenvectors; the
-    # public constructor copies, and both give the same bits.
+    # it there, so the Gram's buffer ends up holding the C-order
+    # eigenvectors; the public constructor decomposes its own scaled copy,
+    # which then holds them, and both give the same bits.
     rng = np.random.default_rng(5)
     G = gram_matrix(KernelSpec("rbf", 3.0), rng.standard_normal((30, 3)))
     y = rng.standard_normal(30)
     before = G.tobytes()
     rs = RidgeScores(G, y)
-    assert G.tobytes() == before
+    assert G.tobytes() == before and not np.shares_memory(rs.vectors, G)
     scratch = G.copy()
     in_place = RidgeScores._scaling_in_place(scratch, y)
-    assert scratch.T.tobytes() == in_place.vectors.tobytes()
+    assert np.shares_memory(in_place.vectors, scratch)
+    assert scratch.tobytes() == in_place.vectors.tobytes()
     for name in ("eigenvalues", "vectors", "w"):
         assert getattr(in_place, name).tobytes() == getattr(rs, name).tobytes()
     assert in_place.n == rs.n and in_place.kare(0.1) == rs.kare(0.1)
@@ -505,13 +508,37 @@ def test_cross_validation_fits_each_fold_on_setdiff1ds_indices(n, folds, monkeyp
     # indices np.setdiff1d gives; the labels 0..n-1 name the fitted rows.
     fitted = []
 
-    def ridge_solve(G, y, ridges):
+    def factor_solves(scaled, y, ridges, work):
         fitted.append(y.tolist())
         return [np.zeros(y.size) for _ in ridges]
-    monkeypatch.setattr(krr, "ridge_solve", ridge_solve)
+    monkeypatch.setattr(krr, "_factor_solves", factor_solves)
     cross_validation_risks(np.eye(n), np.arange(float(n)), (0.1,), folds, seed=n)
     order = np.random.default_rng(n).permutation(n)
     assert fitted == [np.setdiff1d(order, held).tolist() for held in np.array_split(order, folds)]
+
+
+def test_cross_validation_holds_at_most_two_fold_grams():
+    # Each fold's Gram is gathered once, in Fortran order, and scaled in
+    # place, and every ridge factors it in one buffer made once per call:
+    # at its peak a call holds two m x m fold Grams, one held-out block,
+    # O(n) floats and NumPy's buffers for the gather's two index arrays
+    # (8192 indices each).  A C-order gather, then a scaled Fortran-order
+    # copy, then the factor buffer would hold three fold Grams.
+    rng = np.random.default_rng(8)
+    n, folds, ridges = 400, 4, (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+    G = gram_matrix(KernelSpec("rbf", 2.0), rng.standard_normal((n, 3)))
+    y = rng.standard_normal(n)
+    held = n // folds
+    m = n - held
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        risks = cross_validation_risks(G, y, ridges, folds, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(risks) == len(ridges)
+    assert peak - before <= (2 * m * m + held * m + 16 * n + 2 * 8192) * 8
 
 
 def test_cross_validation_risks_rejects_a_mismatched_gram():

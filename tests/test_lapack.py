@@ -1,6 +1,9 @@
 """kare.lapack against NumPy as the reference: every routine has the bits
 of the NumPy expression it stands for."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -22,13 +25,25 @@ def _draw_gram() -> np.ndarray:
     return draw(spec, TrueFunction(np.ones(60), 0.1), 40, 3).G / 40
 
 
-MATRICES = {**{f"{family}-{n}": (family, n) for family in ("rbf", "laplacian", "l1exp")
-               for n in (60, 400)}, "draw-40": None}
+def _draw_product() -> np.ndarray:
+    # U^T U / n of a draw of 100 modes at n = 150, the M x M product a draw
+    # with n > M decomposes: NumPy's syrk mirrors it exactly.
+    dr = draw(power_law_spectrum(2.0, 100), TrueFunction(np.ones(100), 0.1), 150, 7)
+    U = dr.O * np.sqrt(dr.d)
+    return U.T @ U / 150
+
+
+# The vectors are transposed in square tiles of 64: the laplacian orders
+# fall below, at and just past one tile, and on two tiles and a part.
+MATRICES = {**{f"{family}-{n}": partial(_gram, family, n)
+               for family in ("rbf", "laplacian", "l1exp") for n in (60, 400)},
+            **{f"laplacian-{n}": partial(_gram, "laplacian", n) for n in (1, 63, 64, 65, 130)},
+            "draw-40": _draw_gram, "draw-product-100": _draw_product}
 
 
 @pytest.mark.parametrize("name", MATRICES)
 def test_eigh_has_numpys_bits_and_overwrites_its_input(name, monkeypatch):
-    G = _draw_gram() if MATRICES[name] is None else _gram(*MATRICES[name])
+    G = MATRICES[name]()
     expected_values, expected_vectors = np.linalg.eigh(G)
     returned, original = [], lapack._dsyevd
 
@@ -40,10 +55,29 @@ def test_eigh_has_numpys_bits_and_overwrites_its_input(name, monkeypatch):
     values, vectors = lapack.eigh(A)
     np.testing.assert_array_equal(values, expected_values)
     np.testing.assert_array_equal(vectors, expected_vectors)
-    assert vectors.flags.c_contiguous and not np.shares_memory(vectors, A)
-    # LAPACK wrote the eigenvectors into A's buffer: no copy of A was made.
+    # LAPACK wrote the eigenvectors into A's buffer, no copy of A was made,
+    # and the C-order vectors are a view of that buffer, transposed in place.
     assert np.shares_memory(returned[0][1], A)
-    np.testing.assert_array_equal(A, vectors)
+    assert vectors.flags.c_contiguous and np.shares_memory(vectors, A)
+    np.testing.assert_array_equal(A, vectors.T)
+
+
+def test_eigh_allocates_no_n_by_n_array_besides_lapacks_workspace():
+    # Only the eigenvalues outlive the call; NumPy's C-order copy of the
+    # vectors would add n^2 floats.  At its peak the call holds dsyevd's
+    # workspace, 1 + 6n + 2n^2 floats, and O(n) besides.
+    n = 300
+    A = np.asfortranarray(_gram("rbf", n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        values, vectors = lapack.eigh(A)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(vectors, A)
+    assert after - before <= 2 * n * 8
+    assert peak - before <= (1 + 6 * n + 2 * n * n + 16 * n) * 8
 
 
 def test_eigh_reads_the_lower_triangle_as_numpy_does():
