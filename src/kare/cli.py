@@ -57,7 +57,7 @@ from .data import (
     subsample,
     write_csv,
 )
-# A sweep's Grams, which from_distances makes from mirrored distances, are
+# A sweep's Grams, which _packed_gram makes from mirrored distances, are
 # exactly symmetric and finite, so the sweep reads them through the
 # estimators' unchecked entries, bound to the public names, at which
 # bench/tracer.py times them.
@@ -67,7 +67,9 @@ from .estimators import (
     _alignment as classical_alignment,
     _cross_validation_risks as cross_validation_risks,
 )
-from .kernels import FAMILIES, KernelSpec, distances, from_distances
+from .kernels import (
+    FAMILIES, KernelSpec, _packed_distances, _packed_gram, distances, from_distances,
+)
 from .krr import held_out_risk
 from .lapack import LinAlgError, check_order, matvec
 from .sct import (
@@ -369,30 +371,14 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cell, in deterministic grid order.
 
-    The train-train and test-train distances are each computed once per
-    sweep, and each lengthscale turns them into its Gram and cross-Gram,
-    once each.  One pass per lengthscale reads the Gram with the alignment
-    and with CV, which gathers each fold's Gram from it (in Fortran order,
-    scaled by 1/m in place, and each ridge factors a copy of it in one
-    buffer per call), then scales it by 1/n in place and decomposes it once
-    for all ridges, in its own buffer, which then holds the eigenvectors in
-    C order.  None of them makes a symmetry scan: a Gram of the mirrored
-    distances is exactly symmetric and finite.  With a test set, it keeps
-    each ridge's dual ((1/n)G + ridge I)^{-1} y / n, and a last pass,
-    after the train distances are dropped, scores the duals on each
-    cross-Gram.  Each
-    record is built once, from its lengthscale's pass and its test risk.
-
-    At each eigh the sweep holds two n x n arrays, the train distances and
-    the scaled Gram (CV's fold Grams, at most two of them at a time, are
-    freed by then), besides LAPACK's workspace (2 n x n) and the duals kept
-    so far (L x R x n floats for L lengthscales and R ridges): a peak near
-    4 n^2 + L R n floats.  The eigh's vectors stay in the Gram's buffer, so
-    after it the sweep holds the same two n x n arrays, where NumPy's eigh
-    would add a C-order copy of the vectors.  The test distances
-    (test_n x n) are made after the last eigh; the duals outweigh them only
-    when L x R > test_n.  Every eigh, product and solve goes through
-    ``kare.lapack``, so they share one OpenBLAS and its one thread pool.
+    The train distances are computed once per sweep, as their packed upper
+    triangle, and the test distances once, after the last eigh.  Each
+    lengthscale builds its Gram and cross-Gram from them, once each; the
+    alignment and CV read the Gram, and then it is scaled by 1/n and
+    decomposed in its own buffer, once for all ridges.  No Gram is scanned
+    for symmetry: one expanded from mirrored distances is exactly
+    symmetric and finite.  Each record is built once.  README's sweep
+    section gives the memory this holds.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
     NumericalError naming it: CV, run once per lengthscale, names the ridge
@@ -407,13 +393,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             raise ConfigError(f"grid.lengthscale: multiple {multiple!r} times the input "
                               f"dimension {dim} overflows float64")
     kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
-    D = distances(cfg.family, train.X, train.X)
+    packed = _packed_distances(cfg.family, train.X)
 
     # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
     # before the next lengthscale builds its own.
     def scores(kern: KernelSpec) -> tuple[list[partial], list[np.ndarray]]:
         # Each ridge's record, short of its test risk, and its dual.
-        G = from_distances(kern, D)
+        G = _packed_gram(kern, packed)
         align = classical_alignment(train.y, G) if cfg.alignment else None
         cv_risks = [None] * len(cfg.ridges)
         with _cell(kern.lengthscale):
@@ -437,7 +423,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         return cells, duals
 
     passes = [scores(kern) for kern in kerns]
-    del D
+    del packed
     test_risks = [[None] * len(cfg.ridges)] * len(kerns)
     if test is not None:
         D_test = distances(cfg.family, test.X, train.X)

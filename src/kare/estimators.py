@@ -75,7 +75,7 @@ class RidgeScores(GramSpectrum):
         in its own buffer and transposes the eigenvectors there, so G ends up
         holding ``vectors`` and the call keeps no new n x n array.  G is not
         scanned: it must be a finite, exactly symmetric, C-contiguous n x n
-        float64 array, as ``from_distances`` makes from mirrored distances.
+        float64 array, as ``gram_matrix`` and the sweep's ``_packed_gram`` make.
         No ``__init__`` runs."""
         y = check_labels(y)
         return cls.__new__(cls)._from_eigen(*eigh(np.divide(G, y.shape[0], out=G).T), y)

@@ -201,6 +201,15 @@ def decompose(G) -> GramSpectrum:
     return GramSpectrum(eigvalsh(np.divide(G, G.shape[0], out=np.empty(G.shape, order="F"))))
 
 
+def _decompose_in_place(G: np.ndarray) -> GramSpectrum:
+    """``decompose(G)`` for a caller that no longer reads G, with its bits:
+    G is divided by n in place and decomposed as ``G.T``, which holds the
+    bytes of decompose's Fortran-order G/n when G is exactly symmetric.  G
+    is not scanned: it must be a finite, exactly symmetric, C-contiguous
+    n x n float64 array with n >= 1, as ``gram_matrix`` makes it."""
+    return GramSpectrum(eigvalsh(np.divide(G, G.shape[0], out=G).T))
+
+
 @at_ridge
 def stieltjes(s: GramSpectrum, ridge: float) -> float:
     """m(-ridge) = (1/n) sum_i 1 / (mu_i + ridge); lies in (0, 1/ridge].

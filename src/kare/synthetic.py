@@ -33,8 +33,8 @@ import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 from .estimators import RidgeScores, TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
 from .lapack import eigh
-from .spectral import (GramSpectrum, at_ridge, check_count, check_real, check_ridge, decompose,
-                       representable, stieltjes)
+from .spectral import (GramSpectrum, _decompose_in_place, at_ridge, check_count, check_real,
+                       check_ridge, representable, stieltjes)
 from .sct import Spectrum, solve_sct
 
 # Expanded mode cap; multiplicities beyond this make direct sampling
@@ -270,5 +270,5 @@ def rbf_gaussian_gram_spectrum(
     dim, n = check_count(dim, "dimension", 1), check_count(n, "sample count", 1)
     sigma = check_real(sigma, "sigma")
     X = sigma * np.random.default_rng(seed).standard_normal((n, dim))
-    return decompose(gram_matrix(KernelSpec("rbf", lengthscale), X))
+    return _decompose_in_place(gram_matrix(KernelSpec("rbf", lengthscale), X))
 

@@ -3,6 +3,8 @@
     python tests/golden.py             # regenerate tests/golden.json
     python tests/golden.py --compare   # largest relative gap per column against it;
                                        # exits 1 if any is above RTOL
+    python tests/golden.py --bench --out FILE [--src DIR]
+    python tests/golden.py --bench --compare FILE [--src DIR]
 
 Each case runs ``kare sweep`` or ``kare sct`` in-process on a small fixed
 input and reads its CSV back.  ``tests/test_golden.py`` checks every
@@ -13,7 +15,17 @@ deliberate change to the sweep and sct output contracts; run
 ``--compare`` first and keep its table with the change.  The table's
 first line is ``environment()``: the sweep's last digits depend on the
 BLAS thread count.  Run as a script, it imports kare from the ``src``
-next to this directory.
+next to this directory, or from ``--src DIR``.
+
+``--bench`` runs the bench-size cases instead: the sweep-cv and
+sweep-wide workloads of ``bench/workloads.py`` (imported without writing
+under ``bench/``) at seeds 0, 1 and 2, at sizes where BLAS threads.  They
+take several seconds, so the tests do not run them.  ``--out FILE``
+writes their values and CSV SHA-256 digests; ``--compare FILE`` prints
+each column's gap against FILE and whether each CSV's digest matches, and
+exits 1 if a gap is above RTOL.  To check that a change keeps the
+bench-size output, write FILE with ``--src`` at the parent's ``src``,
+then compare at the change.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -30,6 +43,7 @@ import tempfile
 from pathlib import Path
 
 FIXTURE = Path(__file__).with_name("golden.json")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 RTOL = 1e-9
 
 # 3 lengthscales x 4 ridges at n = 60, with CV, a test set and every score.
@@ -73,8 +87,45 @@ def values(case: str) -> dict[str, list[float | None]]:
         with contextlib.redirect_stdout(io.StringIO()):
             if main(argv) != 0:
                 raise RuntimeError(f"{case}: kare {argv[0]} failed")
-        with open(out, newline="") as handle:
-            rows = list(csv.DictReader(handle))
+        return _columns(out)
+
+
+# bench-size case -> (workload, seed)
+BENCH_CASES = {f"{workload}-seed{seed}": (workload, seed)
+               for workload in ("sweep-cv", "sweep-wide") for seed in (0, 1, 2)}
+
+
+def bench_values(case: str) -> dict:
+    """The bench-size case's CSV SHA-256 and its columns, as
+    ``{"sha256": ..., "columns": {column: values}}``."""
+    workloads = _bench_workloads()
+    with tempfile.TemporaryDirectory() as tmp:
+        job = workloads.prepare(*BENCH_CASES[case], Path(tmp))
+        digest = workloads.call(job)["sha256"]
+        return {"sha256": digest, "columns": _columns(job.config.output)}
+
+
+def _bench_workloads():
+    """bench/workloads.py as the module ``bench_workloads``, loaded once
+    and without writing bytecode."""
+    if "bench_workloads" in sys.modules:
+        return sys.modules["bench_workloads"]
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules["bench_workloads"]
+        raise
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def _columns(path) -> dict[str, list[float | None]]:
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
     return {column: [float(row[column]) if row[column] else None for row in rows]
             for column in rows[0]}
 
@@ -101,20 +152,39 @@ def relative_gap(new: list, old: list) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", action="store_true",
-                        help=f"print gaps against {FIXTURE.name} instead of writing it")
+    parser.add_argument("--bench", action="store_true",
+                        help="the bench-size cases, which need --out or --compare")
+    parser.add_argument("--out", metavar="FILE", help=f"write to FILE, not {FIXTURE.name}")
+    parser.add_argument("--compare", nargs="?", const="", metavar="FILE",
+                        help=f"print gaps against FILE (default {FIXTURE.name}) "
+                             f"instead of writing it")
+    parser.add_argument("--src", metavar="DIR", help="import kare from DIR")
     args = parser.parse_args(argv)
-    fresh = {case: values(case) for case in CASES}
-    if not args.compare:
-        FIXTURE.write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {len(fresh)} cases to {FIXTURE}")
+    if args.bench and not (args.out or args.compare):
+        parser.error("--bench needs --out FILE or --compare FILE")
+    if args.src:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+    if args.bench:
+        fresh = {case: bench_values(case) for case in BENCH_CASES}
+    else:
+        fresh = {case: values(case) for case in CASES}
+    if args.compare is None:
+        out = Path(args.out or FIXTURE)
+        out.write_text(json.dumps(fresh, indent=1) + "\n")
+        import kare
+        print(f"wrote {len(fresh)} cases to {out}, with kare from {Path(kare.__file__).parent}")
         return 0
-    committed = json.loads(FIXTURE.read_text())
+    committed = json.loads(Path(args.compare or FIXTURE).read_text())
     print(environment())
     gaps = []
-    for case, columns in fresh.items():
-        for column, new in columns.items():
-            gaps.append(relative_gap(new, committed.get(case, {}).get(column, [])))
+    for case, new in fresh.items():
+        old = committed.get(case, {})
+        if args.bench:
+            match = "matches" if new["sha256"] == old.get("sha256") else "differs"
+            print(f"{case:18} CSV sha256 {match}")
+            new, old = new["columns"], old.get("columns", {})
+        for column, column_values in new.items():
+            gaps.append(relative_gap(column_values, old.get(column, [])))
             print(f"{case:18} {column:24} {gaps[-1]:.3e}")
     return 0 if all(gap <= RTOL for gap in gaps) else 1
 

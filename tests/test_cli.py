@@ -528,16 +528,17 @@ def test_sweep_records_equal_the_public_per_cell_routes(tmp_path, family, test_n
 
 
 def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
-    # At each eigh the sweep holds its train distances and the Gram,
-    # scaled by 1/n in place; the test distances are made after the last
-    # eigh.  Before, the test distances and an unscaled copy of the Gram
-    # were live too: 4 n x n arrays.  The eigh decomposes the Gram in its
-    # own buffer: inside it, LAPACK's workspace (2 n x n, a SciPy array)
-    # is added, and a copy of the Gram, as NumPy's eigh made, would break
-    # the second bound.  The vectors are transposed in that buffer, so
-    # after the eigh the sweep holds only its eigenvalues more (the duals
-    # kept, L x R x n floats, bound it); a C-order copy of the vectors
-    # would add n^2 floats.
+    # At each eigh the sweep holds the packed upper triangle of its train
+    # distances (n(n+1)/2 floats) and the Gram, scaled by 1/n in place:
+    # 1.5 n^2 floats.  The test distances are made after the last eigh.
+    # With the full distances the sweep held 2 n^2, and before that the
+    # test distances and an unscaled copy of the Gram were live too: 4 n^2.
+    # The eigh decomposes the Gram in its own buffer: inside it, LAPACK's
+    # workspace (2 n x n, a SciPy array) is added, and a copy of the Gram,
+    # as NumPy's eigh made, would break the second bound.  The vectors are
+    # transposed in that buffer, so after the eigh the sweep holds only its
+    # eigenvalues more (the duals kept, L x R x n floats, bound it); a
+    # C-order copy of the vectors would add n^2 floats.
     from kare import estimators
     n = 400
     cfg = parse_sweep_config(_config(tmp_path, **{"data.n": str(n), "data.test_n": str(n)}))
@@ -558,8 +559,8 @@ def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(traced) == 2
-    assert max(traced) <= 2.5 * n * n * 8
-    assert max(peaks) <= 4.5 * n * n * 8
+    assert max(traced) <= 1.6 * n * n * 8
+    assert max(peaks) <= 3.6 * n * n * 8
     lengthscales, ridges = 2, 3
     assert all(a - t <= lengthscales * ridges * n * 8 for a, t in zip(after, traced))
 
@@ -607,7 +608,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
         def counted(*args, **kwargs):
             calls[name] += 1
             result = original(*args, **kwargs)
-            if name == "_raw_distances":
+            if name in ("_packed_distances", "_raw_distances"):
                 distance_shapes.append(result.shape)
             if name == "dposv":
                 # Each factorization runs in place on a Fortran-order B.
@@ -620,6 +621,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
                         (krr, "ridge_solve"), (krr, "_factor_solves"), (krr, "dposv"),
+                        (cli, "_packed_distances"), (cli, "_packed_gram"),
                         (cli, "from_distances")]:
         count(owner, name)
     cfg = parse_sweep_config(_config(tmp_path, **{
@@ -629,14 +631,16 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     assert len(run_sweep(cfg)) == lengthscales * ridges
     # One Cholesky per (lengthscale, fold, ridge), from one factor loop per
     # (lengthscale, fold) on the fold's own scaled Gram, no ridge_solve and
-    # no other kernel work.  Each lengthscale
-    # applies exp once to the Gram's distances, with or without CV, and
-    # once to the test distances.
-    assert calls == {"_raw_distances": 2, "from_distances": lengthscales * 2,
+    # no other kernel work.  The train distances are one packed triangle
+    # per sweep, which each lengthscale expands once into its Gram, with
+    # or without CV; the test distances are one full matrix, to which each
+    # lengthscale applies exp once.
+    assert calls == {"_packed_distances": 1, "_packed_gram": lengthscales,
+                     "_raw_distances": 1, "from_distances": lengthscales,
                      **({"_factor_solves": lengthscales * folds,
                          "dposv": lengthscales * folds * ridges} if folds else {})}
     assert factored == [(True, True, True)] * calls["dposv"]
-    assert distance_shapes == [(40, 40), (25, 40)]
+    assert distance_shapes == [(40 * 41 // 2,), (25, 40)]
 
 
 def test_sweep_cross_validates_each_gram_before_its_eigh(tmp_path, monkeypatch):

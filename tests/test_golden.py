@@ -57,3 +57,36 @@ def test_compare_exits_1_above_rtol(tmp_path, monkeypatch, capsys):
     golden.FIXTURE.write_text(json.dumps(fixture))
     assert golden.main(["--compare"]) == 1
     assert "sweep-rbf          kare                     2.000e-09" in capsys.readouterr().out
+
+
+def test_bench_mode_writes_and_compares_digests_and_gaps(tmp_path, monkeypatch, capsys):
+    # The bench-size cases take seconds each, so a stand-in gives their values.
+    case = {"sha256": "ab" * 32, "columns": {"kare": [0.5, None], "cv_risk": [2.0, 3.0]}}
+    monkeypatch.setattr(golden, "BENCH_CASES", {"sweep-cv-seed0": ("sweep-cv", 0)})
+    monkeypatch.setattr(golden, "bench_values", lambda name: json.loads(json.dumps(case)))
+    path = tmp_path / "bench.json"
+    assert golden.main(["--bench", "--out", str(path)]) == 0
+    assert json.loads(path.read_text()) == {"sweep-cv-seed0": case}
+    capsys.readouterr()
+    assert golden.main(["--bench", "--compare", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [golden.environment(), "sweep-cv-seed0     CSV sha256 matches",
+                     "sweep-cv-seed0     kare                     0.000e+00",
+                     "sweep-cv-seed0     cv_risk                  0.000e+00"]
+    case["sha256"], case["columns"]["cv_risk"][1] = "cd" * 32, 3.0 * (1 + 2 * golden.RTOL)
+    assert golden.main(["--bench", "--compare", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "sweep-cv-seed0     CSV sha256 differs" in out
+    assert "sweep-cv-seed0     cv_risk                  2.000e-09" in out
+    with pytest.raises(SystemExit):
+        golden.main(["--bench"])
+    assert "--bench needs --out FILE or --compare FILE" in capsys.readouterr().err
+
+
+def test_bench_workloads_load_without_writing_under_bench():
+    before = sorted(p.name for p in golden.BENCH.iterdir())
+    workloads = golden._bench_workloads()
+    assert callable(workloads.prepare) and callable(workloads.call)
+    assert sorted(golden.BENCH_CASES) == [f"{w}-seed{s}" for w in ("sweep-cv", "sweep-wide")
+                                          for s in (0, 1, 2)]
+    assert sorted(p.name for p in golden.BENCH.iterdir()) == before

@@ -229,6 +229,31 @@ def test_distances_bit_identical_to_row_by_row(monkeypatch, family, dim, same, c
         assert np.array_equal(D, D.T)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 300])
+@pytest.mark.parametrize("cap", ["default", "one-row", "ragged"])
+def test_packed_and_in_place_grams_have_the_unmirrored_bits(monkeypatch, family, n, cap):
+    # The unmirrored route (Y a copy of X) computes every entry and makes
+    # a new array of kernel values.  The sweep's packed triangle, expanded
+    # and mirrored in strips of rows, and gram_matrix, which mirrors and
+    # exponentiates in place, must give its bytes.  At the default cap
+    # each n here is one strip; the ragged cap gives 3-row distance blocks
+    # and 9-row expansion strips.  Rows 1, 5, 9, ... duplicate row 0.
+    if cap != "default":
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1 if cap == "one-row" else 9 * n)
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-2, 2, (n, 1))
+    X[1::4] = X[0]
+    spec = KernelSpec(family, 1.3)
+    expected = from_distances(spec, kernels._raw_distances(family, X, X.copy())).tobytes()
+    packed = kernels._packed_distances(family, X)
+    assert packed.shape == (n * (n + 1) // 2,)
+    for G in (kernels._packed_gram(spec, packed), gram_matrix(spec, X)):
+        assert G.shape == (n, n) and G.flags.c_contiguous
+        assert G.tobytes() == expected
+        assert np.array_equal(G, G.T) and np.all(np.diag(G) == 1.0)
+
+
 _OVERFLOWING_PAIR = ([[1e308, -1e308]], [[0.0, 0.0]])
 _DISTANCE_NAMES = [("rbf", "squared L2 distance"), ("laplacian", "L2 distance"),
                   ("l1exp", "L1 distance")]
@@ -243,6 +268,17 @@ def test_overflowing_distance_raises_naming_it(family, name):
         distances(family, *_OVERFLOWING_PAIR)
     with pytest.raises(NumericalError, match=message):
         gram_matrix(KernelSpec(family, 1.0), np.vstack(_OVERFLOWING_PAIR))
+
+
+@pytest.mark.parametrize("family, name", _DISTANCE_NAMES)
+def test_packed_distances_check_points_and_distances_as_distances_does(family, name):
+    message = f"^{family} kernel: {name} is not representable in float64$"
+    with pytest.raises(NumericalError, match=message):
+        kernels._packed_distances(family, np.vstack(_OVERFLOWING_PAIR))
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        kernels._packed_distances(family, [[0.0], [np.inf]])
+    with pytest.raises(ValueError, match="unknown kernel family"):
+        kernels._packed_distances("cosine", [[0.0]])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -265,10 +301,16 @@ def _traced_peak(call) -> int:
 def test_kernel_build_scratch_is_bounded():
     # At n = 1000, d = 20 the old 32 MB distance blocks took 62.7 MB of
     # scratch beyond the 8 MB result, and the symmetry check's G - G.T
-    # 15.3 MB.
-    X = np.random.default_rng(0).standard_normal((1000, 20))
+    # 15.3 MB.  gram_matrix and cross_gram exponentiate their own
+    # distances in place; a new array for the kernel values took another
+    # 8 MB.
+    rng = np.random.default_rng(0)
+    X, X_test = rng.standard_normal((1000, 20)), rng.standard_normal((1000, 20))
     result_bytes = 1000 * 1000 * 8
     for family in FAMILIES:
-        assert _traced_peak(lambda: distances(family, X, X)) - result_bytes <= 2 * 2**20
+        spec = KernelSpec(family, 20.0)
+        for build in (lambda: distances(family, X, X), lambda: gram_matrix(spec, X),
+                      lambda: cross_gram(spec, X_test, X)):
+            assert _traced_peak(build) - result_bytes <= 2 * 2**20
     G = gram_matrix(KernelSpec("rbf", 20.0), X)
     assert _traced_peak(lambda: check_gram(G)) <= 2 * 2**20

@@ -247,6 +247,16 @@ def test_rbf_gaussian_gram_spectrum_shape():
     assert MAX_MODES == 5000
 
 
+@pytest.mark.parametrize("n", [1, 2, 50, 130])
+def test_rbf_gaussian_gram_spectrum_decomposes_its_own_gram_with_decompose_bits(n):
+    # The sampler scales its Gram in place and decomposes its transpose;
+    # on an exactly symmetric Gram that is decompose's Fortran-order G/n.
+    from kare.kernels import KernelSpec, gram_matrix
+    X = 1.5 * np.random.default_rng(7).standard_normal((n, 3))
+    expected = decompose(gram_matrix(KernelSpec("rbf", 4.0), X)).eigenvalues
+    assert rbf_gaussian_gram_spectrum(3, 4.0, 1.5, n, 7).eigenvalues.tobytes() == expected.tobytes()
+
+
 def test_draw_builds_the_gram_only_when_read():
     spec = power_law_spectrum(2.0, 6)
     f = TrueFunction(1.0 / np.arange(1, 7), 0.1)
