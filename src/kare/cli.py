@@ -21,10 +21,11 @@ Cholesky factorization that fails at a tiny ridge, a score or threshold
 estimate not representable in float64, or a Gram matrix that is not
 positive semidefinite; a sweep names the failing lengthscale and ridge).
 
-Config file format: flat "key = value" lines, '#' comments.  Grids are
-"start:stop:count:log2" or "start:stop:count:log10" (count log-spaced
-values from start to stop inclusive).  The keys, their defaults and
-their meaning are the tables _REQUIRED_KEYS and _OPTIONAL_KEYS below.
+Config file format: UTF-8, flat "key = value" lines, '#' comments.
+Grids are "start:stop:count:log2" or "start:stop:count:log10" (count
+log-spaced values from start to stop inclusive).  The keys, their
+defaults and their meaning are the tables _REQUIRED_KEYS and
+_OPTIONAL_KEYS below.
 
 Each config key and each option has one parser from text to value
 (``_count``, ``_real``, ``_output``, ``parse_grid``...) that raises
@@ -57,8 +58,8 @@ from .data import (
     subsample,
     write_csv,
 )
-# A sweep's Grams, which _packed_gram makes from mirrored distances, are
-# exactly symmetric and finite, so the sweep reads them through the
+# A sweep's Grams, which _gram_from_strips makes from mirrored distances,
+# are exactly symmetric and finite, so the sweep reads them through the
 # estimators' unchecked entries, bound to the public names, at which
 # bench/tracer.py times them.
 from .estimators import (
@@ -68,7 +69,7 @@ from .estimators import (
     _cross_validation_risks as cross_validation_risks,
 )
 from .kernels import (
-    FAMILIES, KernelSpec, _packed_distances, _packed_gram, distances, from_distances,
+    FAMILIES, KernelSpec, _gram_from_strips, _strip_distances, distances, from_distances,
 )
 from .krr import held_out_risk
 from .lapack import LinAlgError, check_order, matvec
@@ -274,7 +275,7 @@ _OPTIONAL_KEYS = {
     "data.images": (None, str),                         # [idx] image file
     "data.labels": (None, str),                         # [idx] label file
     "data.digits": (None, _parse_digits),               # [idx] "7,9"
-    "data.preprocess": ("none", _choice("none", "maxabs", "mnist")),
+    "data.preprocess": ("none", _choice("none", "maxabs", "mnist")),  # [csv, idx]
     "data.test_n": (0, _count(0)),                      # held-out rows; 0 disables test risk
     "data.seed": (0, _count(0)),                        # sampling and CV fold seed
     "data.dim": (5, _count(1)),                         # [synthetic] input dimension
@@ -288,18 +289,22 @@ _PARSERS = {**_REQUIRED_KEYS, **{key: parse for key, (_, parse) in _OPTIONAL_KEY
 
 
 def parse_sweep_config(path: str) -> SweepConfig:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     raw = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _PARSERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        raw[key] = value
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -371,14 +376,17 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cell, in deterministic grid order.
 
-    The train distances are computed once per sweep, as their packed upper
-    triangle, and the test distances once, after the last eigh.  Each
+    The train distances are computed once per sweep and kept as flat
+    strips, the layout of ``kernels``: each block of rows [s, s + rows)
+    stores D[s:s + rows, s:] after the block above it, with rows at most
+    max(1, n // 64), so they take n(n+1)/2 floats plus at most n^2 / 128.
+    The test distances are computed once, after the last eigh.  Each
     lengthscale builds its Gram and cross-Gram from them, once each; the
     alignment and CV read the Gram, and then it is scaled by 1/n and
     decomposed in its own buffer, once for all ridges.  No Gram is scanned
-    for symmetry: one expanded from mirrored distances is exactly
-    symmetric and finite.  Each record is built once.  README's sweep
-    section gives the memory this holds.
+    for symmetry: one made from mirrored distances is exactly symmetric
+    and finite.  Each record is built once.  README's sweep section gives
+    the memory this holds.
 
     A LinAlgError or ArithmeticError raised for a cell becomes a
     NumericalError naming it: CV, run once per lengthscale, names the ridge
@@ -393,13 +401,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             raise ConfigError(f"grid.lengthscale: multiple {multiple!r} times the input "
                               f"dimension {dim} overflows float64")
     kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
-    packed = _packed_distances(cfg.family, train.X)
+    strips, rows = _strip_distances(cfg.family, train.X, flat=True)
 
     # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
     # before the next lengthscale builds its own.
     def scores(kern: KernelSpec) -> tuple[list[partial], list[np.ndarray]]:
         # Each ridge's record, short of its test risk, and its dual.
-        G = _packed_gram(kern, packed)
+        G = _gram_from_strips(kern, strips, rows, np.empty((n, n)))
         align = classical_alignment(train.y, G) if cfg.alignment else None
         cv_risks = [None] * len(cfg.ridges)
         with _cell(kern.lengthscale):
@@ -423,7 +431,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         return cells, duals
 
     passes = [scores(kern) for kern in kerns]
-    del packed
+    del strips
     test_risks = [[None] * len(cfg.ridges)] * len(kerns)
     if test is not None:
         D_test = distances(cfg.family, test.X, train.X)
@@ -581,7 +589,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:  # before ValueError: LinAlgError is one
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         if args.command == "sweep" and exc.filename == args.config:
             print(f"config error: {exc}", file=sys.stderr)
             return 1

@@ -1,8 +1,8 @@
 """Dataset loading (CSV, IDX images) and experiment preprocessing.
 
-CSV dialect: comma-separated, mandatory header row, '.' decimal point,
-no quoting of numeric cells.  IDX is the standard big-endian image/label
-format (magic 2051 for images, 2049 for labels).
+CSV dialect: UTF-8, comma-separated, mandatory header row, '.' decimal
+point, no quoting of numeric cells.  IDX is the standard big-endian
+image/label format (magic 2051 for images, 2049 for labels).
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ def _check_finite(X: np.ndarray, y: np.ndarray, source: str) -> None:
         raise ParseError(f"{source}: non-finite values after loading")
 
 
+def _decoded_lines(handle, path):
+    """handle's lines, a decoding error raised as a ParseError naming path."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_csv(
     path,
     label_column: str,
@@ -61,11 +69,11 @@ def load_csv(
     label_map translates categorical labels (e.g. {"s": 1, "b": -1});
     without it the label cell must parse as a number.  With drop_sentinel
     every row containing a -999 feature is discarded.  A header naming a
-    column twice, a feature_columns list naming one twice, or a label
-    column among feature_columns, is a ParseError.
+    column twice, a feature_columns list naming one twice, a label column
+    among feature_columns, or text that is not UTF-8, is a ParseError.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(_decoded_lines(handle, path))
         try:
             header = next(reader)
         except StopIteration:

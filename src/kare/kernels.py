@@ -23,17 +23,20 @@ overflows (1e10 / 1e-300) gives exp(-inf) = 0 without a warning, the
 value float64 gives for any ratio above about 745.
 
 Distances within one point set are symmetric with a zero diagonal, so
-only the blocks on and above the diagonal are computed, and ``_mirror``
-copies them onto the lower triangle.  A sweep, which builds a Gram at
-each of several lengthscales, keeps only the packed upper triangle
-(``_packed_distances``: n(n+1)/2 floats, row i holding D[i, i:]), and
-``_packed_gram`` expands it into each Gram: exp of the same floats,
-mirrored, so it has ``gram_matrix``'s bits.
+they are computed in strips: for each block of ``rows`` rows from row s,
+the strip D[s:s + rows, s:], its diagonal block whole and every entry
+right of it (``_strips``).  ``distances(X, X)`` and ``gram_matrix``
+compute the strips in their n x n result, and ``_mirror`` copies them onto
+the rest of the lower triangle.  A sweep keeps its train distances across
+lengthscales as the strips laid one after another in one flat array:
+n(n+1)/2 floats plus the lower halves of the diagonal blocks.
+``_gram_from_strips`` exponentiates strips, flat or in place, into a Gram
+and mirrors it.  (x - y)^2 and |x - y| are exact under negation, so every
+route has the bits of computing all n^2 entries.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,17 +50,8 @@ _DISTANCE_NAMES = {"rbf": "squared L2 distance", "laplacian": "L2 distance",
                    "l1exp": "L1 distance"}
 
 # Cap on float64 scratch elements per distance block (512 KB), so the
-# (block, m, d) buffer stays in the L2 cache.  One 1000 x 1000 x 20 l1exp
-# distance matrix at each cap (min of 7 calls, two sets, 2-core Xeon VM,
-# NumPy with OpenBLAS; scratch is tracemalloc's peak beyond the 8.0 MB
-# result, in MB of 10^6 bytes):
-#
-#     cap (elements)   rows/block   time (ms)     scratch (MB)
-#     16,384                1       73.8-75.4        0.23
-#     65,536                3       64.8-68.4        0.55
-#     262,144              13       73.0-78.2        2.15
-#     1,048,576            52       69.8-76.8        8.39
-#     4,000,000           200       103.5-125.9     32.20
+# (block, m, d) buffer stays in the L2 cache; the fastest cap timed
+# (CHANGES.md has the table).
 _BLOCK_ELEMENTS = 65_536
 
 
@@ -121,86 +115,71 @@ def _block_distances(family: str, block: np.ndarray, Y: np.ndarray, scratch: np.
 
 
 def _raw_distances(family: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise raw distances: squared L2 (rbf), L2 (laplacian) or L1 (l1exp).
-
-    Blocked over rows of X so the one (block, len(Y), d) scratch buffer
-    stays within _BLOCK_ELEMENTS.  When Y is X, each block is computed
-    only against the columns from its first row on, and ``_mirror`` fills
-    the rest: (x - y)^2 and |x - y| are exact under negation, so the
-    copies have the bits a full computation would give.
-    """
+    """Pairwise raw distances of two point sets: squared L2 (rbf), L2
+    (laplacian) or L1 (l1exp), blocked over rows of X so the one
+    (block, len(Y), d) scratch buffer stays within _BLOCK_ELEMENTS."""
     n = X.shape[0]
     m, d = Y.shape
-    upper = Y is X
     out = np.empty((n, m))
     rows = _block_rows(m, d)
     scratch = np.empty(min(rows, n) * m * d)
     for start in range(0, n, rows):
-        first = start if upper else 0
-        _block_distances(family, X[start:start + rows], Y[first:], scratch,
-                         out[start:start + rows, first:])
-    return _mirror(out, rows) if upper else out
+        _block_distances(family, X[start:start + rows], Y, scratch, out[start:start + rows])
+    return out
 
 
-def _packed_distances(family: str, X) -> np.ndarray:
-    """The upper triangle of ``distances(family, X, X)``, with its bits, as
-    one flat array of n(n+1)/2 floats: row i, D[i, i:], follows row i - 1.
+def _strips(A: np.ndarray, n: int, rows: int):
+    """(start, view of D[start:start + rows, start:]) for each block of
+    ``rows`` rows of an n x n within-set matrix D: in A itself when A is
+    n x n, else in flat A, where each strip follows the one above it."""
+    at = 0
+    for start in range(0, n, rows):
+        if A.ndim == 2:
+            yield start, A[start:start + rows, start:]
+        else:
+            shape = (min(rows, n - start), n - start)
+            yield start, A[at:at + shape[0] * shape[1]].reshape(shape)
+            at += shape[0] * shape[1]
 
-    Computed in the same blocks as ``distances``, each through a block-sized
-    buffer, and raises as it does.
-    """
+
+def _strip_distances(family: str, X, flat: bool = False) -> tuple[np.ndarray, int]:
+    """(strips, rows): the within-set distances of X computed in strips of
+    ``rows`` rows (see ``_strips``), in place in a new n x n array, or with
+    ``flat`` in one flat array.  Flat blocks hold at most max(1, n // 64)
+    rows, so the diagonal blocks' lower halves add at most n^2 / 128 floats
+    to the n(n+1)/2 of the upper triangle.  Checks family and points as
+    ``distances`` does."""
     _check_family(family)
     X = _as_points(X)
     n, d = X.shape
-    packed = np.empty(n * (n + 1) // 2)
     rows = _block_rows(n, d)
+    if flat:
+        rows = min(rows, max(1, n // 64))
+        out = np.empty(sum(min(rows, n - start) * (n - start) for start in range(0, n, rows)))
+    else:
+        out = np.empty((n, n))
     scratch = np.empty(min(rows, n) * n * d)
-    block_out = np.empty(min(rows, n) * n)
-    at = 0
-    for start in range(0, n, rows):
-        block = X[start:start + rows]
-        dist = block_out[:block.shape[0] * (n - start)].reshape(block.shape[0], n - start)
-        _block_distances(family, block, X[start:], scratch, dist)
-        for i, row in enumerate(dist):
-            packed[at:at + n - start - i] = row[i:]
-            at += n - start - i
-    return packed
+    for start, strip in _strips(out, n, rows):
+        _block_distances(family, X[start:start + rows], X[start:], scratch, strip)
+    return out, rows
 
 
-def _row_offset(i: int, n: int) -> int:
-    """Where row i starts in a packed upper triangle of order n."""
-    return i * n - i * (i - 1) // 2
-
-
-def _packed_gram(spec: KernelSpec, packed: np.ndarray) -> np.ndarray:
-    """``from_distances(spec, D)`` for the D whose packed upper triangle is
-    ``packed`` (as ``_packed_distances`` makes it), with the same bits.
-
-    Each strip of rows is exponentiated in one buffer of _BLOCK_ELEMENTS
-    floats at most and copied row by row onto the Gram's upper triangle,
-    and each row's entries left of the diagonal within its strip from the
-    rows above it; ``_mirror`` fills the rest.
-    """
-    n = (math.isqrt(8 * packed.size + 1) - 1) // 2
-    G = np.empty((n, n))
-    rows = max(1, _BLOCK_ELEMENTS // max(1, n))
-    buffer = np.empty(min(packed.size, rows * n))
-    for start in range(0, n, rows):
-        stop = min(n, start + rows)
-        low, high = _row_offset(start, n), _row_offset(stop, n)
-        strip = from_distances(spec, packed[low:high], out=buffer[:high - low])
-        at = 0
-        for i in range(start, stop):
-            G[i, i:] = strip[at:at + n - i]
-            G[i, start:i] = G[start:i, i]
-            at += n - i
+def _gram_from_strips(spec: KernelSpec, strips: np.ndarray, rows: int,
+                      G: np.ndarray) -> np.ndarray:
+    """G (n x n, may be ``strips`` itself) holding ``from_distances(spec, D)``,
+    with its bits, for the D whose strips of ``rows`` rows are ``strips``:
+    each strip exponentiated into its place, then mirrored."""
+    n = G.shape[0]
+    with np.errstate(over="ignore"):
+        for (_, S), (_, T) in zip(_strips(strips, n, rows), _strips(G, n, rows)):
+            np.exp(np.divide(S, -spec.lengthscale, out=T), out=T)
     return _mirror(G, rows)
 
 
 def _mirror(A: np.ndarray, rows: int) -> np.ndarray:
-    """A, a square array whose diagonal blocks of ``rows`` rows are already
-    whole, with the rest of its lower triangle overwritten by its
-    transposed upper triangle, one strip of ``rows`` rows at a time."""
+    """A, a square array whose strips of ``rows`` rows are whole, with the
+    rest of its lower triangle overwritten by its transposed upper
+    triangle, one strip at a time."""
     for start in range(rows, A.shape[0], rows):
         A[start:start + rows, :start] = A[:start, start:start + rows].T
     return A
@@ -212,12 +191,12 @@ def distances(family: str, X, Y) -> np.ndarray:
     Every kernel matrix of a family at any lengthscale is
     ``from_distances`` of these, so a caller that builds several
     lengthscales computes them once.  Passing the same array as X and Y
-    computes one triangle and mirrors it, with the same bits.
+    computes its strips and mirrors them, with the same bits.
     """
+    if Y is X:
+        return _mirror(*_strip_distances(family, X))
     _check_family(family)
-    same = Y is X
-    X = _as_points(X)
-    Y = X if same else _as_points(Y)
+    X, Y = _as_points(X), _as_points(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     return _raw_distances(family, X, Y)
@@ -243,14 +222,14 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Symmetric n x n matrix of pairwise kernel values, unit diagonal.
 
-    ``from_distances`` of ``distances(X, X)``, in place; the mirrored
-    triangle is exactly symmetric with a zero diagonal, so no
-    symmetrization step runs.
+    ``from_distances`` of ``distances(X, X)``, with its bits, exponentiated
+    in place strip by strip before the mirror; the mirrored triangle is
+    exactly symmetric, so no symmetrization step runs.
     """
-    D = distances(spec.family, X, X)
-    if D.shape[0] < 1:
+    G, rows = _strip_distances(spec.family, X)
+    if G.shape[0] < 1:
         raise ValueError("need at least one point")
-    return from_distances(spec, D, out=D)
+    return _gram_from_strips(spec, G, rows, G)
 
 
 def cross_gram(spec: KernelSpec, X_test, X_train) -> np.ndarray:

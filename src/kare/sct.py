@@ -51,15 +51,9 @@ class Spectrum:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        checked = _checked_in_bulk(entries)
-        if checked is None:  # a bad entry, or one the bulk check does not take
-            entries = tuple((check_real(d, "eigenvalues"), check_count(m, "multiplicity", 1))
-                            for d, m in entries)
-            d = np.array([d for d, _ in entries], dtype=float)
-            m = np.array([float(m) for _, m in entries], dtype=float)
-        else:
-            d, m, entries = checked
+        entries = tuple(map(_checked_entry, self.entries))
+        d = np.array([d for d, _ in entries], dtype=float)
+        m = np.array([float(m) for _, m in entries], dtype=float)
         object.__setattr__(self, "entries", entries)
         d.flags.writeable = m.flags.writeable = False
         object.__setattr__(self, "_arrays", (d, m))
@@ -91,28 +85,13 @@ class Spectrum:
         return self._arrays
 
 
-def _checked_in_bulk(entries: tuple) -> tuple[np.ndarray, np.ndarray, tuple] | None:
-    """(d, float multiplicities, entries) when every eigenvalue is a
-    positive finite float and every multiplicity an int >= 1, else None:
-    the per-entry checks then take the entries, accept other numbers and
-    name the first bad one.  The checks are builtins, and the arrays are
-    built from lists of floats as before: a NumPy comparison or reduction
-    here ran NumPy code that no sweep runs, up to 0.3 MB of resident memory
-    per process for ``validation``'s module-level Spectrum."""
-    try:
-        values, counts = [d for d, _ in entries], [m for _, m in entries]
-    except (TypeError, ValueError):
-        return None
-    if not (values and set(map(type, values)) == {float} and set(map(type, counts)) == {int}
-            and all(map(math.isfinite, values)) and min(values) > 0 and min(counts) >= 1):
-        return None
-    try:
-        multiplicities = np.array(list(map(float, counts)))
-    except OverflowError:  # a count beyond float64; the per-entry route raises it
-        return None
-    if set(map(type, entries)) != {tuple}:  # pairs of another type are rebuilt as tuples
-        entries = tuple(zip(values, counts))
-    return np.array(values), multiplicities, entries
+def _checked_entry(pair) -> tuple[float, int]:
+    """(eigenvalue, multiplicity) as a float and an int, each checked; the
+    pair itself when it is already such a tuple, so that a spectrum of
+    tens of thousands of entries holds no second copy of them."""
+    d, m = pair
+    checked = check_real(d, "eigenvalues"), check_count(m, "multiplicity", 1)
+    return pair if type(pair) is tuple and checked[0] is d and checked[1] is m else checked
 
 
 @dataclass(frozen=True)

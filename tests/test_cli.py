@@ -186,6 +186,42 @@ def test_exit_codes_for_bad_inputs(tmp_path):
         assert main(["sweep", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("failing", ["config", "output"])
+def test_an_os_error_names_its_file_on_one_line(tmp_path, capsys, monkeypatch, failing):
+    # Patched, since file modes do not stop root: an unreadable config is a
+    # config error, any other file a data error.
+    from kare import cli
+    cfg = _config(tmp_path, **{"grid.lengthscale": "1:1:1:log2", "scores.cv_folds": "0"})
+    path = cfg if failing == "config" else str(tmp_path / "out.csv")
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+    monkeypatch.setattr(cli, "parse_sweep_config" if failing == "config" else "write_sweep_csv",
+                        denied)
+    assert main(["sweep", "--config", cfg]) == (1 if failing == "config" else 2)
+    err = capsys.readouterr().err
+    prefix = "config error" if failing == "config" else "data error"
+    assert err == f"{prefix}: [Errno 13] Permission denied: {path!r}\n"
+
+
+@pytest.mark.parametrize("undecodable", ["config", "data"])
+def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys, undecodable):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"a,y\n1.0,2.0\n" + (b"\xff,1.0\n" if undecodable == "data" else b""))
+    cfg = _config(tmp_path, **{"data.type": "csv", "data.path": str(data),
+                               "data.label_column": "y", "data.n": "1", "data.test_n": "0",
+                               "scores.cv_folds": "0"})
+    if undecodable == "config":
+        with open(cfg, "ab") as handle:
+            handle.write(b"# \xff\n")
+    assert main(["sweep", "--config", cfg]) == (1 if undecodable == "config" else 2)
+    err = capsys.readouterr().err
+    named = cfg if undecodable == "config" else str(data)
+    prefix = "config error" if undecodable == "config" else "data error"
+    assert len(err.splitlines()) == 1 and err.startswith(f"{prefix}: {named}: ")
+    assert "'utf-8' codec can't decode byte 0xff" in err
+
+
 @pytest.mark.parametrize("case", ["sweep-output-is-a-directory", "sweep-config-is-a-directory",
                                   "sct-out-is-a-directory", "sct-out-in-a-missing-directory"])
 def test_bad_paths_fail_before_any_work(tmp_path, capsys, monkeypatch, case):
@@ -528,9 +564,10 @@ def test_sweep_records_equal_the_public_per_cell_routes(tmp_path, family, test_n
 
 
 def test_sweep_holds_two_n_by_n_arrays_at_each_eigh(tmp_path, monkeypatch):
-    # At each eigh the sweep holds the packed upper triangle of its train
-    # distances (n(n+1)/2 floats) and the Gram, scaled by 1/n in place:
-    # 1.5 n^2 floats.  The test distances are made after the last eigh.
+    # At each eigh the sweep holds the flat strips of its train distances
+    # (n(n+1)/2 floats plus at most n^2 / 128) and the Gram, scaled by 1/n
+    # in place: about 1.5 n^2 floats.  The test distances are made after
+    # the last eigh.
     # With the full distances the sweep held 2 n^2, and before that the
     # test distances and an unscaled copy of the Gram were live too: 4 n^2.
     # The eigh decomposes the Gram in its own buffer: inside it, LAPACK's
@@ -608,8 +645,9 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
         def counted(*args, **kwargs):
             calls[name] += 1
             result = original(*args, **kwargs)
-            if name in ("_packed_distances", "_raw_distances"):
-                distance_shapes.append(result.shape)
+            if name in ("_strip_distances", "_raw_distances"):
+                distance_shapes.append((result[0] if name == "_strip_distances"
+                                        else result).shape)
             if name == "dposv":
                 # Each factorization runs in place on a Fortran-order B.
                 factored.append((args[0].flags.f_contiguous, kwargs.get("overwrite_a"),
@@ -621,7 +659,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
                         (krr, "ridge_solve"), (krr, "_factor_solves"), (krr, "dposv"),
-                        (cli, "_packed_distances"), (cli, "_packed_gram"),
+                        (cli, "_strip_distances"), (cli, "_gram_from_strips"),
                         (cli, "from_distances")]:
         count(owner, name)
     cfg = parse_sweep_config(_config(tmp_path, **{
@@ -631,15 +669,16 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     assert len(run_sweep(cfg)) == lengthscales * ridges
     # One Cholesky per (lengthscale, fold, ridge), from one factor loop per
     # (lengthscale, fold) on the fold's own scaled Gram, no ridge_solve and
-    # no other kernel work.  The train distances are one packed triangle
-    # per sweep, which each lengthscale expands once into its Gram, with
-    # or without CV; the test distances are one full matrix, to which each
-    # lengthscale applies exp once.
-    assert calls == {"_packed_distances": 1, "_packed_gram": lengthscales,
+    # no other kernel work.  The train distances are one set of flat strips
+    # per sweep, which each lengthscale exponentiates once into its Gram,
+    # with or without CV; the test distances are one full matrix, to which
+    # each lengthscale applies exp once.
+    assert calls == {"_strip_distances": 1, "_gram_from_strips": lengthscales,
                      "_raw_distances": 1, "from_distances": lengthscales,
                      **({"_factor_solves": lengthscales * folds,
                          "dposv": lengthscales * folds * ridges} if folds else {})}
     assert factored == [(True, True, True)] * calls["dposv"]
+    # n = 40 gives 1-row strips, which hold the upper triangle alone.
     assert distance_shapes == [(40 * 41 // 2,), (25, 40)]
 
 

@@ -230,25 +230,36 @@ def test_distances_bit_identical_to_row_by_row(monkeypatch, family, dim, same, c
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 300])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 200, 300])
 @pytest.mark.parametrize("cap", ["default", "one-row", "ragged"])
 def test_packed_and_in_place_grams_have_the_unmirrored_bits(monkeypatch, family, n, cap):
     # The unmirrored route (Y a copy of X) computes every entry and makes
-    # a new array of kernel values.  The sweep's packed triangle, expanded
-    # and mirrored in strips of rows, and gram_matrix, which mirrors and
-    # exponentiates in place, must give its bytes.  At the default cap
-    # each n here is one strip; the ragged cap gives 3-row distance blocks
-    # and 9-row expansion strips.  Rows 1, 5, 9, ... duplicate row 0.
+    # a new array of kernel values.  The sweep's flat strips, exponentiated
+    # into a Gram and mirrored, and distances(X, X) and gram_matrix, which
+    # compute their strips in place, must give its bytes.  The ragged cap
+    # gives the latter two 3-row blocks, so n = 64, 65, 130 and 200 end in
+    # a short strip; at the default cap their blocks do so at n = 200 and
+    # 300 (109 and 72 rows).  The flat strips' max(1, n // 64) cap leaves
+    # them 1 to 3 rows, a short last strip at n = 200 under both caps.
+    # Rows 1, 5, 9, ... duplicate row 0.
     if cap != "default":
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1 if cap == "one-row" else 9 * n)
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-2, 2, (n, 1))
     X[1::4] = X[0]
     spec = KernelSpec(family, 1.3)
-    expected = from_distances(spec, kernels._raw_distances(family, X, X.copy())).tobytes()
-    packed = kernels._packed_distances(family, X)
-    assert packed.shape == (n * (n + 1) // 2,)
-    for G in (kernels._packed_gram(spec, packed), gram_matrix(spec, X)):
+    D = kernels._raw_distances(family, X, X.copy())
+    assert distances(family, X, X).tobytes() == D.tobytes()
+    strips, rows = kernels._strip_distances(family, X, flat=True)
+    assert strips.ndim == 1 and 1 <= rows <= max(1, n // 64)
+    # The upper triangle plus the diagonal blocks' lower halves, which
+    # take at most (rows - 1) / 2 floats per row.
+    halves = sum(b * (b - 1) // 2 for b in np.diff([*range(0, n, rows), n]))
+    assert strips.size == n * (n + 1) // 2 + halves
+    assert 2 * strips.size <= n * (n + 1) + n * (rows - 1)
+    expected = from_distances(spec, D).tobytes()
+    for G in (kernels._gram_from_strips(spec, strips, rows, np.empty((n, n))),
+              gram_matrix(spec, X)):
         assert G.shape == (n, n) and G.flags.c_contiguous
         assert G.tobytes() == expected
         assert np.array_equal(G, G.T) and np.all(np.diag(G) == 1.0)
@@ -274,11 +285,11 @@ def test_overflowing_distance_raises_naming_it(family, name):
 def test_packed_distances_check_points_and_distances_as_distances_does(family, name):
     message = f"^{family} kernel: {name} is not representable in float64$"
     with pytest.raises(NumericalError, match=message):
-        kernels._packed_distances(family, np.vstack(_OVERFLOWING_PAIR))
+        kernels._strip_distances(family, np.vstack(_OVERFLOWING_PAIR), flat=True)
     with pytest.raises(ValueError, match="non-finite coordinates"):
-        kernels._packed_distances(family, [[0.0], [np.inf]])
+        kernels._strip_distances(family, [[0.0], [np.inf]], flat=True)
     with pytest.raises(ValueError, match="unknown kernel family"):
-        kernels._packed_distances("cosine", [[0.0]])
+        kernels._strip_distances("cosine", [[0.0]], flat=True)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

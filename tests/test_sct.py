@@ -283,13 +283,13 @@ def test_power_law_spectrum_is_pythons_power_bit_for_bit(beta):
     assert {m for _, m in entries} == {1}
 
 
-def test_spectrum_checks_in_bulk_and_names_the_first_bad_entry(monkeypatch):
+def test_spectrum_checks_each_entry_and_names_the_first_bad_one():
     cap = sct.MULTIPLICITY_CAP
-    with monkeypatch.context() as patch:  # floats and ints: no per-entry check
-        patch.setattr(sct, "check_count", None)
-        spec = Spectrum(((1.0, cap), [0.5, cap - 1], (0.25, 3)))
-    # Other numbers, integral floats and integers beyond 64 bits take the
-    # per-entry checks, to the same floats and ints.
+    pairs = ((1.0, cap), [0.5, cap - 1], (0.25, 3))
+    spec = Spectrum(pairs)
+    assert spec.entries[0] is pairs[0] and spec.entries[2] is pairs[2]  # kept, not copied
+    # Pairs of any type, other numbers, integral floats and integers beyond
+    # 64 bits become tuples of floats and ints.
     for spectrum, expected in ((spec, ((1.0, cap), (0.5, cap - 1), (0.25, 3))),
                                (Spectrum(((np.float32(0.25), np.int64(cap)),)), ((0.25, cap),)),
                                (Spectrum(((1.0, 2.0), (0.5, np.float64(3)))), ((1.0, 2), (0.5, 3))),
