@@ -69,7 +69,7 @@ def _factor_solves(scaled: np.ndarray, rhs, ridges, work: np.ndarray) -> list[np
             raise NumericalError(f"ridge {ridge!r}: (1/n)G + ridge I overflows float64")
         np.copyto(B, scaled)
         B[diagonal] += ridge
-        _, x, info = dposv(B, rhs, lower=1, overwrite_a=1)
+        x, info = dposv(B, rhs)
         if info:
             raise NumericalError(
                 f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64")

@@ -1,53 +1,38 @@
-"""Every eigendecomposition of kare, and every dense linear-algebra call of
-a sweep, in SciPy's BLAS and LAPACK.
+"""The four BLAS and LAPACK routines of kare, called in SciPy's OpenBLAS.
 
-NumPy and SciPy each load their own OpenBLAS, and each library's thread
-pool busy-waits after its calls, so a sweep that alternates the two slows
-both.  A NumPy eigendecomposition also slows the SciPy calls after it: on
-a 2-core VM, 60 SciPy ``dposv`` solves (40 x 40, 30 right-hand sides) in a
-fresh process took a median 3.9 ms (2.3-60 ms, 12 processes) after one
-``np.linalg.eigh`` of a 40 x 40 matrix, against 2.3 ms (1.8-6.4 ms) after
-this module's ``eigh`` or with no eigh at all.  So this is the one module
-of kare that imports SciPy, every eigendecomposition of kare (the sweep's,
-the Monte Carlo draws' and ``spectral.decompose``'s) runs here, and the
-sweep's modules (``cli``, ``estimators``, ``krr``, ``kernels``, ``data``)
-make their products and solves through it too.  Each routine returns the
-bits of the NumPy expression it stands for, because it calls the same BLAS
-or LAPACK routine on the same memory layout that NumPy passes it:
+``dsyevd`` makes every eigendecomposition of kare, ``dposv`` every
+Cholesky solve of ``krr``, and ``dgemv`` and ``ddot`` the products of a
+sweep, so that a sweep runs on one OpenBLAS and its one thread pool.  They
+are ctypes foreign functions with the Fortran LP64 ABI: every argument by
+reference, 32-bit integers, and each character argument's length as a
+trailing hidden ``size_t``.
+
+They are bound from the OpenBLAS that SciPy's wheel bundles,
+``scipy.libs/libscipy_openblas*.so`` beside the ``scipy`` package, found
+with ``find_spec`` and loaded without importing any SciPy module.  Where
+SciPy bundles no such library (conda, distribution, Windows and macOS
+builds), the same four functions are taken from the ``_cpointer``
+capsules of SciPy's compiled wrappers ``scipy.linalg._flapack`` and
+``_fblas``.  ``LIBRARY`` names the file bound, or "f2py capsules".
+
+Each routine has the bits of the NumPy or SciPy call it stands for, since
+it runs the same routine of the same library on the same memory layout:
 
 - ``eigh(A)`` is ``np.linalg.eigh(A)``, decomposed in A's own buffer, which
   then holds the C-order eigenvectors, transposed in place;
 - ``eigvalsh(A)`` is ``np.linalg.eigvalsh(A)``, also in A's buffer;
 - ``matvec(A, x)`` is ``A @ x``, so ``matvec(A.T, x)`` is ``A.T @ x``;
 - ``dot(x, y)`` is ``x @ y``;
-- ``dposv`` is LAPACK's Cholesky factor-and-solve, for ``krr.ridge_solve``,
-  and ``LinAlgError`` is the error ``eigh`` raises.
-
-What stays on NumPy, measured on the same VM: the Monte Carlo draws'
-products and the QR of their ``scores``, and the validation suites' dense
-``np.linalg.solve`` reference, which stays an independent route.  SciPy's
-dgeqrf + dorgqr gave the draws' QR bits, but with the draws' products still
-on NumPy the thm6 suite went from 0.47-0.71 s to 2.8-3.1 s; SciPy dgemm and
-dsyrk for every product also kept the bits, but thm6 took 0.59-0.62 s
-against 0.47-0.54 s, and bayes 0.05-0.10 s against 0.04 s.
-
-kare loads only SciPy's two compiled wrappers, ``scipy.linalg._flapack``
-and ``scipy.linalg._fblas``, and runs neither the ``scipy.linalg`` nor the
-``scipy`` package ``__init__``: the first loads SciPy's array-API layer,
-and with it ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, which took
-about half of ``import kare``; the second loads ``subprocess``, SciPy's
-test utilities and its C-callback layer.  Without the second, a fresh
-``import kare, kare.cli, kare.validation`` peaked at 39.6 MB resident
-against 41.1 MB and took a median 0.176 s against 0.191 s (20 alternating
-processes each, 2-core VM).  The two modules are registered under their
-own names, so a later ``import scipy.linalg`` uses the same objects and
-the same OpenBLAS.
+- ``dposv(A, b)`` is SciPy's ``dposv(A, b, lower=1, overwrite_a=1)``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import sys
+from ctypes import CFUNCTYPE, byref, c_double, c_int, c_size_t, c_void_p
+from functools import lru_cache
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 
@@ -92,13 +77,90 @@ def _load(full: str, scipy_path):
     return module
 
 
-_flapack = _scipy_extension("_flapack")
-_blas = _scipy_extension("_fblas")
-_dsyevd, _dsyevd_lwork = _flapack.dsyevd, _flapack.dsyevd_lwork
-dposv = _flapack.dposv
+# routine -> (its result type, the SciPy wrapper module that holds it)
+_ROUTINES = {"dsyevd": (None, "_flapack"), "dposv": (None, "_flapack"),
+             "dgemv": (None, "_fblas"), "ddot": (c_double, "_fblas")}
+
+
+def _bundled_library() -> str | None:
+    """The path of ``scipy.libs/libscipy_openblas*.so`` beside the
+    ``scipy`` package, or None where there is none."""
+    spec = find_spec("scipy")
+    for package in (spec.submodule_search_locations or []) if spec else []:
+        directory = os.path.join(os.path.dirname(package), "scipy.libs")
+        if os.path.isdir(directory):
+            for name in sorted(os.listdir(directory)):
+                if name.startswith("libscipy_openblas") and name.endswith(".so"):
+                    return os.path.join(directory, name)
+    return None
+
+
+def _capsule_address(capsule) -> int:
+    """The function pointer an f2py ``_cpointer`` capsule holds."""
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return pointer(capsule, name(capsule))
+
+
+def _bind() -> tuple[list, str]:
+    """The foreign functions of ``_ROUTINES``, in order, and the name of
+    the library that holds them: the bundled library's file name, or
+    "f2py capsules" where there is none."""
+    path = _bundled_library()
+    if path:  # ctypes never unloads a library, so its addresses stay valid
+        library = ctypes.CDLL(path)
+        addresses = [ctypes.cast(getattr(library, f"scipy_{routine}_"), c_void_p).value
+                     for routine in _ROUTINES]
+        source = os.path.basename(path)
+    else:
+        addresses = [_capsule_address(getattr(_scipy_extension(module), routine)._cpointer)
+                     for routine, (_, module) in _ROUTINES.items()]
+        source = "f2py capsules"
+    # No argtypes: each argument is built below as a C pointer, bytes or
+    # size_t, after the Python checks of the routine's sizes, dtype and
+    # layout, and declaring them cost ddot 0.4 us more per call.
+    return [CFUNCTYPE(restype)(address)
+            for (restype, _), address in zip(_ROUTINES.values(), addresses)], source
+
+
+(_dsyevd, _dposv, _dgemv, _ddot), LIBRARY = _bind()
+
+_FLOAT64 = np.dtype(np.float64)
+
+# ``_data(a)`` is the data pointer of the array a, as a c_void_p for a
+# foreign function; the caller holds a until the call returns.  NumPy's
+# array object holds that pointer right after the object header
+# (PyArrayObject_fields), where NumPy's compiled extensions read it through
+# PyArray_DATA, and reading it there took 0.1 us against 1.1 us for
+# ``a.ctypes.data``.  Where id() is not an address (another Python than
+# CPython) or the probe disagrees, the array interface gives the pointer.
+_DATA_OFFSET = object.__basicsize__
+_probe = np.empty(1)
+if (sys.implementation.name == "cpython" and c_void_p.from_address(
+        id(_probe) + _DATA_OFFSET).value == _probe.__array_interface__["data"][0]):
+    def _data(a: np.ndarray) -> c_void_p:
+        return c_void_p.from_address(id(a) + _DATA_OFFSET)
+else:
+    def _data(a: np.ndarray) -> c_void_p:
+        return c_void_p(a.__array_interface__["data"][0])
+del _probe
+
+
+@lru_cache(maxsize=256)
+def _int(value: int):
+    """A reference to a C int holding value, which LAPACK reads and never
+    writes: the routines' sizes and increments, made once per value."""
+    return byref(c_int(value))
+
+
+_ONE, _QUERY = _int(1), _int(-1)
+_ALPHA, _BETA = byref(c_double(1.0)), byref(c_double(0.0))
+_CHAR = c_size_t(1)  # the hidden length of each character argument
 
 # SciPy's LAPACK counts in 32-bit integers, and dsyevd's workspace for
-# eigenvectors is 1 + 6n + 2n^2 floats: at n >= 32,767 SciPy's workspace
+# eigenvectors is 1 + 6n + 2n^2 floats: at n >= 32,767 LAPACK's workspace
 # query wraps without an error.
 _MAX_WORKSPACE = 2**31 - 1
 
@@ -106,8 +168,7 @@ _MAX_WORKSPACE = 2**31 - 1
 _DOT_CHUNK = 2**30
 
 # Side of the square tiles in which ``eigh`` transposes its eigenvectors:
-# a 64 x 64 tile is 32 KB.  At n = 2000 the transpose took 5.7 ms with 64,
-# 9.9 ms with 32 and 16 ms for NumPy's C-order copy (2-core VM).
+# a 64 x 64 tile is 32 KB.
 _TILE = 64
 
 
@@ -139,8 +200,8 @@ def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reports a failure.
     """
     check_order(A.shape[0])
-    eigenvalues, vectors = _syevd(A, compute_v=1)
-    return eigenvalues, _transpose_in_place(vectors).T
+    eigenvalues = _syevd(A, b"V")
+    return eigenvalues, _transpose_in_place(A).T
 
 
 def _transpose_in_place(A: np.ndarray) -> np.ndarray:
@@ -170,25 +231,68 @@ def eigvalsh(A: np.ndarray) -> np.ndarray:
     Fortran-contiguous n x n float64 array; the workspace grows with n, so
     ``check_order`` does not apply.  Raises as ``eigh`` does.
     """
-    return _syevd(A, compute_v=0)[0]
+    return _syevd(A, b"N")
 
 
-def _syevd(A: np.ndarray, compute_v: int) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's dsyevd on the lower triangle of A, in A's buffer."""
+def _check_square(A: np.ndarray) -> int:
+    """A's order, or ValueError unless A is a Fortran-contiguous square
+    float64 array, which LAPACK can overwrite in place."""
     n = A.shape[0]
-    if A.dtype != np.float64 or A.shape != (n, n) or not A.flags.f_contiguous:
+    if A.dtype != _FLOAT64 or A.shape != (n, n) or not A.flags.f_contiguous:
         raise ValueError(f"expected a Fortran-contiguous square float64 array, "
                          f"got {A.dtype} with shape {A.shape}")
-    # The workspace size sets dsytrd's blocking, so NumPy's bits need the
-    # size LAPACK asks for, as NumPy and scipy.linalg.eigh pass it.
-    work, iwork, info = _dsyevd_lwork(n=n, compute_v=compute_v, lower=1)
-    if info:
-        raise LinAlgError(f"dsyevd's workspace query for order {n} failed (info {info})")
-    eigenvalues, vectors, info = _dsyevd(A, compute_v=compute_v, lower=1, lwork=int(work),
-                                         liwork=iwork, overwrite_a=1)
-    if info:
-        raise LinAlgError(f"dsyevd failed on an eigendecomposition of order {n} (info {info})")
-    return eigenvalues, vectors
+    return n
+
+
+@lru_cache(maxsize=256)
+def _workspace(n: int, jobz: bytes) -> tuple[int, int]:
+    """dsyevd's workspace sizes (lwork, liwork) for order n, from LAPACK's
+    query, which depends on n and jobz only.  The size sets dsytrd's
+    blocking, so NumPy's bits need the size LAPACK asks for, as NumPy and
+    scipy.linalg.eigh pass it."""
+    work, iwork, info = c_double(), c_int(), c_int()
+    _dsyevd(jobz, b"L", _int(n), None, _int(max(n, 1)), None, byref(work), _QUERY,
+            byref(iwork), _QUERY, byref(info), _CHAR, _CHAR)
+    if info.value:
+        raise LinAlgError(f"dsyevd's workspace query for order {n} failed (info {info.value})")
+    return int(work.value), iwork.value
+
+
+def _syevd(A: np.ndarray, jobz: bytes) -> np.ndarray:
+    """The eigenvalues from LAPACK's dsyevd on the lower triangle of A, in
+    A's buffer, which holds the eigenvectors after ``jobz`` b"V"."""
+    n = _check_square(A)
+    lwork, liwork = _workspace(n, jobz)
+    eigenvalues, work, iwork = np.empty(n), np.empty(lwork), np.empty(liwork, np.intc)
+    info = c_int()
+    _dsyevd(jobz, b"L", _int(n), _data(A), _int(max(n, 1)), _data(eigenvalues), _data(work),
+            _int(lwork), _data(iwork), _int(liwork), byref(info), _CHAR, _CHAR)
+    if info.value:
+        raise LinAlgError(f"dsyevd failed on an eigendecomposition of order {n} "
+                          f"(info {info.value})")
+    return eigenvalues
+
+
+def dposv(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK's Cholesky factor-and-solve of A x = b on A's lower triangle,
+    as ``(x, info)``, with the bits of SciPy's
+    ``dposv(A, b, lower=1, overwrite_a=1)``.
+
+    A must be a Fortran-contiguous n x n float64 array: it is overwritten
+    with its Cholesky factor.  b, of n rows and one or two dimensions, is
+    left as it is; x is a Fortran-order copy of it holding the solution.
+    A nonzero info means A is not positive definite (or an argument is
+    wrong), and x is then not a solution.  Raises ValueError for another
+    layout of A and for a b of another number of rows.
+    """
+    n = _check_square(A)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"expected a right-hand side of {n} rows, got shape {b.shape}")
+    x = np.array(b, dtype=np.float64, order="F")
+    info = c_int()
+    _dposv(b"L", _int(n), _int(1 if b.ndim == 1 else b.shape[1]), _data(A), _int(max(n, 1)),
+           _data(x), _int(max(n, 1)), byref(info), _CHAR)
+    return x, info.value
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -196,26 +300,35 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     NumPy's matmul hands a one-row A to its ddot, and a C- or
     Fortran-contiguous float64 A with two or more columns to its dgemv,
-    with the transpose flag that reads A in place; SciPy's routines get the
-    same calls here.  Any other A is ``A @ x`` itself.
+    with the transpose flag that reads A in place; the same calls are made
+    here.  Any other A is ``A @ x`` itself.
     """
     m, n = A.shape
     if m == 1:
         return np.array([dot(A[0], x)])
-    if (m and n > 1 and x.shape == (n,) and A.dtype == x.dtype == np.float64
+    if (m and n > 1 and x.shape == (n,) and A.dtype == x.dtype == _FLOAT64
             and x.flags.c_contiguous):
-        if A.flags.c_contiguous:
-            return _blas.dgemv(1.0, A.T, x, trans=1)
-        if A.flags.f_contiguous:
-            return _blas.dgemv(1.0, A, x, trans=0)
+        flags = A.flags
+        if flags.c_contiguous:  # A.T is Fortran-order n x m
+            trans, rows, cols = b"T", n, m
+        elif flags.f_contiguous:
+            trans, rows, cols = b"N", m, n
+        else:
+            return A @ x
+        y = np.zeros(m)
+        lda = _int(rows)
+        _dgemv(trans, lda, _int(cols), _ALPHA, _data(A), lda, _data(x), _ONE, _BETA,
+               _data(y), _ONE, _CHAR)
+        return y
     return A @ x
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:
-    """``x @ y`` for 1-D x and y, with its bits: SciPy's ddot where both are
+    """``x @ y`` for 1-D x and y, with its bits: ddot where both are
     contiguous float64 vectors, as NumPy calls its own, and ``x @ y``
     itself otherwise."""
-    if (0 < x.size < _DOT_CHUNK and x.shape == y.shape and x.dtype == y.dtype == np.float64
+    if (x.dtype == y.dtype == _FLOAT64 and x.shape == y.shape and 0 < x.size < _DOT_CHUNK
             and x.flags.c_contiguous and y.flags.c_contiguous):
-        return 0.0 + _blas.ddot(x, y)  # NumPy adds the ddot to a sum that starts at 0.0
+        # NumPy adds the ddot to a sum that starts at 0.0
+        return 0.0 + _ddot(_int(x.size), _data(x), _ONE, _data(y), _ONE)
     return float(x @ y)

@@ -14,8 +14,9 @@ cells) and far below a formula error.  Regenerating the fixture is a
 deliberate change to the sweep and sct output contracts; run
 ``--compare`` first and keep its table with the change.  The table's
 first line is ``environment()``: the sweep's last digits depend on the
-BLAS thread count.  Run as a script, it imports kare from the ``src``
-next to this directory, or from ``--src DIR``.
+OpenBLAS that kare.lapack bound and on the BLAS thread count.  Run as a
+script, it imports kare from the ``src`` next to this directory, or from
+``--src DIR``.
 
 ``--bench`` runs the bench-size cases instead: the sweep-cv and
 sweep-wide workloads of ``bench/workloads.py`` (imported without writing
@@ -131,13 +132,17 @@ def _columns(path) -> dict[str, list[float | None]]:
 
 
 def environment() -> str:
-    """One line: the NumPy and SciPy versions, the BLAS thread settings
-    and the core count."""
+    """One line: the NumPy and SciPy versions, the library kare.lapack
+    bound (its file name, "f2py capsules", or "unnamed" for a kare that
+    does not name it), the BLAS thread settings and the core count."""
     import numpy
     import scipy
+
+    from kare import lapack
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    return (f"numpy {numpy.__version__} scipy {scipy.__version__} {threads} "
+    return (f"numpy {numpy.__version__} scipy {scipy.__version__} "
+            f"kare.lapack {getattr(lapack, 'LIBRARY', 'unnamed')} {threads} "
             f"cpu_count={os.cpu_count()}")
 
 

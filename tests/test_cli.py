@@ -644,14 +644,16 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
 
         def counted(*args, **kwargs):
             calls[name] += 1
+            before = args[0].copy() if name == "dposv" else None
             result = original(*args, **kwargs)
             if name in ("_strip_distances", "_raw_distances"):
                 distance_shapes.append((result[0] if name == "_strip_distances"
                                         else result).shape)
             if name == "dposv":
-                # Each factorization runs in place on a Fortran-order B.
-                factored.append((args[0].flags.f_contiguous, kwargs.get("overwrite_a"),
-                                 result[0] is args[0]))
+                # Each factorization runs in place on a Fortran-order B,
+                # which then holds its Cholesky factor, and succeeds.
+                factored.append((args[0].flags.f_contiguous,
+                                 not np.array_equal(args[0], before), result[1] == 0))
             return result
         monkeypatch.setattr(owner, name, counted)
 
@@ -752,8 +754,16 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
             return sct_from_gram(rs, ridge)
         monkeypatch.setattr(cli, "sct_from_gram", divide_at_second_lengthscale)
     if failure == "eigh-linalgerror":
-        # dsyevd's nonzero info, which lapack.eigh raises as LinAlgError.
-        monkeypatch.setattr(lapack, "_dsyevd", lambda a, **kwargs: (None, a, 3))
+        # dsyevd's nonzero info, which lapack.eigh raises as LinAlgError:
+        # each decomposition (not a workspace query, whose lwork is -1)
+        # runs and then reports info 3 in its eleventh argument.
+        dsyevd = lapack._dsyevd
+
+        def failing_dsyevd(*args):
+            dsyevd(*args)
+            if args[7] is not lapack._QUERY:
+                args[10]._obj.value = 3
+        monkeypatch.setattr(lapack, "_dsyevd", failing_dsyevd)
     if failure == "eigh-negative":
         eigh = estimators.eigh
 

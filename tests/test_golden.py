@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import golden
+from kare import lapack
 
 _COMMITTED = json.loads(golden.FIXTURE.read_text())
 
@@ -35,6 +36,8 @@ def test_environment_names_the_versions_and_thread_settings(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     line = golden.environment()
     assert line.startswith(f"numpy {np.__version__} scipy ")
+    # The OpenBLAS that made the bytes, as a re-pin table records it.
+    assert f" kare.lapack {lapack.LIBRARY} OPENBLAS_NUM_THREADS=" in line
     assert line.endswith(f" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
                          f"cpu_count={os.cpu_count()}")
 

@@ -53,9 +53,9 @@ def _names_scipy(tree: ast.AST) -> bool:
 
 def test_only_lapack_imports_scipy():
     # NumPy and SciPy each load their own OpenBLAS; kare.lapack is the one
-    # door to SciPy's, and it imports the scipy package only when loading a
-    # compiled module without it fails.  No other module imports SciPy or
-    # names it to an importer.
+    # door to SciPy's, and it imports the scipy package only when SciPy
+    # bundles no OpenBLAS and loading a compiled wrapper without the package
+    # fails.  No other module imports SciPy or names it to an importer.
     assert {path.name for path in _SOURCE.glob("*.py")
             if _names_scipy(ast.parse(path.read_text()))} == {"lapack.py"}
 
@@ -67,28 +67,41 @@ def _fresh_python(script: str) -> list[str]:
     return result.stdout.splitlines()
 
 
-def test_import_loads_scipys_compiled_wrappers_not_scipy_linalg():
+def test_import_loads_no_scipy_module_and_shares_scipys_openblas():
     # scipy.linalg's __init__ loads SciPy's array-API layer and with it
     # numpy.f2py, numpy.testing and numpy.ma, about half of import kare;
-    # scipy's own __init__ loads subprocess among others, and argparse
-    # loads gettext and locale.  kare.lapack loads the two compiled modules
-    # alone, under their own names, so a later import of scipy.linalg
-    # shares them, and kare.cli imports argparse only to parse.  Only
-    # module sets are checked, no time.
+    # scipy's own __init__ loads subprocess among others, SciPy's two f2py
+    # wrappers hold 2.6 MB, and argparse loads gettext and locale.  On a
+    # wheel install kare.lapack loads SciPy's bundled OpenBLAS alone, which
+    # a later import of scipy.linalg shares, and kare.cli imports argparse
+    # only to parse.  Only module sets and mapped files are checked, no time.
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "import kare, kare.cli, kare.validation\n"
-        "names = ('scipy.linalg._flapack', 'scipy.linalg._fblas', 'scipy.linalg', 'scipy',\n"
-        "         'numpy.f2py', 'numpy.testing', 'numpy.ma', 'argparse', 'subprocess')\n"
-        "print(' '.join(name for name in names if name in sys.modules))\n"
+        "print(kare.lapack.LIBRARY)\n"
+        "names = ('numpy.f2py', 'numpy.testing', 'numpy.ma', 'argparse', 'subprocess')\n"
+        "print(' '.join(name for name in sorted(sys.modules)\n"
+        "               if name in names or name.split('.')[0] == 'scipy'))\n"
         "import scipy.linalg\n"
-        "print(scipy.linalg.lapack.dposv is kare.lapack.dposv,\n"
-        "      scipy.linalg.blas.dgemv is kare.lapack._blas.dgemv)\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    with open('/proc/self/maps') as maps:\n"
+        "        paths = {line.split()[-1] for line in maps if '/' in line}\n"
+        "    print(' '.join(sorted(os.path.basename(path) for path in paths\n"
+        "                          if os.path.basename(os.path.dirname(path)) == 'scipy.libs'\n"
+        "                          and os.path.basename(path).startswith('libscipy_openblas'))))\n"
     )
-    assert _fresh_python(script) == ["scipy.linalg._flapack scipy.linalg._fblas", "True True"]
+    library, modules, *mapped = _fresh_python(script)
+    if library == "f2py capsules":
+        pytest.skip("this SciPy bundles no OpenBLAS, so kare loads its f2py wrappers")
+    assert modules == ""
+    if not mapped:
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    assert mapped == [library]
 
 
 def test_import_without_scipy_names_the_missing_module():
+    # Without SciPy there is no bundled OpenBLAS beside it, and the lookup
+    # through SciPy's f2py wrappers names the first one it needs.
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None  # as if SciPy were not installed\n"
@@ -104,12 +117,18 @@ def test_import_without_scipy_names_the_missing_module():
 
 
 def test_a_failed_direct_load_falls_back_to_the_scipy_package():
+    # Where SciPy bundles no OpenBLAS (here: the lookup's scipy.libs is
+    # hidden), kare.lapack takes the routines from SciPy's f2py wrappers.
     # SciPy's Windows wheels add their DLL directory in scipy/__init__, so
-    # there the compiled modules load only after the package has run.
+    # there the wrappers load only after the package has run.  A later
+    # import of scipy.linalg shares the modules, and the bound routines are
+    # those its wrappers call.
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "import numpy, numpy.random\n"
         "from importlib.machinery import ExtensionFileLoader\n"
+        "isdir = os.path.isdir\n"
+        "os.path.isdir = lambda path: isdir(path) and os.path.basename(path) != 'scipy.libs'\n"
         "create = ExtensionFileLoader.create_module\n"
         "def create_after_scipy(self, spec):\n"
         "    if spec.name.startswith('scipy.linalg.') and 'scipy' not in sys.modules:\n"
@@ -117,12 +136,15 @@ def test_a_failed_direct_load_falls_back_to_the_scipy_package():
         "    return create(self, spec)\n"
         "ExtensionFileLoader.create_module = create_after_scipy\n"
         "import kare\n"
-        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
-        "import scipy.linalg\n"
-        "print(scipy.linalg.lapack.dposv is kare.lapack.dposv,\n"
-        "      scipy.linalg.blas.dgemv is kare.lapack._blas.dgemv)\n"
+        "os.path.isdir = isdir\n"
+        "print(kare.lapack.LIBRARY, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "import ctypes, scipy.linalg\n"
+        "print(scipy.linalg.lapack._flapack is flapack,\n"
+        "      kare.lapack._capsule_address(scipy.linalg.lapack.dposv._cpointer)\n"
+        "      == ctypes.cast(kare.lapack._dposv, ctypes.c_void_p).value)\n"
     )
-    assert _fresh_python(script) == ["True False", "True True"]
+    assert _fresh_python(script) == ["f2py capsules True False", "True True"]
 
 
 @pytest.mark.parametrize("module", ["cli.py", "estimators.py", "krr.py", "kernels.py", "data.py"])
