@@ -269,7 +269,7 @@ def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[floa
     from G, so no kernel is evaluated.  Each fold's Gram is gathered once,
     directly in Fortran order, and scaled by 1/m in place (m training
     points); every ridge of every fold copies it into one buffer, made once
-    per call, and factors it there (``krr._factor_solves``), so a call
+    per call, and factors it there (``krr._factor_solve``), so a call
     holds at most two fold Grams and a held-out block.  G must be finite
     and symmetric (the factorization reads the lower triangle); a failed
     solve raises NumericalError naming its ridge.
@@ -294,7 +294,12 @@ def _cross_validation_risks(G: np.ndarray, y: np.ndarray, ridges, folds: int,
         rest = np.flatnonzero(keep)
         m = rest.size
         G_rest = G.T[np.ix_(rest, rest)].T  # G[np.ix_(rest, rest)], in Fortran order
-        solutions = krr._factor_solves(np.divide(G_rest, m, out=G_rest), y[rest], ridges, work)
+        np.divide(G_rest, m, out=G_rest)
+        B, y_rest = work[:m * m].reshape((m, m), order="F"), y[rest]
+        solutions = []
+        for ridge in ridges:
+            np.copyto(B, G_rest)
+            solutions.append(krr._factor_solve(B, y_rest, ridge))
         del G_rest  # freed before the next fold gathers its own
         K_held = G[np.ix_(held, rest)]
         for fold_errors, solution in zip(errors, solutions):

@@ -4,6 +4,9 @@ The fitted state is the dual vector (1/n)((1/n)G + ridge I)^{-1} y, so a
 prediction is a cross-Gram row dotted with the dual.  The train error has
 two algebraically identical routes: the direct residual norm and the
 closed form ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y.
+
+Every Cholesky solve of the package is one ``_factor_solve``: one ridge
+and one dposv on a scaled Gram that it overwrites.
 """
 
 from __future__ import annotations
@@ -28,53 +31,37 @@ class Predictor:
     dual: np.ndarray
 
 
-def ridge_solve(G, rhs, ridges) -> list[np.ndarray]:
-    """((1/n)G + ridge I)^{-1} rhs for each ridge, n the size of G, by one
-    LAPACK dposv (Cholesky factor, then solve) per ridge.
+def ridge_solve(G, rhs, ridge: float) -> np.ndarray:
+    """((1/n)G + ridge I)^{-1} rhs, n the size of G, with the bits of SciPy's
+    ``cho_solve(cho_factor(G / n + ridge * I, lower=True), rhs)``.
 
-    G is not modified.  The one Cholesky solve of the package, for ``fit``
-    and the dense reference routes; cross-validation runs its factor loop,
-    ``_factor_solves``, on fold Grams it scales itself.  (1/n)G is formed
-    once, in Fortran order, and checked to be finite once, with rhs.  dposv
-    runs the dpotrf and dpotrs of SciPy's
-    ``cho_solve(cho_factor(G / n + ridge * I, lower=True), rhs)`` on the
-    lower triangle of (1/n)G, so the solutions have its bits.
-
-    A diagonal that overflows float64 when the ridge is added, or a
-    factorization that fails (as at a tiny ridge on a rank-deficient G),
-    raises NumericalError naming the ridge in the package's words, such as
-    "ridge R: (1/n)G + ridge I is not positive definite in float64".
+    G is left as it was: one Fortran-order copy of (1/n)G, the only n x n
+    array the call holds, is factored in place.  Raises ValueError for a
+    non-finite G or rhs, and NumericalError as ``_factor_solve`` does.
     """
-    ridges = [check_ridge(ridge) for ridge in ridges]
+    ridge = check_ridge(ridge)
     n = G.shape[0]
-    scaled = np.divide(G, n, out=np.empty(G.shape, order="F"))
-    if not (np.isfinite(scaled).all() and np.isfinite(rhs).all()):
+    B = np.divide(G, n, out=np.empty(G.shape, order="F"))
+    if not (np.isfinite(B).all() and np.isfinite(rhs).all()):
         raise ValueError("matrix or right-hand side has non-finite entries")
-    return _factor_solves(scaled, rhs, ridges, np.empty(n * n))
+    return _factor_solve(B, rhs, ridge)
 
 
-def _factor_solves(scaled: np.ndarray, rhs, ridges, work: np.ndarray) -> list[np.ndarray]:
-    """(scaled + ridge I)^{-1} rhs for each checked ridge, ``ridge_solve``'s
-    loop: each ridge copies the finite (1/n)G ``scaled`` into the first n^2
-    floats of the flat buffer ``work``, as a Fortran-order n x n matrix,
-    adds the ridge to its diagonal and factors it there, in place.  Raises
-    NumericalError as ``ridge_solve`` does."""
-    n = scaled.shape[0]
-    B = work[:n * n].reshape((n, n), order="F")
-    diagonal = np.diag_indices(n)
-    top = float(scaled[diagonal].max())
-    solutions = []
-    for ridge in ridges:
-        if math.isinf(top + ridge):
-            raise NumericalError(f"ridge {ridge!r}: (1/n)G + ridge I overflows float64")
-        np.copyto(B, scaled)
-        B[diagonal] += ridge
-        x, info = dposv(B, rhs)
-        if info:
-            raise NumericalError(
-                f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64")
-        solutions.append(x)
-    return solutions
+def _factor_solve(B: np.ndarray, rhs, ridge: float) -> np.ndarray:
+    """(B + ridge I)^{-1} rhs by one dposv on the lower triangle of B, a
+    finite Fortran-order n x n float64 array that it overwrites, for a
+    checked ridge.  Raises NumericalError naming the ridge when the diagonal
+    overflows float64 or the factorization fails (as at a tiny ridge on a
+    rank-deficient B)."""
+    diagonal = np.diag_indices(B.shape[0])
+    if math.isinf(float(B[diagonal].max()) + ridge):
+        raise NumericalError(f"ridge {ridge!r}: (1/n)G + ridge I overflows float64")
+    B[diagonal] += ridge
+    x, info = dposv(B, rhs)
+    if info:
+        raise NumericalError(
+            f"ridge {ridge!r}: (1/n)G + ridge I is not positive definite in float64")
+    return x
 
 
 def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
@@ -87,8 +74,7 @@ def fit(kernel: KernelSpec, X, y, ridge: float) -> Predictor:
     X = _as_points(X)
     n = X.shape[0]
     y = check_labels(y, n)
-    [solution] = ridge_solve(gram_matrix(kernel, X), y, (ridge,))
-    return Predictor(kernel, X, ridge, solution / n)
+    return Predictor(kernel, X, ridge, ridge_solve(gram_matrix(kernel, X), y, ridge) / n)
 
 
 def predict(p: Predictor, X_test) -> np.ndarray:

@@ -7,13 +7,14 @@ are ctypes foreign functions with the Fortran LP64 ABI: every argument by
 reference, 32-bit integers, and each character argument's length as a
 trailing hidden ``size_t``.
 
-They are bound from the OpenBLAS that SciPy's wheel bundles,
-``scipy.libs/libscipy_openblas*.so`` beside the ``scipy`` package, found
-with ``find_spec`` and loaded without importing any SciPy module.  Where
-SciPy bundles no such library (conda, distribution, Windows and macOS
-builds), the same four functions are taken from the ``_cpointer``
-capsules of SciPy's compiled wrappers ``scipy.linalg._flapack`` and
-``_fblas``.  ``LIBRARY`` names the file bound, or "f2py capsules".
+One loader binds them, by one of two lookups.  On a SciPy wheel, the
+symbols of the OpenBLAS it bundles, ``scipy.libs/libscipy_openblas*.so``
+beside the ``scipy`` package, found with ``find_spec`` and loaded without
+importing any SciPy module.  Where SciPy bundles no such library (conda,
+distribution, Windows and macOS builds), the ``_cpointer`` capsules of
+SciPy's compiled wrappers ``scipy.linalg._flapack`` and ``_fblas``, which
+a plain import loads.  ``LIBRARY`` names the file bound, or "f2py
+capsules".
 
 Each routine has the bits of the NumPy or SciPy call it stands for, since
 it runs the same routine of the same library on the same memory layout:
@@ -33,48 +34,10 @@ import os
 import sys
 from ctypes import CFUNCTYPE, byref, c_double, c_int, c_size_t, c_void_p
 from functools import lru_cache
-from importlib.machinery import PathFinder
-from importlib.util import find_spec, module_from_spec
+from importlib.util import find_spec
 
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
-
-
-def _scipy_extension(name: str):
-    """SciPy's compiled ``scipy.linalg.<name>``, loaded and registered in
-    ``sys.modules`` without running the ``scipy`` or ``scipy.linalg``
-    package ``__init__``.  Where that load fails, as where a platform's
-    SciPy makes its libraries findable in ``scipy/__init__`` (the Windows
-    wheels add their DLL directory there), the package is imported and the
-    module loaded once more.  Raises ImportError naming the module when
-    neither route finds it."""
-    full = f"scipy.linalg.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    spec = find_spec("scipy")  # finds the package without executing it
-    try:
-        module = _load(full, spec.submodule_search_locations if spec else [])
-    except ImportError:
-        try:
-            import scipy
-        except ImportError:
-            raise ImportError(f"kare needs SciPy's compiled {full}, and SciPy "
-                              f"does not import", name=full) from None
-        module = _load(full, scipy.__path__)
-    sys.modules[full] = module
-    return module
-
-
-def _load(full: str, scipy_path):
-    """Execute the compiled module ``full`` found under the directories of
-    the ``scipy`` package, or raise ImportError naming it."""
-    spec = PathFinder.find_spec(full, [os.path.join(path, "linalg") for path in scipy_path])
-    if spec is None:
-        raise ImportError(f"kare needs SciPy's compiled {full}, which the installed "
-                          f"SciPy does not have", name=full)
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # routine -> (its result type, the SciPy wrapper module that holds it)
@@ -105,9 +68,10 @@ def _capsule_address(capsule) -> int:
 
 
 def _bind() -> tuple[list, str]:
-    """The foreign functions of ``_ROUTINES``, in order, and the name of
-    the library that holds them: the bundled library's file name, or
-    "f2py capsules" where there is none."""
+    """The foreign functions of ``_ROUTINES``, in order, and ``LIBRARY``:
+    the bundled library's symbols and file name, or else the wrappers'
+    capsules and "f2py capsules".  Raises ImportError naming
+    ``scipy.linalg._flapack`` where neither lookup can run."""
     path = _bundled_library()
     if path:  # ctypes never unloads a library, so its addresses stay valid
         library = ctypes.CDLL(path)
@@ -115,7 +79,13 @@ def _bind() -> tuple[list, str]:
                      for routine in _ROUTINES]
         source = os.path.basename(path)
     else:
-        addresses = [_capsule_address(getattr(_scipy_extension(module), routine)._cpointer)
+        try:
+            from scipy.linalg import _fblas, _flapack
+        except ImportError:
+            raise ImportError("kare needs SciPy's compiled scipy.linalg._flapack, and SciPy "
+                              "does not import", name="scipy.linalg._flapack") from None
+        modules = {"_flapack": _flapack, "_fblas": _fblas}
+        addresses = [_capsule_address(getattr(modules[module], routine)._cpointer)
                      for routine, (_, module) in _ROUTINES.items()]
         source = "f2py capsules"
     # No argtypes: each argument is built below as a C pointer, bytes or

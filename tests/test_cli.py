@@ -660,7 +660,7 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
     for owner, name in [(kernels, "_raw_distances"), (kernels, "gram_matrix"),
                         (kernels, "cross_gram"), (estimators, "gram_matrix"),
                         (krr, "gram_matrix"), (krr, "cross_gram"), (krr, "fit"),
-                        (krr, "ridge_solve"), (krr, "_factor_solves"), (krr, "dposv"),
+                        (krr, "ridge_solve"), (krr, "_factor_solve"), (krr, "dposv"),
                         (cli, "_strip_distances"), (cli, "_gram_from_strips"),
                         (cli, "from_distances")]:
         count(owner, name)
@@ -669,15 +669,15 @@ def test_sweep_computes_distances_once_and_cv_evaluates_no_kernel(
         "grid.ridge": f"1e-3:1e-1:{ridges}:log10",
         "scores.cv_folds": str(folds)}))
     assert len(run_sweep(cfg)) == lengthscales * ridges
-    # One Cholesky per (lengthscale, fold, ridge), from one factor loop per
-    # (lengthscale, fold) on the fold's own scaled Gram, no ridge_solve and
-    # no other kernel work.  The train distances are one set of flat strips
+    # One Cholesky per (lengthscale, fold, ridge), each one _factor_solve on
+    # a copy of the fold's own scaled Gram, no ridge_solve and no other
+    # kernel work.  The train distances are one set of flat strips
     # per sweep, which each lengthscale exponentiates once into its Gram,
     # with or without CV; the test distances are one full matrix, to which
     # each lengthscale applies exp once.
     assert calls == {"_strip_distances": 1, "_gram_from_strips": lengthscales,
                      "_raw_distances": 1, "from_distances": lengthscales,
-                     **({"_factor_solves": lengthscales * folds,
+                     **({"_factor_solve": lengthscales * folds * ridges,
                          "dposv": lengthscales * folds * ridges} if folds else {})}
     assert factored == [(True, True, True)] * calls["dposv"]
     # n = 40 gives 1-row strips, which hold the upper triangle alone.

@@ -508,10 +508,10 @@ def test_cross_validation_fits_each_fold_on_setdiff1ds_indices(n, folds, monkeyp
     # indices np.setdiff1d gives; the labels 0..n-1 name the fitted rows.
     fitted = []
 
-    def factor_solves(scaled, y, ridges, work):
+    def factor_solve(B, y, ridge):
         fitted.append(y.tolist())
-        return [np.zeros(y.size) for _ in ridges]
-    monkeypatch.setattr(krr, "_factor_solves", factor_solves)
+        return np.zeros(y.size)
+    monkeypatch.setattr(krr, "_factor_solve", factor_solve)
     cross_validation_risks(np.eye(n), np.arange(float(n)), (0.1,), folds, seed=n)
     order = np.random.default_rng(n).permutation(n)
     assert fitted == [np.setdiff1d(order, held).tolist() for held in np.array_split(order, folds)]

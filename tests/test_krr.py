@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -90,9 +92,8 @@ def test_ridge_solve_has_the_bits_of_the_documented_cholesky_solve():
     before = G.copy()
     ridges = (1e-4, 1e-2, 1.0)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        solutions = krr.ridge_solve(G, rhs, ridges)
-        assert len(solutions) == len(ridges)
-        for solution, ridge in zip(solutions, ridges):
+        for ridge in ridges:
+            solution = krr.ridge_solve(G, rhs, ridge)
             documented = cho_solve(cho_factor(G / n + ridge * np.eye(n), lower=True), rhs)
             np.testing.assert_array_equal(solution, documented)
     np.testing.assert_array_equal(G, before)
@@ -103,11 +104,33 @@ def test_ridge_solve_checks_what_the_solver_no_longer_scans():
     # non-finite input, or a diagonal that overflows when the ridge is
     # added, must fail before LAPACK instead of returning NaN.
     with pytest.raises(NumericalError, match=r"^ridge 1e\+308: \(1/n\)G \+ ridge I overflows"):
-        krr.ridge_solve(np.array([[1.5e308]]), np.ones(1), (1.0, 1e308))
+        for ridge in (1.0, 1e308):
+            krr.ridge_solve(np.array([[1.5e308]]), np.ones(1), ridge)
     with pytest.raises(ValueError, match="non-finite"):
-        krr.ridge_solve(np.array([[np.inf]]), np.ones(1), (1.0,))
+        krr.ridge_solve(np.array([[np.inf]]), np.ones(1), 1.0)
     with pytest.raises(ValueError, match="non-finite"):
-        krr.ridge_solve(np.eye(2), np.array([1.0, np.nan]), (1.0,))
+        krr.ridge_solve(np.eye(2), np.array([1.0, np.nan]), 1.0)
+
+
+def test_ridge_solve_holds_one_scaled_gram():
+    # The scaled Fortran-order copy of G is factored in place, so at its
+    # peak a call holds that n x n copy, the finiteness scan's n x n bools
+    # (n^2 / 8 floats) and O(n) besides.  A second factor buffer would
+    # hold 2 n^2 floats.
+    rng = np.random.default_rng(9)
+    n = 400
+    G = gram_matrix(KernelSpec("rbf", 2.0), rng.standard_normal((n, 3)))
+    y = rng.standard_normal(n)
+    before_G = G.copy()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        krr.ridge_solve(G, y, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * n * n * 8
+    np.testing.assert_array_equal(G, before_G)
 
 
 def test_train_error_monotone_in_ridge():

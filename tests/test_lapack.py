@@ -352,7 +352,7 @@ def test_an_indefinite_matrix_gets_scipys_dposv_info_and_names_the_ridge(route):
     assert lapack.dposv(np.asfortranarray(S), y)[1] == expected
     with pytest.raises(NumericalError, match=r"^ridge 0\.001: \(1/n\)G \+ ridge I is not "
                                              r"positive definite in float64$"):
-        ridge_solve(-40 * G, y, (1e-3,))
+        ridge_solve(-40 * G, y, 1e-3)
 
 
 def test_dposv_rejects_a_layout_it_would_copy():

@@ -118,33 +118,20 @@ def test_import_without_scipy_names_the_missing_module():
 
 def test_a_failed_direct_load_falls_back_to_the_scipy_package():
     # Where SciPy bundles no OpenBLAS (here: the lookup's scipy.libs is
-    # hidden), kare.lapack takes the routines from SciPy's f2py wrappers.
-    # SciPy's Windows wheels add their DLL directory in scipy/__init__, so
-    # there the wrappers load only after the package has run.  A later
-    # import of scipy.linalg shares the modules, and the bound routines are
-    # those its wrappers call.
+    # hidden), kare.lapack imports SciPy's f2py wrappers and binds the
+    # routines they call.
     script = (
-        "import os, sys\n"
-        "import numpy, numpy.random\n"
-        "from importlib.machinery import ExtensionFileLoader\n"
+        "import os\n"
         "isdir = os.path.isdir\n"
         "os.path.isdir = lambda path: isdir(path) and os.path.basename(path) != 'scipy.libs'\n"
-        "create = ExtensionFileLoader.create_module\n"
-        "def create_after_scipy(self, spec):\n"
-        "    if spec.name.startswith('scipy.linalg.') and 'scipy' not in sys.modules:\n"
-        "        raise ImportError('DLL load failed')\n"
-        "    return create(self, spec)\n"
-        "ExtensionFileLoader.create_module = create_after_scipy\n"
         "import kare\n"
         "os.path.isdir = isdir\n"
-        "print(kare.lapack.LIBRARY, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
-        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "print(kare.lapack.LIBRARY)\n"
         "import ctypes, scipy.linalg\n"
-        "print(scipy.linalg.lapack._flapack is flapack,\n"
-        "      kare.lapack._capsule_address(scipy.linalg.lapack.dposv._cpointer)\n"
+        "print(kare.lapack._capsule_address(scipy.linalg.lapack.dposv._cpointer)\n"
         "      == ctypes.cast(kare.lapack._dposv, ctypes.c_void_p).value)\n"
     )
-    assert _fresh_python(script) == ["f2py capsules True False", "True True"]
+    assert _fresh_python(script) == ["f2py capsules", "True"]
 
 
 @pytest.mark.parametrize("module", ["cli.py", "estimators.py", "krr.py", "kernels.py", "data.py"])

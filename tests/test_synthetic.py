@@ -412,7 +412,7 @@ def test_low_rank_oracles_match_the_dense_route(spec, n, ridge, seed, noise):
     m = spec.expanded_size
     f = TrueFunction(np.random.default_rng(seed).standard_normal(m), noise)
     dr = draw(spec, f, n, seed)
-    [v] = ridge_solve(dr.G, dr.y, (ridge,))
+    v = ridge_solve(dr.G, dr.y, ridge)
     coeffs = dr.d * (dr.O.T @ v) / n
     # Vectors are compared in norm: a small entry carries the error of
     # the large ones.
@@ -469,7 +469,7 @@ def test_operator_moments_match_the_dense_route(spec, n, ridge, seed):
     for t in range(2):
         dr = draw(spec, TrueFunction(np.zeros(m), 0.0), n, (seed, t))
         O = dr.O[:, idx]
-        entries.append((dr.d[:len(idx), None] / n) * (O.T @ ridge_solve(dr.G, O, (ridge,))[0]))
+        entries.append((dr.d[:len(idx), None] / n) * (O.T @ ridge_solve(dr.G, O, ridge)))
         transforms.append(stieltjes(decompose(dr.G), ridge))
     A = np.mean(entries, axis=0)
     A_low = np.diag(om.diag_mean)
