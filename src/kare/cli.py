@@ -60,13 +60,13 @@ from .data import (
 )
 # A sweep's Grams, which _gram_from_strips makes from mirrored distances,
 # are exactly symmetric and finite, so the sweep reads them through the
-# estimators' unchecked entries, bound to the public names, at which
-# bench/tracer.py times them.
+# estimators' unchecked entries; bench/tracer.py times the alignment at the
+# name classical_alignment.
 from .estimators import (
     RidgeScores,
     TrueFunction,
     _alignment as classical_alignment,
-    _cross_validation_risks as cross_validation_risks,
+    _cross_validation_risks,
 )
 from .kernels import (
     FAMILIES, KernelSpec, _gram_from_strips, _strip_distances, distances, from_distances,
@@ -412,8 +412,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         cv_risks = [None] * len(cfg.ridges)
         with _cell(kern.lengthscale):
             if cfg.cv_folds:
-                cv_risks = cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds,
-                                                  seed=cfg.data["seed"])
+                cv_risks = _cross_validation_risks(G, train.y, cfg.ridges, cfg.cv_folds,
+                                                   seed=cfg.data["seed"])
             rs = RidgeScores._scaling_in_place(G, train.y)  # G now holds the eigenvectors
         cells, duals = [], []
         for ridge, cv_risk in zip(cfg.ridges, cv_risks):

@@ -33,7 +33,6 @@ import ctypes
 import os
 import sys
 from ctypes import CFUNCTYPE, byref, c_double, c_int, c_size_t, c_void_p
-from functools import lru_cache
 from importlib.util import find_spec
 
 import numpy as np
@@ -118,10 +117,9 @@ else:
 del _probe
 
 
-@lru_cache(maxsize=256)
 def _int(value: int):
-    """A reference to a C int holding value, which LAPACK reads and never
-    writes: the routines' sizes and increments, made once per value."""
+    """A reference to a new C int holding value, for a size or increment
+    that the routine reads and never writes; each call makes a fresh one."""
     return byref(c_int(value))
 
 
@@ -214,12 +212,11 @@ def _check_square(A: np.ndarray) -> int:
     return n
 
 
-@lru_cache(maxsize=256)
 def _workspace(n: int, jobz: bytes) -> tuple[int, int]:
-    """dsyevd's workspace sizes (lwork, liwork) for order n, from LAPACK's
-    query, which depends on n and jobz only.  The size sets dsytrd's
-    blocking, so NumPy's bits need the size LAPACK asks for, as NumPy and
-    scipy.linalg.eigh pass it."""
+    """dsyevd's workspace sizes (lwork, liwork) for order n, from one
+    LAPACK workspace query per call, as NumPy and scipy.linalg.eigh make
+    one per decomposition.  The size sets dsytrd's blocking, so NumPy's
+    bits need the size LAPACK asks for."""
     work, iwork, info = c_double(), c_int(), c_int()
     _dsyevd(jobz, b"L", _int(n), None, _int(max(n, 1)), None, byref(work), _QUERY,
             byref(iwork), _QUERY, byref(info), _CHAR, _CHAR)
@@ -230,7 +227,8 @@ def _workspace(n: int, jobz: bytes) -> tuple[int, int]:
 
 def _syevd(A: np.ndarray, jobz: bytes) -> np.ndarray:
     """The eigenvalues from LAPACK's dsyevd on the lower triangle of A, in
-    A's buffer, which holds the eigenvectors after ``jobz`` b"V"."""
+    A's buffer, which holds the eigenvectors after ``jobz`` b"V": a
+    workspace query, then the decomposition."""
     n = _check_square(A)
     lwork, liwork = _workspace(n, jobz)
     eigenvalues, work, iwork = np.empty(n), np.empty(lwork), np.empty(liwork, np.intc)

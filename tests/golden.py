@@ -20,8 +20,9 @@ script, it imports kare from the ``src`` next to this directory, or from
 
 ``--bench`` runs the bench-size cases instead: the sweep-cv and
 sweep-wide workloads of ``bench/workloads.py`` (imported without writing
-under ``bench/``) at seeds 0, 1 and 2, at sizes where BLAS threads.  They
-take several seconds, so the tests do not run them.  ``--out FILE``
+under ``bench/``) at seeds 0, 1 and 2, and the README's two ``kare sct``
+commands (rbf-gaussian and power-law), at sizes where BLAS threads.  They
+take about 15 seconds, so the tests do not run them.  ``--out FILE``
 writes their values and CSV SHA-256 digests; ``--compare FILE`` prints
 each column's gap against FILE and whether each CSV's digest matches, and
 exits 1 if a gap is above RTOL.  To check that a change keeps the
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -75,7 +77,6 @@ CASES = {
 
 def values(case: str) -> dict[str, list[float | None]]:
     """The case's CSV as column -> values, an empty cell as None."""
-    from kare.cli import main
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out.csv")
         if isinstance(CASES[case], str):
@@ -85,25 +86,45 @@ def values(case: str) -> dict[str, list[float | None]]:
             argv = ["sweep", "--config", str(config)]
         else:
             argv = ["sct", *CASES[case], "--out", out]
-        with contextlib.redirect_stdout(io.StringIO()):
-            if main(argv) != 0:
-                raise RuntimeError(f"{case}: kare {argv[0]} failed")
+        _kare(case, argv)
         return _columns(out)
 
 
-# bench-size case -> (workload, seed)
-BENCH_CASES = {f"{workload}-seed{seed}": (workload, seed)
-               for workload in ("sweep-cv", "sweep-wide") for seed in (0, 1, 2)}
+def _kare(case: str, argv: list[str]) -> None:
+    """``kare`` with argv in-process, its stdout dropped; RuntimeError
+    naming the case unless it exits 0."""
+    from kare.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            raise RuntimeError(f"{case}: kare {argv[0]} failed")
+
+
+# bench-size case -> (workload, seed) of bench/workloads.py, or the
+# arguments of one of the README's two `kare sct` commands
+BENCH_CASES = {
+    **{f"{workload}-seed{seed}": (workload, seed)
+       for workload in ("sweep-cv", "sweep-wide") for seed in (0, 1, 2)},
+    "sct-rbf-gaussian": ["--spectrum", "rbf-gaussian", "--dim", "5", "--sigma", "1",
+                         "--k-max", "50", "--n-grid", "50:1600:6:log2",
+                         "--ridge-grid", "1e-4:1:9:log10", "--trials", "10", "--seed", "0"],
+    "sct-power-law": ["--spectrum", "power-law", "--beta", "2", "--count", "100"],
+}
 
 
 def bench_values(case: str) -> dict:
     """The bench-size case's CSV SHA-256 and its columns, as
     ``{"sha256": ..., "columns": {column: values}}``."""
-    workloads = _bench_workloads()
     with tempfile.TemporaryDirectory() as tmp:
-        job = workloads.prepare(*BENCH_CASES[case], Path(tmp))
-        digest = workloads.call(job)["sha256"]
-        return {"sha256": digest, "columns": _columns(job.config.output)}
+        if isinstance(BENCH_CASES[case], list):
+            out = str(Path(tmp) / "out.csv")
+            _kare(case, ["sct", *BENCH_CASES[case], "--out", out])
+        else:
+            workloads = _bench_workloads()
+            job = workloads.prepare(*BENCH_CASES[case], Path(tmp))
+            workloads.call(job)
+            out = job.config.output
+        return {"sha256": hashlib.sha256(Path(out).read_bytes()).hexdigest(),
+                "columns": _columns(out)}
 
 
 def _bench_workloads():

@@ -697,8 +697,8 @@ def test_sweep_cross_validates_each_gram_before_its_eigh(tmp_path, monkeypatch):
             return original(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(cli, "cross_validation_risks",
-                        logged("cv", cli.cross_validation_risks))
+    monkeypatch.setattr(cli, "_cross_validation_risks",
+                        logged("cv", cli._cross_validation_risks))
     monkeypatch.setattr(estimators, "eigh", logged("eigh", estimators.eigh))
     cfg = parse_sweep_config(_config(tmp_path, **{"grid.lengthscale": "0.5:2:3:log2"}))
     assert len(run_sweep(cfg)) == 3 * 3
@@ -772,12 +772,12 @@ def test_numerical_error_names_the_sweep_cell(tmp_path, capsys, monkeypatch, fai
             eigenvalues[0] = -1e-3
             return eigenvalues, vectors
         monkeypatch.setattr(estimators, "eigh", negative_eigh)
-    cv_calls, original = [], cli.cross_validation_risks
+    cv_calls, original = [], cli._cross_validation_risks
 
     def cross_validation_risks(*args, **kwargs):
         cv_calls.append(args)
         return original(*args, **kwargs)
-    monkeypatch.setattr(cli, "cross_validation_risks", cross_validation_risks)
+    monkeypatch.setattr(cli, "_cross_validation_risks", cross_validation_risks)
     assert main(["sweep", "--config", cfg]) == 4
     err = capsys.readouterr().err
     if failure.startswith("eigh"):

@@ -90,6 +90,6 @@ def test_bench_workloads_load_without_writing_under_bench():
     before = sorted(p.name for p in golden.BENCH.iterdir())
     workloads = golden._bench_workloads()
     assert callable(workloads.prepare) and callable(workloads.call)
-    assert sorted(golden.BENCH_CASES) == [f"{w}-seed{s}" for w in ("sweep-cv", "sweep-wide")
-                                          for s in (0, 1, 2)]
+    assert sorted(golden.BENCH_CASES) == ["sct-power-law", "sct-rbf-gaussian"] + [
+        f"{w}-seed{s}" for w in ("sweep-cv", "sweep-wide") for s in (0, 1, 2)]
     assert sorted(p.name for p in golden.BENCH.iterdir()) == before

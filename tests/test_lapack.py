@@ -3,7 +3,7 @@ every routine has the bits of the NumPy expression or SciPy call it stands
 for."""
 
 import tracemalloc
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 import pytest
@@ -105,11 +105,11 @@ def test_eigh_has_numpys_bits_and_overwrites_its_input(name, monkeypatch):
     np.testing.assert_array_equal(A, vectors.T)
 
 
-def test_eigh_allocates_no_n_by_n_array_besides_lapacks_workspace():
-    # Only the eigenvalues outlive the call; NumPy's C-order copy of the
-    # vectors would add n^2 floats.  At its peak the call holds dsyevd's
-    # workspace, 1 + 6n + 2n^2 floats, and O(n) besides.
-    n = 300
+def _check_eigh_memory(n: int) -> None:
+    """One traced ``eigh`` of an n x n Gram: only the eigenvalues outlive
+    the call, and NumPy's C-order copy of the vectors would add n^2 floats.
+    At its peak the call holds dsyevd's workspace, 1 + 6n + 2n^2 floats,
+    and O(n) besides."""
     A = np.asfortranarray(_gram("rbf", n))
     tracemalloc.start()
     try:
@@ -121,6 +121,21 @@ def test_eigh_allocates_no_n_by_n_array_besides_lapacks_workspace():
     assert np.shares_memory(vectors, A)
     assert after - before <= 2 * n * 8
     assert peak - before <= (1 + 6 * n + 2 * n * n + 16 * n) * 8
+
+
+def test_eigh_allocates_no_n_by_n_array_besides_lapacks_workspace():
+    _check_eigh_memory(300)
+
+
+def test_eigh_retains_nothing_after_many_distinct_lapack_integers():
+    # Each LAPACK integer argument is made fresh for its call, so no table
+    # of earlier arguments grows during a later call.  After 84 distinct
+    # values, each eigh of a new order (its own n, lwork and liwork are
+    # new values too) still keeps the bounds, whatever ran before.
+    for value in range(1000, 1084):
+        lapack._int(value)
+    for n in range(100, 160):
+        _check_eigh_memory(n)
 
 
 def test_eigh_reads_the_lower_triangle_as_numpy_does():
@@ -165,8 +180,6 @@ def test_eigh_raises_when_lapack_reports_a_failure(monkeypatch):
             raise AssertionError("dsyevd called")
         args[_INFO]._obj.value = -1
     monkeypatch.setattr(lapack, "_dsyevd", failed_query)
-    # A fresh cache of workspace sizes, so that order 60 is queried again.
-    monkeypatch.setattr(lapack, "_workspace", lru_cache(lapack._workspace.__wrapped__))
     with pytest.raises(lapack.LinAlgError, match=r"workspace query for order 60 failed \(info -1\)"):
         lapack.eigh(A)
 
@@ -249,16 +262,16 @@ def test_dot_and_norm_are_numpys(n):
     assert lapack.dot(np.zeros(0), np.zeros(0)) == 0.0
 
 
-def test_eigh_makes_one_lapack_call_once_its_order_was_queried(monkeypatch):
-    # LAPACK's workspace sizes depend on the order and jobz only, so they
-    # are queried once per pair.
-    monkeypatch.setattr(lapack, "_workspace", lru_cache(lapack._workspace.__wrapped__))
+def test_every_eigh_and_eigvalsh_queries_its_workspace_then_decomposes(monkeypatch):
+    # As NumPy and scipy.linalg.eigh do, each call queries LAPACK for its
+    # workspace sizes and then makes one decomposing call: nothing is
+    # remembered from an earlier call of the same order.
     calls = _recorded(monkeypatch, "_dsyevd")
     for _ in range(3):
         lapack.eigh(np.asfortranarray(_gram("rbf", 60)))
     lapack.eigvalsh(np.asfortranarray(_gram("rbf", 60)))
     assert [(args[0], args[_LWORK] is lapack._QUERY) for _, args in calls] == [
-        (b"V", True), (b"V", False), (b"V", False), (b"V", False), (b"N", True), (b"N", False)]
+        (b"V", True), (b"V", False)] * 3 + [(b"N", True), (b"N", False)]
 
 
 # SciPy's own f2py wrappers call the same OpenBLAS routines: each binding
@@ -280,7 +293,6 @@ def route(request, monkeypatch):
     functions, library = lapack._bind()
     for name, function in zip(("_dsyevd", "_dposv", "_dgemv", "_ddot"), functions):
         monkeypatch.setattr(lapack, name, function)
-    monkeypatch.setattr(lapack, "_workspace", lru_cache(lapack._workspace.__wrapped__))
     return library
 
 
