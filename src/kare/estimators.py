@@ -247,15 +247,11 @@ def bayesian_risk(
     n*theta(noise^2/n), the optimal configuration.
     """
     noise = check_real(noise, "noise level", strict=False)
-    if len(spec_k.entries) != len(spec_sigma.entries) or any(
-        mk != ms
-        for (_, mk), (_, ms) in zip(spec_k.entries, spec_sigma.entries)
-    ):
+    (d, m), (s, m_sigma) = spec_k.arrays(), spec_sigma.arrays()
+    if not np.array_equal(m, m_sigma):
         raise ValueError("spectra are not aligned entry by entry")
     ridge = check_ridge(ridge)
     res = solve_sct(spec_k, n, ridge)
-    d, m = spec_k.arrays()
-    s = np.array([sv for sv, _ in spec_sigma.entries])
     dtau = res.theta_prime * res.theta**2 * float(np.sum(m * (s - d) / (d + res.theta) ** 2))
     return n * res.theta + n * res.theta_prime * (noise**2 / n - ridge) + dtau
 

@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import (GramSpectrum, check_count, check_real, check_ridge, representable,
-                       stieltjes, stieltjes_derivative)
+from .spectral import (GramSpectrum, NumericalError, check_count, check_real, check_ridge,
+                       representable, stieltjes, stieltjes_derivative, whole_number)
 
 # Multiplicities above this are no longer exactly representable once they
 # reach float arithmetic; the spectrum is truncated instead.
@@ -44,29 +44,65 @@ _MAX_ITERATIONS = 200
 _RESIDUAL_SCALE = 1e-12
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Finite truncation of a population spectrum: (eigenvalue, multiplicity) pairs."""
+    """Finite truncation of a population spectrum: (eigenvalue, multiplicity) pairs.
 
-    entries: tuple[tuple[float, int], ...]
+    Held as two read-only float64 arrays, the eigenvalues and the
+    multiplicities (``arrays()``): 16 bytes per entry.  float64 holds every
+    whole number below 2**53 exactly; a spectrum with a larger multiplicity
+    also keeps its multiplicities as Python ints, so that ``entries`` and
+    ``expanded_size`` stay exact.  ``entries`` is built on each read.
+    Equality, hash and repr are those of the pairs.
+    """
 
-    def __post_init__(self):
-        entries = tuple(map(_checked_entry, self.entries))
-        d = np.array([d for d, _ in entries], dtype=float)
-        m = np.array([float(m) for _, m in entries], dtype=float)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries):
+        self._hold(*_checked(tuple(entries)))
+
+    @classmethod
+    def _of(cls, d: np.ndarray, m: np.ndarray, counts=()) -> Spectrum:
+        """A spectrum of eigenvalues d and multiplicities m, float64 arrays
+        that pass ``_checked``'s rule, and not checked again; counts are the
+        multiplicities as ints, needed only where some m >= 2**53."""
+        spec = cls.__new__(cls)
+        spec._hold(d, m, counts)
+        return spec
+
+    def _hold(self, d, m, counts):
         d.flags.writeable = m.flags.writeable = False
-        object.__setattr__(self, "_arrays", (d, m))
+        self._d, self._m = d, m
+        self._ints = tuple(counts) if m.size and m.max() >= 2.0**53 else None
+
+    @property
+    def entries(self) -> tuple[tuple[float, int], ...]:
+        """The (eigenvalue, multiplicity) pairs as floats and ints, built on
+        each read: about 88 bytes per entry while they are held."""
+        return tuple(zip(self._d.tolist(), self._counts()))
+
+    def _counts(self):
+        """The multiplicities as ints."""
+        return self._ints if self._ints is not None else self._m.astype(np.int64).tolist()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Spectrum(entries={self.entries!r})"
 
     @cached_property
     def trace(self) -> float:
-        """sum_k mult_k * d_k, the value ``solve_sct`` brackets with."""
-        d, m = self._arrays
-        return float(m @ d)
+        """sum_k mult_k * d_k, the value ``solve_sct`` brackets with; inf
+        where it overflows float64."""
+        with np.errstate(over="ignore"):
+            return float(self._m @ self._d)
 
-    @property
+    @cached_property
     def expanded_size(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(self._counts())
 
     def expand(self) -> np.ndarray:
         """Eigenvalues repeated per multiplicity, one slot per mode,
@@ -76,22 +112,34 @@ class Spectrum:
 
     @cached_property
     def _expanded(self) -> np.ndarray:
-        d = np.repeat(self._arrays[0], [m for _, m in self.entries])
+        d = np.repeat(self._d, self._counts())
         d.flags.writeable = False
         return d
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and float multiplicities, read-only, built once."""
-        return self._arrays
+        """Eigenvalues and float multiplicities, read-only."""
+        return self._d, self._m
 
 
-def _checked_entry(pair) -> tuple[float, int]:
-    """(eigenvalue, multiplicity) as a float and an int, each checked; the
-    pair itself when it is already such a tuple, so that a spectrum of
-    tens of thousands of entries holds no second copy of them."""
-    d, m = pair
-    checked = check_real(d, "eigenvalues"), check_count(m, "multiplicity", 1)
-    return pair if type(pair) is tuple and checked[0] is d and checked[1] is m else checked
+def _checked(entries: tuple) -> tuple[np.ndarray, np.ndarray, list]:
+    """The eigenvalues and multiplicities of the (eigenvalue, multiplicity)
+    pairs as float64 arrays, and the multiplicities as ints, after one check
+    over the arrays: every eigenvalue positive and finite, every
+    multiplicity a whole number >= 1.  A bad spectrum raises the error of
+    its first bad entry, the eigenvalue's before the multiplicity's."""
+    try:
+        d = np.array([float(d) for d, _ in entries])
+        counts = [whole_number(m) for _, m in entries]
+        m = np.array([math.nan if c is None else float(c) for c in counts])
+        if np.all((d > 0) & (d < math.inf) & (m >= 1)):
+            return d, m, counts
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    # A bad entry: the scalar checks, which the array check agrees with,
+    # raise at the first one.
+    for d, m in entries:
+        check_real(d, "eigenvalues")
+        check_count(m, "multiplicity", 1)
 
 
 @dataclass(frozen=True)
@@ -111,8 +159,9 @@ def solve_sct(spec: Spectrum, n, ridge) -> SctResult:
     bisection on the guaranteed bracket [ridge, ridge + trace/n] with a
     Newton step whenever it stays inside the bracket; the residual of the
     returned root satisfies |g(theta)| <= 1e-12 * (ridge + trace/n).  A
-    pair that does not converge within 200 iterations raises
-    ArithmeticError.
+    bracket end ridge + trace/n that overflows float64 raises
+    NumericalError before the first iteration; a pair that does not
+    converge within 200 iterations raises ArithmeticError.
     """
     ridge, n = np.asarray(ridge, dtype=float), np.asarray(n, dtype=float)
     scalar = ridge.ndim == n.ndim == 0
@@ -125,20 +174,25 @@ def solve_sct(spec: Spectrum, n, ridge) -> SctResult:
     shape = np.broadcast_shapes(n.shape, ridge.shape)
     ridge = np.broadcast_to(ridge, shape).ravel()
     n = np.broadcast_to(n, shape).ravel()
+    with np.errstate(over="ignore"):
+        hi = ridge + spec.trace / n
+    if not np.all(hi < math.inf):
+        raise NumericalError(f"ridge + trace/n is not representable in float64 "
+                             f"(spectrum trace {spec.trace!r})")
     if spec.trace == 0.0 or not ridge.size:
         theta, theta_prime = ridge.copy(), np.ones_like(ridge)
     else:
-        theta, theta_prime = _newton_bisection(*spec.arrays(), spec.trace, n, ridge)
+        theta, theta_prime = _newton_bisection(*spec.arrays(), n, ridge, hi)
     if scalar:
         return SctResult(float(theta[0]), float(theta_prime[0]))
     return SctResult(theta.reshape(shape), theta_prime.reshape(shape))
 
 
-def _newton_bisection(d, m, trace, n, ridge):
-    """theta and 1/g'(theta) for each flat (n, ridge) pair; a pair leaves
-    the active set once |g(t)| <= tol."""
+def _newton_bisection(d, m, n, ridge, hi):
+    """theta and 1/g'(theta) for each flat (n, ridge) pair, bracketed by
+    [ridge, hi]; a pair leaves the active set once |g(t)| <= tol."""
     md = m * d
-    lo, hi = ridge, ridge + trace / n
+    lo = ridge
     tol = _RESIDUAL_SCALE * hi
     t = hi
     theta, theta_prime = np.empty_like(t), np.empty_like(t)
@@ -221,7 +275,7 @@ def rbf_gaussian_spectrum(
     a = 1.0 / (4.0 * var) + 1.0 / lengthscale + c
     b = 1.0 / (a * lengthscale)
     lead = (1.0 / (2.0 * a * var)) ** (dim / 2.0)
-    entries = []
+    values, counts = [], []
     for k in range(k_max + 1):
         mult = shell_multiplicity(dim, k)
         if mult > MULTIPLICITY_CAP:
@@ -232,11 +286,15 @@ def rbf_gaussian_spectrum(
                 stacklevel=2,
             )
             break
-        entries.append((lead * b**k, mult))
-    return Spectrum(tuple(entries))
+        values.append(lead * b**k)
+        counts.append(mult)
+    return Spectrum._of(np.array(values), np.array([float(c) for c in counts]), counts)
 
 
 def power_law_spectrum(beta: float, count: int) -> Spectrum:
     """Unit-multiplicity spectrum d_k = k^(-beta), k = 1..count, beta > 1."""
     beta, count = check_real(beta, "decay exponent", low=1), check_count(count, "count", 1)
-    return Spectrum(tuple((float(k) ** -beta, 1) for k in range(1, count + 1)))
+    # Python's float power: np.power differs from it in the last bit of some
+    # entries on AVX-512 CPUs.
+    return Spectrum._of(np.array([float(k) ** -beta for k in range(1, count + 1)]),
+                        np.ones(count))

@@ -87,18 +87,23 @@ def check_ridge(ridge: float) -> float:
 
 
 def check_count(value, what: str, low: int, high: int | None = None) -> int:
-    """value as an int; raises ValueError naming what unless it is a whole
-    number (an int, a NumPy integer or an integral float) in [low, high],
-    with no upper bound when high is None."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
-        count = int(value) if whole else None
+    """value as an int; raises ValueError naming what unless it is a
+    ``whole_number`` in [low, high], with no upper bound when high is None."""
+    count = whole_number(value)
     if count is None or count < low or (high is not None and count > high):
         span = f">= {low}" if high is None else f"between {low} and {high}"
         raise ValueError(f"{what} must be a whole number {span}, got {value}")
     return count
+
+
+def whole_number(value) -> int | None:
+    """value as an int if it is a whole number (an int, a NumPy integer or an
+    integral float), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
+        return int(value) if whole else None
 
 
 def representable(name: str, ridge: float, compute):

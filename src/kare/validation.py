@@ -344,7 +344,7 @@ def suite_bayes(seed: int) -> list[Check]:
 
     # generic case against Monte Carlo over random targets b_k ~ N(0, s_k)
     spec_sigma = power_law_spectrum(1.5, 20)
-    s = np.array([v for v, _ in spec_sigma.entries])
+    s = spec_sigma.arrays()[0]
     noise, n, ridge, trials = 0.5, 400, 1e-2, 150
     predicted = bayesian_risk(spec_k, spec_sigma, noise, n, ridge)
     risks = np.empty(trials)

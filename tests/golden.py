@@ -20,14 +20,16 @@ script, it imports kare from the ``src`` next to this directory, or from
 
 ``--bench`` runs the bench-size cases instead: the sweep-cv and
 sweep-wide workloads of ``bench/workloads.py`` (imported without writing
-under ``bench/``) at seeds 0, 1 and 2, and the README's two ``kare sct``
-commands (rbf-gaussian and power-law), at sizes where BLAS threads.  They
-take about 15 seconds, so the tests do not run them.  ``--out FILE``
-writes their values and CSV SHA-256 digests; ``--compare FILE`` prints
-each column's gap against FILE and whether each CSV's digest matches, and
-exits 1 if a gap is above RTOL.  To check that a change keeps the
-bench-size output, write FILE with ``--src`` at the parent's ``src``,
-then compare at the change.
+under ``bench/``) at seeds 0, 1 and 2, the README's two ``kare sct``
+commands (rbf-gaussian and power-law), at sizes where BLAS threads, and
+``kare validate`` on each suite of the validate-mc workload at seeds 0
+and 7.  They take about 15 seconds, so the tests do not run them.
+``--out FILE`` writes the CSV values, the pass/fail list of each validate
+report and the SHA-256 of every CSV and report; ``--compare FILE`` prints
+each column's gap against FILE, whether each digest and each pass/fail
+list matches, and exits 1 if a gap is above RTOL or a pass/fail result
+differs.  To check that a change keeps the bench-size output, write FILE
+with ``--src`` at the parent's ``src``, then compare at the change.
 """
 
 from __future__ import annotations
@@ -90,37 +92,51 @@ def values(case: str) -> dict[str, list[float | None]]:
         return _columns(out)
 
 
-def _kare(case: str, argv: list[str]) -> None:
-    """``kare`` with argv in-process, its stdout dropped; RuntimeError
-    naming the case unless it exits 0."""
+def _kare(case: str, argv: list[str], ok=(0,)) -> str:
+    """``kare`` with argv in-process; returns its stdout.  RuntimeError
+    naming the case unless it exits with a code in ok."""
     from kare.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
-        if main(argv) != 0:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if main(argv) not in ok:
             raise RuntimeError(f"{case}: kare {argv[0]} failed")
+    return out.getvalue()
 
 
-# bench-size case -> (workload, seed) of bench/workloads.py, or the
-# arguments of one of the README's two `kare sct` commands
+# The suites of bench/workloads.py's validate-mc workload (VALIDATE_SUITES).
+_VALIDATE_SUITES = ("identities", "prop3", "prop4", "bayes")
+
+# bench-size case -> (workload, seed) of bench/workloads.py, or the kare
+# arguments of one of the README's two `kare sct` commands or of one
+# validate report
 BENCH_CASES = {
     **{f"{workload}-seed{seed}": (workload, seed)
        for workload in ("sweep-cv", "sweep-wide") for seed in (0, 1, 2)},
-    "sct-rbf-gaussian": ["--spectrum", "rbf-gaussian", "--dim", "5", "--sigma", "1",
+    "sct-rbf-gaussian": ["sct", "--spectrum", "rbf-gaussian", "--dim", "5", "--sigma", "1",
                          "--k-max", "50", "--n-grid", "50:1600:6:log2",
                          "--ridge-grid", "1e-4:1:9:log10", "--trials", "10", "--seed", "0"],
-    "sct-power-law": ["--spectrum", "power-law", "--beta", "2", "--count", "100"],
+    "sct-power-law": ["sct", "--spectrum", "power-law", "--beta", "2", "--count", "100"],
+    **{f"validate-{suite}-seed{seed}": ["validate", "--suite", suite, "--seed", str(seed)]
+       for suite in _VALIDATE_SUITES for seed in (0, 7)},
 }
 
 
 def bench_values(case: str) -> dict:
-    """The bench-size case's CSV SHA-256 and its columns, as
-    ``{"sha256": ..., "columns": {column: values}}``."""
+    """The bench-size case's output SHA-256, with a CSV's columns or a
+    validate report's pass/fail list, as ``{"sha256": ..., "columns":
+    {column: values}}`` or ``{"sha256": ..., "passed": [[check, passed]]}``."""
+    argv = BENCH_CASES[case]
+    if argv[0] == "validate":
+        report = _kare(case, argv, ok=(0, 3))
+        return {"sha256": hashlib.sha256(report.encode()).hexdigest(),
+                "passed": [[c["name"], c["passed"]] for c in json.loads(report)["checks"]]}
     with tempfile.TemporaryDirectory() as tmp:
-        if isinstance(BENCH_CASES[case], list):
+        if argv[0] == "sct":
             out = str(Path(tmp) / "out.csv")
-            _kare(case, ["sct", *BENCH_CASES[case], "--out", out])
+            _kare(case, [*argv, "--out", out])
         else:
             workloads = _bench_workloads()
-            job = workloads.prepare(*BENCH_CASES[case], Path(tmp))
+            job = workloads.prepare(*argv, Path(tmp))
             workloads.call(job)
             out = job.config.output
         return {"sha256": hashlib.sha256(Path(out).read_bytes()).hexdigest(),
@@ -202,17 +218,22 @@ def main(argv=None) -> int:
         return 0
     committed = json.loads(Path(args.compare or FIXTURE).read_text())
     print(environment())
-    gaps = []
+    gaps, verdicts = [], []
     for case, new in fresh.items():
         old = committed.get(case, {})
         if args.bench:
             match = "matches" if new["sha256"] == old.get("sha256") else "differs"
+            if "passed" in new:
+                verdicts.append(new["passed"] == old.get("passed"))
+                print(f"{case:18} report sha256 {match}, pass/fail "
+                      f"{'matches' if verdicts[-1] else 'differs'}")
+                continue
             print(f"{case:18} CSV sha256 {match}")
             new, old = new["columns"], old.get("columns", {})
         for column, column_values in new.items():
             gaps.append(relative_gap(column_values, old.get(column, [])))
             print(f"{case:18} {column:24} {gaps[-1]:.3e}")
-    return 0 if all(gap <= RTOL for gap in gaps) else 1
+    return 0 if all(gap <= RTOL for gap in gaps) and all(verdicts) else 1
 
 
 if __name__ == "__main__":

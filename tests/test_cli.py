@@ -293,6 +293,19 @@ def test_sct_with_one_trial_fails_before_sampling(tmp_path, monkeypatch):
     assert not (tmp_path / "sct.csv").exists()
 
 
+def test_a_spectrum_trace_beyond_float64_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    from kare import cli
+    from kare.sct import Spectrum
+
+    monkeypatch.setattr(cli, "rbf_gaussian_spectrum", lambda *args: Spectrum(((1e308, 10),)))
+    assert main(["sct", "--spectrum", "rbf-gaussian", "--dim", "2", "--n-grid", "8:8:1:log2",
+                 "--ridge-grid", "1e-2:1e-2:1:log10", "--trials", "2",
+                 "--out", str(tmp_path / "sct.csv")]) == 4
+    assert capsys.readouterr().err == (
+        "numerical error: ridge + trace/n is not representable in float64 "
+        "(spectrum trace inf)\n")
+
+
 def test_csv_dataset_sweep(tmp_path):
     rng = np.random.default_rng(0)
     lines = ["a,b,Label"]

@@ -91,5 +91,27 @@ def test_bench_workloads_load_without_writing_under_bench():
     workloads = golden._bench_workloads()
     assert callable(workloads.prepare) and callable(workloads.call)
     assert sorted(golden.BENCH_CASES) == ["sct-power-law", "sct-rbf-gaussian"] + [
-        f"{w}-seed{s}" for w in ("sweep-cv", "sweep-wide") for s in (0, 1, 2)]
+        f"{w}-seed{s}" for w in ("sweep-cv", "sweep-wide") for s in (0, 1, 2)] + [
+        f"validate-{suite}-seed{s}" for suite in sorted(workloads.VALIDATE_SUITES)
+        for s in (0, 7)]
     assert sorted(p.name for p in golden.BENCH.iterdir()) == before
+
+
+def test_bench_mode_compares_each_validate_reports_pass_fail_list(tmp_path, monkeypatch, capsys):
+    case = golden.bench_values("validate-prop4-seed0")
+    assert case["passed"] == [[name, True] for name, _ in case["passed"]] and case["passed"]
+    monkeypatch.setattr(golden, "BENCH_CASES", {"validate-prop4-seed0": ["validate"]})
+    monkeypatch.setattr(golden, "bench_values", lambda name: json.loads(json.dumps(case)))
+    path = tmp_path / "bench.json"
+    assert golden.main(["--bench", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert golden.main(["--bench", "--compare", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "validate-prop4-seed0 report sha256 matches, pass/fail matches"]
+    # Another report with the same verdicts passes; one verdict that flips fails.
+    case["sha256"] = "cd" * 32
+    assert golden.main(["--bench", "--compare", str(path)]) == 0
+    case["passed"][-1][1] = False
+    assert golden.main(["--bench", "--compare", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "validate-prop4-seed0 report sha256 differs, pass/fail differs")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kare import sct
-from kare.spectral import GramSpectrum, decompose, stieltjes, stieltjes_derivative
+from kare.spectral import (GramSpectrum, NumericalError, decompose, stieltjes,
+                           stieltjes_derivative)
 from kare.sct import (
     Spectrum,
     power_law_spectrum,
@@ -20,8 +22,10 @@ from kare.sct import (
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
-def _bisect_oracle(spec, n, ridge, iterations=200):
-    # independent route: plain bisection on the fixed-point residual
+def _bisect_reference(spec, n, ridge):
+    # Independent route: plain bisection on the fixed-point residual g until
+    # the bracket holds no float between its ends, then the closed-form
+    # theta' at that theta.
     d = np.array([e[0] for e in spec.entries])
     m = np.array([float(e[1]) for e in spec.entries])
 
@@ -29,13 +33,14 @@ def _bisect_oracle(spec, n, ridge, iterations=200):
         return t - ridge - (t / n) * float(np.sum(m * d / (d + t)))
 
     lo, hi = ridge, ridge + float(m @ d) / n
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if g(mid) > 0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid, 1.0 / (1.0 - float(np.sum(m * (d / (d + mid)) ** 2)) / n)
 
 
 def _scalar_sct(spec, n, ridge):
@@ -118,7 +123,7 @@ def test_golden_ratio_fixed_point():
     spec = Spectrum(((1.0, 1),))
     res = solve_sct(spec, 1, 1.0)
     assert res.theta == pytest.approx(GOLDEN, rel=1e-10)
-    assert res.theta == pytest.approx(_bisect_oracle(spec, 1, 1.0), rel=1e-10)
+    assert res.theta == pytest.approx(_bisect_reference(spec, 1, 1.0)[0], rel=1e-10)
     assert res.theta_prime == pytest.approx(1 / (1 - 1 / (1 + GOLDEN) ** 2), rel=1e-10)
 
 
@@ -173,6 +178,62 @@ def test_residual_and_bounds(entries, n, ridge):
     assert ridge < res.theta <= (ridge + spec.trace / n) * (1 + 1e-12)
     assert 1.0 <= res.theta_prime * (1 + 1e-12)
     assert res.theta_prime <= (res.theta / ridge) * (1 + 1e-12)
+
+
+def _reference_spectra():
+    rng = np.random.default_rng(3)
+    for _ in range(30):  # as suite_prop3 draws them
+        size = int(rng.integers(1, 51))
+        yield Spectrum(tuple(zip(rng.uniform(1e-6, 10.0, size).tolist(),
+                                 rng.integers(1, 6, size).tolist())))
+    yield from (power_law_spectrum(1.5, 4000), power_law_spectrum(3.0, 400),
+                rbf_gaussian_spectrum(3, 2.0, 0.7, 20), rbf_gaussian_spectrum(5, 5.0, 1.0, 50))
+
+
+def test_solve_agrees_with_plain_bisection_within_the_residual_rule():
+    # |g(theta)| <= 1e-12 (ridge + trace/n) maps through the slope
+    # g' = 1/theta' to |theta - root| <= 1e-12 (ridge + trace/n) theta';
+    # the factor 4 covers the rounding of g and of the reference.
+    ns, ridges = np.array([1, 10, 100, 1000]), np.array([1e-6, 1e-4, 1e-2, 1.0])
+    for spec in _reference_spectra():
+        grid = solve_sct(spec, ns[:, None], ridges)
+        for i, n in enumerate(ns.tolist()):
+            for j, ridge in enumerate(ridges.tolist()):
+                theta_ref, prime_ref = _bisect_reference(spec, n, ridge)
+                bound = 4 * 1e-12 * (ridge + spec.trace / n) * prime_ref
+                scalar = solve_sct(spec, n, ridge)
+                for theta in (grid.theta[i, j], scalar.theta):
+                    assert abs(theta - theta_ref) <= bound, (spec.entries[:3], n, ridge)
+
+
+@pytest.mark.parametrize("entries, n, ridge, trace", [
+    (((1e308, 10),), 10, 1e-2, "inf"),
+    (((1e308, 1), (1e308, 1)), 10, np.array([1e-2, 1.0]), "inf"),
+    (((1e308, 1),), np.array([1, 1e300]), 1e308, "1e+308"),  # only the bracket overflows
+])
+def test_a_bracket_beyond_float64_raises_before_the_first_iteration(entries, n, ridge, trace,
+                                                                     monkeypatch):
+    def unsolved(*args):
+        raise AssertionError("iterated on an infinite bracket")
+    monkeypatch.setattr(sct, "_newton_bisection", unsolved)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^ridge \+ trace/n is not representable in "
+                                                 rf"float64 \(spectrum trace {re.escape(trace)}\)$"):
+            solve_sct(Spectrum(entries), n, ridge)
+
+
+def test_a_built_power_law_spectrum_retains_at_most_32_bytes_per_entry():
+    count = 40_000
+    power_law_spectrum(2.0, 2)
+    tracemalloc.start()
+    try:
+        spec = power_law_spectrum(2.0, count)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spec.expanded_size == count
+    assert retained <= 32 * count
 
 
 def test_derivative_matches_finite_difference():
@@ -283,20 +344,69 @@ def test_power_law_spectrum_is_pythons_power_bit_for_bit(beta):
     assert {m for _, m in entries} == {1}
 
 
+# Spectrum's input contract: (make the input, the entries it gives).  Pairs
+# of any sequence type from any iterable; eigenvalues as anything float()
+# takes; multiplicities as whole numbers of any type, exact beyond 53 and
+# 64 bits.
+ACCEPTED = {
+    "numpy rows": (lambda: np.array([[1.0, 2.0], [0.5, 1.0]]), ((1.0, 2), (0.5, 1))),
+    "generator": (lambda: ((d, 1) for d in (1.0, 0.5)), ((1.0, 1), (0.5, 1))),
+    "list": (lambda: [(1.0, 1), [0.5, 2]], ((1.0, 1), (0.5, 2))),
+    "string eigenvalues": (lambda: (("0.5", 1), ("1e-3", 2)), ((0.5, 1), (0.001, 2))),
+    "numpy eigenvalue": (lambda: ((np.float32(0.25), 1),), ((0.25, 1),)),
+    "bool multiplicity": (lambda: ((1.0, True),), ((1.0, 1),)),
+    "numpy-integer multiplicities": (lambda: ((1.0, np.int64(sct.MULTIPLICITY_CAP)),
+                                              (0.5, np.uint8(2))),
+                                     ((1.0, sct.MULTIPLICITY_CAP), (0.5, 2))),
+    "integral-float multiplicities": (lambda: ((1.0, 2.0), (0.5, np.float64(3))),
+                                      ((1.0, 2), (0.5, 3))),
+    "2**53 + 1": (lambda: ((1.0, 2**53 + 1), (0.5, 1)), ((1.0, 2**53 + 1), (0.5, 1))),
+    "2**70": (lambda: ((2, 2**70),), ((2.0, 2**70),)),
+    "empty": (lambda: (), ()),
+}
+
+
+@pytest.mark.parametrize("case", ACCEPTED)
+def test_spectrum_accepts_any_pairs_of_numbers(case):
+    make, expected = ACCEPTED[case]
+    spec = Spectrum(make())
+    assert spec.entries == expected
+    assert all(type(d) is float and type(m) is int for d, m in spec.entries)
+    assert spec == Spectrum(expected) and hash(spec) == hash(Spectrum(expected))
+    assert spec != Spectrum(expected + ((0.1, 1),))
+    assert repr(spec) == f"Spectrum(entries={expected!r})"
+    d, m = spec.arrays()
+    assert d.dtype == m.dtype == np.float64 and not (d.flags.writeable or m.flags.writeable)
+    assert d.tolist() == [d for d, _ in expected]
+    assert m.tolist() == [float(m) for _, m in expected]
+    assert spec.expanded_size == sum(m for _, m in expected)
+
+
+# A bad entry -> the exact message that names it.
+REJECTED = {
+    "zero eigenvalue": ((0.0, 1), "eigenvalues must be positive and finite, got 0.0"),
+    "negative eigenvalue": ((-1, 1), "eigenvalues must be positive and finite, got -1.0"),
+    "nan eigenvalue": ((math.nan, 1), "eigenvalues must be positive and finite, got nan"),
+    "inf eigenvalue": ((math.inf, 1), "eigenvalues must be positive and finite, got inf"),
+    "zero multiplicity": ((1.0, 0), "multiplicity must be a whole number >= 1, got 0"),
+    "fractional multiplicity": ((1.0, 2.5), "multiplicity must be a whole number >= 1, got 2.5"),
+    "nan multiplicity": ((1.0, math.nan), "multiplicity must be a whole number >= 1, got nan"),
+    "three elements": ((1.0, 1, 2), "too many values to unpack (expected 2)"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_spectrum_rejects_a_bad_entry_with_its_exact_message(case):
+    bad, message = REJECTED[case]
+    # Between good entries and before another bad one: the first bad entry
+    # is the one named.
+    for entries in ((bad,), ((1.0, 1), bad, (0.5, 2), (0.0, 0))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Spectrum(entries)
+
+
 def test_spectrum_checks_each_entry_and_names_the_first_bad_one():
-    cap = sct.MULTIPLICITY_CAP
-    pairs = ((1.0, cap), [0.5, cap - 1], (0.25, 3))
-    spec = Spectrum(pairs)
-    assert spec.entries[0] is pairs[0] and spec.entries[2] is pairs[2]  # kept, not copied
-    # Pairs of any type, other numbers, integral floats and integers beyond
-    # 64 bits become tuples of floats and ints.
-    for spectrum, expected in ((spec, ((1.0, cap), (0.5, cap - 1), (0.25, 3))),
-                               (Spectrum(((np.float32(0.25), np.int64(cap)),)), ((0.25, cap),)),
-                               (Spectrum(((1.0, 2.0), (0.5, np.float64(3)))), ((1.0, 2), (0.5, 3))),
-                               (Spectrum(((2, 2**70),)), ((2.0, 2**70),))):
-        assert spectrum.entries == expected
-        assert all(type(d) is float and type(m) is int for d, m in spectrum.entries)
-    np.testing.assert_array_equal(spec.arrays()[1], [float(cap), float(cap - 1), 3.0])
+    # Entries in order; within an entry, the eigenvalue before the multiplicity.
     cases = {((1.0, 1), (0.0, 1), (1.0, 0)): "^eigenvalues must be positive and finite, got 0.0$",
              ((1.0, 0), (math.nan, 1)): "^multiplicity must be a whole number >= 1, got 0$",
              ((math.inf, 2.5),): "^eigenvalues must be positive and finite, got inf$",
