@@ -127,19 +127,22 @@ def _checked(entries: tuple) -> tuple[np.ndarray, np.ndarray, list]:
     over the arrays: every eigenvalue positive and finite, every
     multiplicity a whole number >= 1.  A bad spectrum raises the error of
     its first bad entry, the eigenvalue's before the multiplicity's."""
+    error = None
     try:
         d = np.array([float(d) for d, _ in entries])
         counts = [whole_number(m) for _, m in entries]
         m = np.array([math.nan if c is None else float(c) for c in counts])
         if np.all((d > 0) & (d < math.inf) & (m >= 1)):
             return d, m, counts
-    except (TypeError, ValueError, ArithmeticError):
-        pass
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        error = exc
     # A bad entry: the scalar checks, which the array check agrees with,
-    # raise at the first one.
+    # raise at the first one.  Past them, the conversion failed only on a
+    # multiplicity too large for a float.
     for d, m in entries:
         check_real(d, "eigenvalues")
         check_count(m, "multiplicity", 1)
+    raise error
 
 
 @dataclass(frozen=True)

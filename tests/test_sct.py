@@ -416,6 +416,15 @@ def test_spectrum_checks_each_entry_and_names_the_first_bad_one():
             Spectrum(entries)
 
 
+def test_a_multiplicity_beyond_float64_is_an_overflow():
+    # A whole number >= 1, but no float holds it: a bad entry after it is
+    # still named first, since the entry checks pass this one.
+    with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+        Spectrum(((1.0, 1), (0.5, 10**400)))
+    with pytest.raises(ValueError, match="^multiplicity must be a whole number >= 1, got 0$"):
+        Spectrum(((0.5, 10**400), (1.0, 0)))
+
+
 def test_expand_respects_multiplicity():
     spec = Spectrum(((2.0, 3), (0.5, 1)))
     np.testing.assert_allclose(spec.expand(), [2.0, 2.0, 2.0, 0.5])
