@@ -1,13 +1,9 @@
-"""Kernel ridge regression risk prediction from training data.
-
-The signal capture threshold of a spectrum identifies which kernel
-principal components ridge regression captures at a given sample size
-and ridge; its Gram-matrix estimate turns that into data-driven risk
-scores (kare, varrho) that select kernels and ridges without a held-out
-set.  Monte Carlo oracles in :mod:`kare.synthetic` validate the
-closed-form predictions at desk scale, and :mod:`kare.cli` drives sweep
-experiments.
+"""Kernel ridge regression risk prediction from training data: the signal
+capture threshold, its Gram-matrix estimate and the kare score, Monte Carlo
+oracles that check the closed forms, and the ``kare`` command line.
 """
+
+import numpy.random  # NumPy otherwise loads it at the first draw
 
 from .kernels import FAMILIES, KernelSpec, cross_gram, gram_matrix, kernel_eval
 from .spectral import GramSpectrum, decompose, stieltjes, stieltjes_derivative

@@ -1,36 +1,9 @@
-"""Experiment driver: hyperparameter sweeps, threshold curves, validation.
+"""The ``kare`` command line: ``sweep --config FILE`` (one CSV row per
+(lengthscale, ridge) cell), ``sct`` (solved threshold curves next to Monte
+Carlo estimates) and ``validate`` (a JSON report of a suite).
 
-Subcommands
------------
-sweep --config FILE
-    Grid sweep over (lengthscale, ridge) emitting one CSV row per cell
-    with train error, the alignment risk scores, the optional comparator
-    scores, held-out risk, and the Gram-based threshold estimates.
-
-sct --spectrum {rbf-gaussian,power-law} ... --out FILE
-    Solved threshold and derivative next to their Monte Carlo estimates
-    over an (n, ridge) grid.
-
-validate --suite NAME --seed N
-    Run a named validation suite and print a JSON report; exits 3 on
-    check failure.
-
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 validation
-failure, 4 numerical error (a LinAlgError or ArithmeticError, such as a
-Cholesky factorization that fails at a tiny ridge, a score or threshold
-estimate not representable in float64, or a Gram matrix that is not
-positive semidefinite; a sweep names the failing lengthscale and ridge).
-
-Config file format: UTF-8, flat "key = value" lines, '#' comments.
-Grids are "start:stop:count:log2" or "start:stop:count:log10" (count
-log-spaced values from start to stop inclusive).  The keys, their
-defaults and their meaning are the tables _REQUIRED_KEYS and
-_OPTIONAL_KEYS below.
-
-Each config key and each option has one parser from text to value
-(``_count``, ``_real``, ``_output``, ``parse_grid``...) that raises
-ValueError naming its bound; a bad key reads "PATH: KEY: ..." and a bad
-option "argument --OPT: ...".  Counts and seeds accept integral floats.
+Exit codes: 0 success, 1 usage or config error, 2 data error, 3 validation
+failure, 4 numerical error (a LinAlgError or ArithmeticError).
 """
 
 from __future__ import annotations
@@ -44,7 +17,6 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
-import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from .data import (
     Dataset,
@@ -58,10 +30,8 @@ from .data import (
     subsample,
     write_csv,
 )
-# A sweep's Grams, which _gram_from_strips makes from mirrored distances,
-# are exactly symmetric and finite, so the sweep reads them through the
-# estimators' unchecked entries; bench/tracer.py times the alignment at the
-# name classical_alignment.
+# A sweep's Grams are exactly symmetric and finite, so it calls the unchecked
+# entries; bench/tracer.py wraps the alignment as classical_alignment.
 from .estimators import (
     RidgeScores,
     TrueFunction,
@@ -89,8 +59,7 @@ class ConfigError(ValueError):
 
 
 def _option(parse):
-    """An argparse type from parse(text), which raises ValueError on a bad
-    value; argparse names the option when it raises."""
+    """An argparse type from parse(text), which raises ValueError on a bad value."""
     def option(text: str):
         try:
             return parse(text)
@@ -101,8 +70,7 @@ def _option(parse):
 
 
 def _count(low: int, what: str = "value"):
-    """A parser of a whole number >= low, written as an integer or an
-    integral float."""
+    """A parser of a whole number >= low, written as an integer or an integral float."""
     return lambda text: check_count(
         int(text) if text.strip().lstrip("+-").isdecimal() else float(text), what, low)
 
@@ -136,8 +104,7 @@ _NUMERICAL_ERRORS = (LinAlgError, ArithmeticError)
 @contextmanager
 def _cell(lengthscale: float, ridge: float | None = None):
     """Re-raise a numerical failure inside the block as a NumericalError
-    naming the sweep cell.  Without a ridge, the failure names its own (as
-    a failed ``krr.ridge_solve`` does) or none (as a failed eigh)."""
+    naming the sweep cell; without a ridge, only its lengthscale."""
     try:
         yield
     except _NUMERICAL_ERRORS as exc:
@@ -193,7 +160,8 @@ SCT_COLUMNS = tuple(f.name for f in fields(SctCurveRecord))
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse "start:stop:count:log2|log10" into an inclusive log-spaced grid."""
+    """The inclusive log-spaced grid "start:stop:count:log2|log10"; raises
+    ConfigError naming the grid for a bad part."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError(f"grid {text!r} is not start:stop:count:scale")
@@ -289,12 +257,15 @@ _PARSERS = {**_REQUIRED_KEYS, **{key: parse for key, (_, parse) in _OPTIONAL_KEY
 
 
 def parse_sweep_config(path: str) -> SweepConfig:
+    """The SweepConfig of the "key = value" file at path; raises ConfigError
+    naming the file, and the line or key, for a malformed, unknown,
+    repeated, missing or bad key."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raw = {}
+    raw, set_at = {}, {}
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -304,7 +275,9 @@ def parse_sweep_config(path: str) -> SweepConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = value
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set at line {set_at[key]}")
+        raw[key], set_at[key] = value, lineno
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -374,25 +347,12 @@ def _load_sweep_data(cfg: SweepConfig) -> tuple[Dataset, Dataset | None]:
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """One record per grid cell, in deterministic grid order.
+    """One record per grid cell, in grid order.
 
-    The train distances are computed once per sweep and kept as flat
-    strips, the layout of ``kernels``: each block of rows [s, s + rows)
-    stores D[s:s + rows, s:] after the block above it, with rows at most
-    max(1, n // 64), so they take n(n+1)/2 floats plus at most n^2 / 128.
-    The test distances are computed once, after the last eigh.  Each
-    lengthscale builds its Gram and cross-Gram from them, once each; the
-    alignment and CV read the Gram, and then it is scaled by 1/n and
-    decomposed in its own buffer, once for all ridges.  No Gram is scanned
-    for symmetry: one made from mirrored distances is exactly symmetric
-    and finite.  Each record is built once.  README's sweep section gives
-    the memory this holds.
-
-    A LinAlgError or ArithmeticError raised for a cell becomes a
-    NumericalError naming it: CV, run once per lengthscale, names the ridge
-    whose dposv returns a nonzero info, and a failed eigh names only its
-    lengthscale.  Failures come in grid order (CV's, the eigh's, then the
-    scores' within a lengthscale), and overflowing test distances last.
+    A LinAlgError or ArithmeticError for a cell becomes a NumericalError
+    naming it: CV names the ridge whose solve failed, and a failed eigh only
+    its lengthscale.  Failures come in grid order (within a lengthscale CV's,
+    the eigh's, then the scores'), and overflowing test distances last.
     """
     train, test = _load_sweep_data(cfg)
     n, dim = train.X.shape
@@ -403,8 +363,6 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     kerns = [KernelSpec(cfg.family, multiple * dim) for multiple in cfg.lengthscale_multiples]
     strips, rows = _strip_distances(cfg.family, train.X, flat=True)
 
-    # Each pass frees a lengthscale's Gram, eigenvectors or cross-Gram
-    # before the next lengthscale builds its own.
     def scores(kern: KernelSpec) -> tuple[list[partial], list[np.ndarray]]:
         # Each ridge's record, short of its test risk, and its dual.
         G = _gram_from_strips(kern, strips, rows, np.empty((n, n)))
@@ -464,10 +422,9 @@ def run_sct_curves(
     trials: int,
     seed: int,
 ) -> list[SctCurveRecord]:
-    """Solved threshold curves next to Monte Carlo Gram-based estimates.
-
-    gram_sampler(n, seed) must return a GramSpectrum for a fresh sample
-    of size n; fewer than 2 trials raise ValueError before any sample.
+    """Solved threshold curves next to Monte Carlo Gram-based estimates, from
+    gram_sampler(n, seed), a GramSpectrum of a fresh sample of size n; fewer
+    than 2 trials raise ValueError before any sample.
     """
     records = []
     for n in n_values:
@@ -531,8 +488,8 @@ def _cmd_validate(args) -> int:
 
 
 def _build_parser():
-    """The kare command line's parser.  argparse (with gettext and locale)
-    is imported here, so that importing kare.cli does not load it."""
+    """The kare command line's parser; argparse is imported here, so that
+    importing kare.cli does not load it."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):

@@ -1,8 +1,5 @@
-"""Dataset loading (CSV, IDX images) and experiment preprocessing.
-
-CSV dialect: UTF-8, comma-separated, mandatory header row, '.' decimal
-point, no quoting of numeric cells.  IDX is the standard big-endian
-image/label format (magic 2051 for images, 2049 for labels).
+"""Dataset loading and preprocessing: UTF-8 CSV with a header row, and the
+big-endian IDX image/label format.
 """
 
 from __future__ import annotations
@@ -13,9 +10,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
-from .spectral import check_count
+from .spectral import check_array, check_count
 
 SENTINEL = -999.0
 
@@ -33,15 +29,16 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
+    """Features X, one row per label in y, and metadata; raises ValueError
+    naming the field unless X is a finite 2-D array and y a finite vector."""
+
     X: np.ndarray
     y: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.X.shape[0] != self.y.shape[0]:
-            raise ValueError(
-                f"{self.X.shape[0]} feature rows but {self.y.shape[0]} labels"
-            )
+        object.__setattr__(self, "X", check_array(self.X, "X", 2))
+        object.__setattr__(self, "y", check_array(self.y, "y", 1, self.X.shape[0]))
 
 
 def _check_finite(X: np.ndarray, y: np.ndarray, source: str) -> None:
@@ -50,7 +47,7 @@ def _check_finite(X: np.ndarray, y: np.ndarray, source: str) -> None:
 
 
 def _decoded_lines(handle, path):
-    """handle's lines, a decoding error raised as a ParseError naming path."""
+    """handle's lines; a decoding error is a ParseError naming path."""
     try:
         yield from handle
     except UnicodeDecodeError as exc:
@@ -64,13 +61,13 @@ def load_csv(
     label_map: dict[str, float] | None = None,
     drop_sentinel: bool = False,
 ) -> Dataset:
-    """Load a numeric CSV with one label column.
+    """The Dataset of a numeric CSV with one label column.
 
-    label_map translates categorical labels (e.g. {"s": 1, "b": -1});
-    without it the label cell must parse as a number.  With drop_sentinel
-    every row containing a -999 feature is discarded.  A header naming a
-    column twice, a feature_columns list naming one twice, a label column
-    among feature_columns, or text that is not UTF-8, is a ParseError.
+    label_map translates categorical labels (e.g. {"s": 1, "b": -1}); with
+    drop_sentinel every row holding a -999 feature is dropped.  Raises
+    ParseError naming the file for a malformed, non-numeric, non-finite or
+    non-UTF-8 cell, a column named twice, or a label column among
+    feature_columns.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(_decoded_lines(handle, path))
@@ -156,8 +153,8 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, columns, rows) -> None:
-    """Write a header of column names and one line per row, each ended by
-    a bare newline: floats at full precision, None as an empty cell."""
+    """Write a header and one line per row, each ended by a bare newline:
+    floats as %.17g, None as an empty cell."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
@@ -165,11 +162,8 @@ def write_csv(path, columns, rows) -> None:
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset back out with full float precision (round-trips exactly).
-
-    Every cell is the float64 value's ``%.17g``, the text ``write_csv``
-    gives a float; each row is formatted in one pass rather than cell by cell.
-    """
+    """Write ds as ``write_csv`` would, every cell a float64's %.17g, which
+    round-trips exactly; each row is formatted in one pass."""
     names = ds.meta.get("feature_names") or [f"x{i}" for i in range(ds.X.shape[1])]
     line = ",".join(["%.17g"] * (len(names) + 1)) + "\n"
     with open(path, "w", newline="") as handle:
@@ -200,11 +194,9 @@ def load_mnist_idx(
     labels_path,
     digits: tuple[int, int],
 ) -> Dataset:
-    """Load an IDX image/label pair filtered to two digits mapped onto +-1.
-
-    The first digit maps to +1 and the second to -1.  Images are
-    flattened row-major with raw 0..255 values.  Raises ValueError when
-    either digit has no images.
+    """The images of two digits of an IDX pair, flattened row-major with raw
+    0..255 values, labelled +1 (first digit) and -1.  Raises FormatError for
+    a malformed file and ValueError for a bad digit or one with no images.
     """
     (n_images, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3)
     (n_labels,), labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1)
@@ -230,11 +222,8 @@ def load_mnist_idx(
 
 
 def preprocess_mnist(ds: Dataset) -> Dataset:
-    """Crop the 2-pixel border of 28x28 images, rescale to [0, 1], recenter.
-
-    The centering statistic is one global scalar, the mean cropped pixel
-    value over the loaded subset.  Output dimension is 24*24 = 576.
-    """
+    """The 28x28 images cropped to 24x24, rescaled to [0, 1] and centred by
+    their one global mean; raises ValueError unless there are 784 columns."""
     if ds.X.shape[1] != 28 * 28:
         raise ValueError(f"expected 784 pixel columns, got {ds.X.shape[1]}")
     imgs = ds.X.reshape(-1, 28, 28)[:, 2:26, 2:26]
@@ -256,7 +245,8 @@ def preprocess_maxabs(ds: Dataset) -> Dataset:
 
 
 def subsample(ds: Dataset, n: int, seed) -> Dataset:
-    """Uniform sample of n rows without replacement, deterministic per seed."""
+    """Uniform sample of n rows without replacement, deterministic per seed;
+    raises ValueError unless n is a whole number from 1 to the row count."""
     total = ds.X.shape[0]
     n = check_count(n, "sample size", 1, total)
     idx = np.random.default_rng(seed).choice(total, size=n, replace=False)
@@ -268,11 +258,9 @@ def subsample(ds: Dataset, n: int, seed) -> Dataset:
 def split_train_test(
     ds: Dataset, n_train: int, n_test: int, seed
 ) -> tuple[Dataset, Dataset]:
-    """Disjoint train/test subsets via two child streams of one seed.
-
-    Stream 0 draws the training rows from the full index pool; stream 1
-    draws the test rows from the remainder.
-    """
+    """Disjoint train and test subsets: stream 0 of the seed draws the
+    training rows, stream 1 the test rows from the rest.  Raises ValueError
+    unless n_train >= 1 and n_test >= 0 are whole numbers that fit."""
     total = ds.X.shape[0]
     n_train = check_count(n_train, "training size", 1, total)
     n_test = check_count(n_test, "test size", 0, total - n_train)

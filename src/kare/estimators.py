@@ -1,19 +1,10 @@
-"""Risk estimators for kernel ridge regression.
+"""Risk estimators: the training-set scores kare and varrho (B = (1/n)G + ridge I)
 
-Data-driven scores (computable from the training set alone):
-
-    kare      (1/n) y^T B^{-2} y / ((1/n) Tr B^{-1})^2,   B = (1/n)G + ridge I
+    kare      (1/n) y^T B^{-2} y / ((1/n) Tr B^{-1})^2
     varrho    y^T B^{-2} y / Tr B^{-2}
 
-both invariant under the simultaneous rescaling (G, ridge) -> (a G, a ridge),
-plus the three usual comparators: k-fold cross-validation, Gaussian-process
-log marginal likelihood and classical kernel alignment.
-
-Closed-form counterparts under a known population spectrum: the expected
-risk theta'(ridge) * (sum_k b_k^2 theta^2/(theta+d_k)^2 + noise^2), the
-expected train error (ridge^2/theta^2) times that, per-mode predictor
-means and variances, and the average risk over a random target with a
-given covariance spectrum.
+with the comparators (k-fold CV, log marginal likelihood, kernel
+alignment), and their closed forms under a known population spectrum.
 """
 
 from __future__ import annotations
@@ -23,44 +14,39 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from . import krr
 from .lapack import dot, eigh, matvec
 from .kernels import KernelSpec, gram_matrix
-from .spectral import (GramSpectrum, at_ridge, check_count, check_gram, check_labels, check_real,
-                       check_ridge, stieltjes)
+from .spectral import (GramSpectrum, at_ridge, check_array, check_count, check_gram, check_labels,
+                       check_real, check_ridge, stieltjes)
 from .sct import SctResult, Spectrum, solve_sct
 
 
 @dataclass(frozen=True)
 class TrueFunction:
-    """Target coefficients along the expanded spectrum modes, plus noise level."""
+    """Target coefficients along the expanded spectrum modes, plus noise level;
+    raises ValueError unless coeffs is a finite vector and noise finite and
+    >= 0."""
 
     coeffs: np.ndarray
     noise: float = 0.0
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float).ravel()  # its own copy
+        coeffs = check_array(self.coeffs, "target coefficients", 1).copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("target coefficients have non-finite entries")
         check_real(self.noise, "noise level", strict=False)
 
 
 class RidgeScores(GramSpectrum):
-    """The GramSpectrum of (1/n)G with the labels rotated into its
-    eigenbasis, and every label-dependent ridge score from it.
+    """The GramSpectrum of (1/n)G with the labels y rotated into its
+    eigenbasis, and every label-dependent ridge score as an O(n) sum.
+    Raises as ``check_labels``, ``check_gram`` and ``GramSpectrum`` do.
 
-    Grid sweeps evaluate many ridges per dataset; after rotating the
-    labels into the eigenbasis each score is an O(n) sum over
-    (mu_i + ridge), so the n^3 work is paid once.
-
-    A Monte Carlo draw of rank k < n gives k eigenvectors P.  Its other
-    n - k eigenvalues are zero, a block whose only label mass is the
-    residual r = y - P P^T y: ||r||^2 is the label weight of one of those
-    zeros, so each score keeps one formula, and ``solve`` adds r / ridge.
+    From k < n eigenvectors P (a Monte Carlo draw of rank k), the residual
+    r = y - P P^T y is the label mass of the zero eigenvalues: ||r||^2
+    weighs one of them, and ``solve`` adds r / ridge.
     """
 
     def __init__(self, G, y):
@@ -70,13 +56,9 @@ class RidgeScores(GramSpectrum):
 
     @classmethod
     def _scaling_in_place(cls, G: np.ndarray, y) -> RidgeScores:
-        """RidgeScores(G, y) for a caller that no longer reads G: G is divided
-        by n in place (the bits of G / n), and ``lapack.eigh`` decomposes it
-        in its own buffer and transposes the eigenvectors there, so G ends up
-        holding ``vectors`` and the call keeps no new n x n array.  G is not
-        scanned: it must be a finite, exactly symmetric, C-contiguous n x n
-        float64 array, as ``gram_matrix`` and the sweep's
-        ``_gram_from_strips`` make.  No ``__init__`` runs."""
+        """RidgeScores(G, y), with its bits, for a G that ends up holding
+        ``vectors`` and is not scanned: it must be a finite, exactly
+        symmetric, C-contiguous n x n float64 array, as ``gram_matrix`` makes."""
         y = check_labels(y)
         return cls.__new__(cls)._from_eigen(*eigh(np.divide(G, y.shape[0], out=G).T), y)
 
@@ -113,36 +95,33 @@ class RidgeScores(GramSpectrum):
 
     @at_ridge
     def log_marginal_likelihood(self, ridge: float) -> float:
-        """Per-sample Gaussian evidence with covariance (1/n)G + ridge I.
-
-        -(1/n) [ 1/2 y^T B^{-1} y + 1/2 log det B ]; the n log(2 pi)/2
-        constant is dropped.  Higher is better.
-        """
+        """Per-sample Gaussian evidence -(1/n) [y^T B^{-1} y + log det B] / 2,
+        without the log(2 pi)/2 constant; higher is better."""
         quad = float(np.sum(self._w2 / (self.eigenvalues + ridge)))
         logdet = float(np.sum(np.log(self.eigenvalues + ridge)))
         return -0.5 * (quad + logdet) / self.n
 
 
 def kare(y, G, ridge: float) -> float:
-    """Alignment risk score; approximates the test risk from training data."""
+    """The kare score of ``RidgeScores(G, y)``, which approximates the test
+    risk; raises as that and its score do."""
     return RidgeScores(G, y).kare(ridge)
 
 
 def varrho(y, G, ridge: float) -> float:
-    """Companion score approximating the risk of the *expected* predictor."""
+    """The varrho score of ``RidgeScores(G, y)``, which approximates the risk
+    of the expected predictor; raises as that and its score do."""
     return RidgeScores(G, y).varrho(ridge)
 
 
 def log_marginal_likelihood(y, G, ridge: float) -> float:
+    """The ``RidgeScores(G, y)`` log marginal likelihood; raises as it does."""
     return RidgeScores(G, y).log_marginal_likelihood(ridge)
 
 
 def classical_alignment(y, G) -> float:
-    """y^T G y / (||G||_F ||y||^2), in [-1, 1].
-
-    The ratio is scale-free, so where a sum leaves the normal float64 range
-    (as for 1e200 * G or 1e-170 * G), G and y are first scaled by powers of
-    two, exactly, to a largest entry in [1/2, 1).  Raises ValueError when y
+    """y^T G y / (||G||_F ||y||^2), in [-1, 1], at any scale of G and y.
+    Raises ValueError as ``check_labels`` and ``check_gram`` do, and when y
     or G is identically zero.
     """
     y = check_labels(y)
@@ -151,7 +130,8 @@ def classical_alignment(y, G) -> float:
 
 def _alignment(y: np.ndarray, G: np.ndarray) -> float:
     """``classical_alignment`` of checked labels y and a finite, symmetric,
-    float64 G that is not scanned again."""
+    float64 G that is not scanned again; a sum outside the normal float64
+    range is recomputed with y and G scaled exactly by powers of two."""
     yGy, gg, yy = _alignment_sums(y, G)
     if not all(sys.float_info.min <= abs(s) < math.inf
                for s in (yGy, gg, yy, math.sqrt(gg) * yy)):
@@ -172,11 +152,9 @@ def _alignment_sums(y: np.ndarray, G: np.ndarray) -> tuple[float, float, float]:
 
 
 def checked_modes(spec: Spectrum, f: TrueFunction | None = None, indices=()) -> tuple:
-    """The spectrum's expanded eigenvalues, one per mode, and indices as ints.
-
-    Raises ValueError unless the target f (if given) has one coefficient
-    per mode and every index in indices is a whole number naming a mode.
-    """
+    """The spectrum's expanded eigenvalues and indices as ints; raises
+    ValueError unless f (if given) has one coefficient per mode and every
+    index is a whole number naming a mode."""
     d = spec.expand()
     if f is not None and f.coeffs.shape[0] != d.shape[0]:
         raise ValueError(
@@ -195,7 +173,8 @@ def _sct_and_bias(
 
 
 def theoretical_risk(spec: Spectrum, f: TrueFunction, n: int, ridge: float) -> float:
-    """theta' * (sum_k b_k^2 theta^2/(theta+d_k)^2 + noise^2)."""
+    """theta' * (sum_k b_k^2 theta^2/(theta+d_k)^2 + noise^2); raises as
+    ``checked_modes`` and ``solve_sct`` do."""
     _, res, bias = _sct_and_bias(spec, f, n, ridge)
     return res.theta_prime * (bias + f.noise**2)
 
@@ -203,7 +182,7 @@ def theoretical_risk(spec: Spectrum, f: TrueFunction, n: int, ridge: float) -> f
 def theoretical_train_error(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float
 ) -> float:
-    """(ridge/theta)^2 times the theoretical risk."""
+    """(ridge/theta)^2 times the theoretical risk; raises as it does."""
     ridge = check_ridge(ridge)
     _, res, bias = _sct_and_bias(spec, f, n, ridge)
     return (ridge / res.theta) ** 2 * res.theta_prime * (bias + f.noise**2)
@@ -212,7 +191,8 @@ def theoretical_train_error(
 def mean_predictor_coeffs(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float
 ) -> np.ndarray:
-    """Expected predictor coefficient per mode: b_k * d_k / (theta + d_k)."""
+    """Expected predictor coefficient per mode, b_k * d_k / (theta + d_k);
+    raises as ``theoretical_risk`` does."""
     d, _ = checked_modes(spec, f)
     theta = solve_sct(spec, n, ridge).theta
     return f.coeffs * d / (theta + d)
@@ -221,7 +201,8 @@ def mean_predictor_coeffs(
 def predictor_variance_component(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float, k: int
 ) -> float:
-    """Predicted variance of the predictor coefficient along expanded mode k."""
+    """Predicted variance of the predictor coefficient along expanded mode k;
+    raises as ``checked_modes`` and ``solve_sct`` do."""
     [k] = checked_modes(spec, f, (k,))[1]
     d, res, bias = _sct_and_bias(spec, f, n, ridge)
     theta = res.theta
@@ -237,14 +218,14 @@ def predictor_variance_component(
 def bayesian_risk(
     spec_k: Spectrum, spec_sigma: Spectrum, noise: float, n: int, ridge: float
 ) -> float:
-    """Average risk over a random target with covariance spectrum spec_sigma.
+    """Average risk over random targets of per-mode variance s_k, the
+    eigenvalues of spec_sigma:
 
-    n*theta + n*theta'*(noise^2/n - ridge) + theta'*theta^2 *
-    sum_k mult_k (s_k - d_k)/(d_k + theta)^2, where theta is the SCT of
-    the regression spectrum spec_k.  Identical to averaging the
-    closed-form risk over targets with per-mode variance s_k.  With
-    spec_sigma = spec_k and ridge = noise^2/n this collapses to
-    n*theta(noise^2/n), the optimal configuration.
+        n*theta + n*theta'*(noise^2/n - ridge)
+            + theta'*theta^2 * sum_k mult_k (s_k - d_k)/(d_k + theta)^2,
+
+    theta the SCT of spec_k.  Raises ValueError unless the two spectra have
+    the same multiplicities, and as ``solve_sct`` does.
     """
     noise = check_real(noise, "noise level", strict=False)
     (d, m), (s, m_sigma) = spec_k.arrays(), spec_sigma.arrays()
@@ -257,18 +238,11 @@ def bayesian_risk(
 
 
 def cross_validation_risks(G, y, ridges, folds: int, seed: int = 0) -> list[float]:
-    """Mean held-out MSE over k folds at each ridge, from the Gram G of all points.
-
-    Fold assignment is reproducible: a seeded shuffle of the indices,
-    then equal contiguous blocks with the remainder handed out one per
-    fold from the front.  Each fold's Gram and cross-Gram are gathered
-    from G, so no kernel is evaluated.  Each fold's Gram is gathered once,
-    directly in Fortran order, and scaled by 1/m in place (m training
-    points); every ridge of every fold copies it into one buffer, made once
-    per call, and factors it there (``krr._factor_solve``), so a call
-    holds at most two fold Grams and a held-out block.  G must be finite
-    and symmetric (the factorization reads the lower triangle); a failed
-    solve raises NumericalError naming its ridge.
+    """Mean held-out MSE over k folds at each ridge, from the Gram G of all
+    points: a seeded shuffle, then contiguous blocks, the remainder handed
+    out one per fold from the front.  Raises ValueError as ``check_labels``,
+    ``check_gram`` and ``check_count`` do, and NumericalError naming the
+    ridge of a failed solve.
     """
     y = check_labels(y)
     return _cross_validation_risks(check_gram(G, y.shape[0]), y, ridges, folds, seed)
@@ -306,8 +280,6 @@ def _cross_validation_risks(G: np.ndarray, y: np.ndarray, ridges, folds: int,
 def cross_validation_risk(
     kernel: KernelSpec, X, y, ridge: float, folds: int, seed: int = 0
 ) -> float:
-    """Mean held-out MSE over k folds of the points X, from one Gram matrix.
-
-    The folds are those of ``cross_validation_risks``.
-    """
+    """Mean held-out MSE over the folds of ``cross_validation_risks`` of the
+    points X; raises as ``gram_matrix`` and it do."""
     return cross_validation_risks(gram_matrix(kernel, X), y, (ridge,), folds, seed)[0]

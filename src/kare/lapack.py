@@ -1,30 +1,8 @@
-"""The four BLAS and LAPACK routines of kare, called in SciPy's OpenBLAS.
-
-``dsyevd`` makes every eigendecomposition of kare, ``dposv`` every
-Cholesky solve of ``krr``, and ``dgemv`` and ``ddot`` the products of a
-sweep, so that a sweep runs on one OpenBLAS and its one thread pool.  They
-are ctypes foreign functions with the Fortran LP64 ABI: every argument by
-reference, 32-bit integers, and each character argument's length as a
-trailing hidden ``size_t``.
-
-One loader binds them, by one of two lookups.  On a SciPy wheel, the
-symbols of the OpenBLAS it bundles, ``scipy.libs/libscipy_openblas*.so``
-beside the ``scipy`` package, found with ``find_spec`` and loaded without
-importing any SciPy module.  Where SciPy bundles no such library (conda,
-distribution, Windows and macOS builds), the ``_cpointer`` capsules of
-SciPy's compiled wrappers ``scipy.linalg._flapack`` and ``_fblas``, which
-a plain import loads.  ``LIBRARY`` names the file bound, or "f2py
-capsules".
-
-Each routine has the bits of the NumPy or SciPy call it stands for, since
-it runs the same routine of the same library on the same memory layout:
-
-- ``eigh(A)`` is ``np.linalg.eigh(A)``, decomposed in A's own buffer, which
-  then holds the C-order eigenvectors, transposed in place;
-- ``eigvalsh(A)`` is ``np.linalg.eigvalsh(A)``, also in A's buffer;
-- ``matvec(A, x)`` is ``A @ x``, so ``matvec(A.T, x)`` is ``A.T @ x``;
-- ``dot(x, y)`` is ``x @ y``;
-- ``dposv(A, b)`` is SciPy's ``dposv(A, b, lower=1, overwrite_a=1)``.
+"""SciPy OpenBLAS's dsyevd, dposv, dgemv and ddot as ctypes foreign
+functions (Fortran LP64 ABI), so that kare's eigendecompositions and a
+sweep's products and solves run on one OpenBLAS.  ``LIBRARY`` names the
+file bound, or "f2py capsules".  Each routine has the bits of the NumPy or
+SciPy call its docstring names.
 """
 
 from __future__ import annotations
@@ -45,8 +23,7 @@ _ROUTINES = {"dsyevd": (None, "_flapack"), "dposv": (None, "_flapack"),
 
 
 def _bundled_library() -> str | None:
-    """The path of ``scipy.libs/libscipy_openblas*.so`` beside the
-    ``scipy`` package, or None where there is none."""
+    """The path of ``scipy.libs/libscipy_openblas*.so`` beside ``scipy``, or None."""
     spec = find_spec("scipy")
     for package in (spec.submodule_search_locations or []) if spec else []:
         directory = os.path.join(os.path.dirname(package), "scipy.libs")
@@ -67,10 +44,9 @@ def _capsule_address(capsule) -> int:
 
 
 def _bind() -> tuple[list, str]:
-    """The foreign functions of ``_ROUTINES``, in order, and ``LIBRARY``:
-    the bundled library's symbols and file name, or else the wrappers'
-    capsules and "f2py capsules".  Raises ImportError naming
-    ``scipy.linalg._flapack`` where neither lookup can run."""
+    """The foreign functions of ``_ROUTINES``, in order, and ``LIBRARY``.
+    Raises ImportError naming ``scipy.linalg._flapack`` where neither the
+    bundled library nor SciPy's f2py wrappers load."""
     path = _bundled_library()
     if path:  # ctypes never unloads a library, so its addresses stay valid
         library = ctypes.CDLL(path)
@@ -87,9 +63,7 @@ def _bind() -> tuple[list, str]:
         addresses = [_capsule_address(getattr(modules[module], routine)._cpointer)
                      for routine, (_, module) in _ROUTINES.items()]
         source = "f2py capsules"
-    # No argtypes: each argument is built below as a C pointer, bytes or
-    # size_t, after the Python checks of the routine's sizes, dtype and
-    # layout, and declaring them cost ddot 0.4 us more per call.
+    # No argtypes: the callers below check and build every argument.
     return [CFUNCTYPE(restype)(address)
             for (restype, _), address in zip(_ROUTINES.values(), addresses)], source
 
@@ -98,13 +72,9 @@ def _bind() -> tuple[list, str]:
 
 _FLOAT64 = np.dtype(np.float64)
 
-# ``_data(a)`` is the data pointer of the array a, as a c_void_p for a
-# foreign function; the caller holds a until the call returns.  NumPy's
-# array object holds that pointer right after the object header
-# (PyArrayObject_fields), where NumPy's compiled extensions read it through
-# PyArray_DATA, and reading it there took 0.1 us against 1.1 us for
-# ``a.ctypes.data``.  Where id() is not an address (another Python than
-# CPython) or the probe disagrees, the array interface gives the pointer.
+# ``_data(a)`` is a's data pointer; the caller holds a until the call returns.
+# It is read after the object header (PyArrayObject_fields); the probe checks
+# that layout at import, else the array interface gives the pointer.
 _DATA_OFFSET = object.__basicsize__
 _probe = np.empty(1)
 if (sys.implementation.name == "cpython" and c_void_p.from_address(
@@ -118,8 +88,7 @@ del _probe
 
 
 def _int(value: int):
-    """A reference to a new C int holding value, for a size or increment
-    that the routine reads and never writes; each call makes a fresh one."""
+    """A reference to a new C int holding value, which the routine only reads."""
     return byref(c_int(value))
 
 
@@ -127,22 +96,20 @@ _ONE, _QUERY = _int(1), _int(-1)
 _ALPHA, _BETA = byref(c_double(1.0)), byref(c_double(0.0))
 _CHAR = c_size_t(1)  # the hidden length of each character argument
 
-# SciPy's LAPACK counts in 32-bit integers, and dsyevd's workspace for
-# eigenvectors is 1 + 6n + 2n^2 floats: at n >= 32,767 LAPACK's workspace
-# query wraps without an error.
+# dsyevd's eigenvector workspace, 1 + 6n + 2n^2 floats, must fit SciPy's
+# 32-bit integers: LAPACK's query wraps without an error.
 _MAX_WORKSPACE = 2**31 - 1
 
 # NumPy's x @ y calls ddot on at most this many entries at a time.
 _DOT_CHUNK = 2**30
 
-# Side of the square tiles in which ``eigh`` transposes its eigenvectors:
-# a 64 x 64 tile is 32 KB.
+# Side of the square tiles in which ``eigh`` transposes its eigenvectors.
 _TILE = 64
 
 
 def check_order(n: int) -> int:
-    """n, or ValueError naming n when an n x n ``eigh`` needs a LAPACK
-    workspace beyond SciPy's 32-bit sizes (n >= 32,767)."""
+    """n; raises ValueError naming n when n >= 32,767, whose ``eigh``
+    workspace exceeds SciPy's 32-bit sizes."""
     if 1 + 6 * n + 2 * n * n > _MAX_WORKSPACE:
         raise ValueError(f"an eigendecomposition of order {n} needs a LAPACK workspace of "
                          f"more than 2**31 - 1 floats; the order must be at most 32766")
@@ -150,22 +117,14 @@ def check_order(n: int) -> int:
 
 
 def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(A)``: the ascending eigenvalues and the C-order
-    eigenvectors of the symmetric matrix whose lower triangle is A's, with
-    NumPy's bits, decomposed in A's own buffer.
+    """``np.linalg.eigh(A)``, with its bits: the ascending eigenvalues and the
+    C-order eigenvectors of the symmetric matrix whose lower triangle is A's.
 
-    A must be a Fortran-contiguous n x n float64 array that the caller no
-    longer reads: LAPACK's dsyevd overwrites it with the eigenvectors.  NumPy
-    runs the same dsyevd on a Fortran-order copy of A, and then copies the
-    vectors to C order; here the vectors are transposed in A's buffer, in
-    square tiles, and returned as a C-order view of it, so A ends up holding
-    ``vectors.T`` and the only n x n array the call allocates is LAPACK's
-    workspace, freed before it returns (a C-order symmetric G is passed as
-    ``G.T``, and then G holds ``vectors``).  The vectors must be in C order,
-    as NumPy returns them: ``matvec`` on a Fortran-order matrix would call
-    the other gemv kernel, whose bits differ.  Raises ValueError for another
-    layout and when ``check_order`` does, and LinAlgError when LAPACK
-    reports a failure.
+    A, a Fortran-contiguous n x n float64 array, is overwritten: it ends up
+    holding ``vectors.T``, and ``vectors`` is a C-order view of it (C order,
+    since ``matvec`` on Fortran order calls a gemv kernel with other bits).
+    Raises ValueError for another layout and when ``check_order`` does, and
+    LinAlgError when LAPACK reports a failure.
     """
     check_order(A.shape[0])
     eigenvalues = _syevd(A, b"V")
@@ -173,9 +132,7 @@ def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transpose_in_place(A: np.ndarray) -> np.ndarray:
-    """A, a square array, overwritten with A.T: each pair of mirrored
-    _TILE x _TILE tiles is swapped through one reused tile, and each
-    diagonal tile transposed through it."""
+    """A, a square array, overwritten with A.T, tile by tile."""
     n = A.shape[0]
     scratch = np.empty((min(n, _TILE),) * 2)
     for i in range(0, n, _TILE):
@@ -193,18 +150,15 @@ def _transpose_in_place(A: np.ndarray) -> np.ndarray:
 
 
 def eigvalsh(A: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(A)``, with its bits: the values-only dsyevd
-    (dsytrd, then dsterf) that NumPy runs on a Fortran-order copy of A, run
-    here in A's own buffer, which it overwrites.  A must be a
-    Fortran-contiguous n x n float64 array; the workspace grows with n, so
-    ``check_order`` does not apply.  Raises as ``eigh`` does.
+    """``np.linalg.eigvalsh(A)``, with its bits.  A, a Fortran-contiguous
+    n x n float64 array, is overwritten.  Raises as ``eigh`` does, except
+    that ``check_order`` does not apply.
     """
     return _syevd(A, b"N")
 
 
 def _check_square(A: np.ndarray) -> int:
-    """A's order, or ValueError unless A is a Fortran-contiguous square
-    float64 array, which LAPACK can overwrite in place."""
+    """A's order; raises ValueError unless A is a Fortran-contiguous square float64 array."""
     n = A.shape[0]
     if A.dtype != _FLOAT64 or A.shape != (n, n) or not A.flags.f_contiguous:
         raise ValueError(f"expected a Fortran-contiguous square float64 array, "
@@ -213,10 +167,8 @@ def _check_square(A: np.ndarray) -> int:
 
 
 def _workspace(n: int, jobz: bytes) -> tuple[int, int]:
-    """dsyevd's workspace sizes (lwork, liwork) for order n, from one
-    LAPACK workspace query per call, as NumPy and scipy.linalg.eigh make
-    one per decomposition.  The size sets dsytrd's blocking, so NumPy's
-    bits need the size LAPACK asks for."""
+    """dsyevd's workspace sizes (lwork, liwork) for order n, from LAPACK's
+    query: the size sets dsytrd's blocking, so NumPy's bits need it."""
     work, iwork, info = c_double(), c_int(), c_int()
     _dsyevd(jobz, b"L", _int(n), None, _int(max(n, 1)), None, byref(work), _QUERY,
             byref(iwork), _QUERY, byref(info), _CHAR, _CHAR)
@@ -226,9 +178,8 @@ def _workspace(n: int, jobz: bytes) -> tuple[int, int]:
 
 
 def _syevd(A: np.ndarray, jobz: bytes) -> np.ndarray:
-    """The eigenvalues from LAPACK's dsyevd on the lower triangle of A, in
-    A's buffer, which holds the eigenvectors after ``jobz`` b"V": a
-    workspace query, then the decomposition."""
+    """The eigenvalues of dsyevd on A's lower triangle; with ``jobz`` b"V"
+    A then holds the eigenvectors."""
     n = _check_square(A)
     lwork, liwork = _workspace(n, jobz)
     eigenvalues, work, iwork = np.empty(n), np.empty(lwork), np.empty(liwork, np.intc)
@@ -242,16 +193,13 @@ def _syevd(A: np.ndarray, jobz: bytes) -> np.ndarray:
 
 
 def dposv(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """LAPACK's Cholesky factor-and-solve of A x = b on A's lower triangle,
-    as ``(x, info)``, with the bits of SciPy's
-    ``dposv(A, b, lower=1, overwrite_a=1)``.
+    """``(x, info)`` of the Cholesky solve of A x = b on A's lower triangle,
+    with the bits of SciPy's ``dposv(A, b, lower=1, overwrite_a=1)``.
 
-    A must be a Fortran-contiguous n x n float64 array: it is overwritten
-    with its Cholesky factor.  b, of n rows and one or two dimensions, is
-    left as it is; x is a Fortran-order copy of it holding the solution.
-    A nonzero info means A is not positive definite (or an argument is
-    wrong), and x is then not a solution.  Raises ValueError for another
-    layout of A and for a b of another number of rows.
+    A, a Fortran-contiguous n x n float64 array, is overwritten with its
+    factor; b (n rows, 1-D or 2-D) is not.  A nonzero info means A is not
+    positive definite, and x is then not a solution.  Raises ValueError for
+    another layout of A or another number of rows in b.
     """
     n = _check_square(A)
     if b.ndim not in (1, 2) or b.shape[0] != n:
@@ -264,13 +212,8 @@ def dposv(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x``, with its bits, for a 2-D A and a 1-D x.
-
-    NumPy's matmul hands a one-row A to its ddot, and a C- or
-    Fortran-contiguous float64 A with two or more columns to its dgemv,
-    with the transpose flag that reads A in place; the same calls are made
-    here.  Any other A is ``A @ x`` itself.
-    """
+    """``A @ x``, with its bits, for a 2-D A and a 1-D x: the ddot or dgemv
+    call NumPy's matmul makes, or ``A @ x`` itself for another layout."""
     m, n = A.shape
     if m == 1:
         return np.array([dot(A[0], x)])
@@ -292,9 +235,7 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:
-    """``x @ y`` for 1-D x and y, with its bits: ddot where both are
-    contiguous float64 vectors, as NumPy calls its own, and ``x @ y``
-    itself otherwise."""
+    """``x @ y`` for 1-D x and y, with its bits."""
     if (x.dtype == y.dtype == _FLOAT64 and x.shape == y.shape and 0 < x.size < _DOT_CHUNK
             and x.flags.c_contiguous and y.flags.c_contiguous):
         # NumPy adds the ddot to a sum that starts at 0.0

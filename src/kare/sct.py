@@ -1,27 +1,14 @@
-"""Signal capture threshold (SCT).
-
-The SCT theta(ridge, n) of a population spectrum {(d_k, mult_k)} is the
-unique positive solution of
+"""Signal capture threshold (SCT): the unique positive theta(ridge, n) of a
+population spectrum {(d_k, mult_k)} with
 
     theta = ridge + (theta / n) * sum_k mult_k * d_k / (d_k + theta),
 
-bracketed by ridge < theta <= ridge + trace / n.  Eigenvalues well above
-theta are captured by ridge regression on n samples, eigenvalues well
-below it are lost.  Its ridge derivative has the closed form
+in (ridge, ridge + trace / n], and its ridge derivative
 
-    d theta / d ridge = 1 / (1 - (1/n) sum_k mult_k * d_k^2 / (d_k + theta)^2),
+    theta' = 1 / (1 - (1/n) sum_k mult_k * d_k^2 / (d_k + theta)^2),
 
-which is always in [1, theta / ridge].  Both quantities can also be
-estimated from training data alone through the Stieltjes transform of
-the normalized Gram matrix: theta ~ 1/m(-ridge) and
-d theta ~ m'(-ridge) / m(-ridge)^2.
-
-``solve_sct(spec, n, ridge)`` broadcasts: n and ridge may be scalars
-(the result holds floats) or arrays that broadcast together (the result
-holds arrays of the broadcast shape).  All pairs are iterated at once,
-each with the same float operations as a solve of that pair alone, so
-one call over a grid gives bit-identical values to a loop of scalar
-calls.
+in [1, theta / ridge]; estimated from a Gram matrix as theta ~ 1/m(-ridge)
+and theta' ~ m'(-ridge) / m(-ridge)^2.
 """
 
 from __future__ import annotations
@@ -36,8 +23,7 @@ import numpy as np
 from .spectral import (GramSpectrum, NumericalError, check_count, check_real, check_ridge,
                        representable, stieltjes, stieltjes_derivative, whole_number)
 
-# Multiplicities above this are no longer exactly representable once they
-# reach float arithmetic; the spectrum is truncated instead.
+# ``rbf_gaussian_spectrum`` truncates at the first shell with a larger multiplicity.
 MULTIPLICITY_CAP = 2**62
 
 _MAX_ITERATIONS = 200
@@ -47,12 +33,12 @@ _RESIDUAL_SCALE = 1e-12
 class Spectrum:
     """Finite truncation of a population spectrum: (eigenvalue, multiplicity) pairs.
 
-    Held as two read-only float64 arrays, the eigenvalues and the
-    multiplicities (``arrays()``): 16 bytes per entry.  float64 holds every
-    whole number below 2**53 exactly; a spectrum with a larger multiplicity
-    also keeps its multiplicities as Python ints, so that ``entries`` and
-    ``expanded_size`` stay exact.  ``entries`` is built on each read.
-    Equality, hash and repr are those of the pairs.
+    Held as two read-only float64 arrays (``arrays()``), plus the
+    multiplicities as ints where one is 2**53 or more, so that ``entries``
+    and ``expanded_size`` stay exact.  Equality, hash and repr are those of
+    the pairs.  Raises the first bad entry's error: ValueError unless every
+    eigenvalue is positive and finite and every multiplicity a whole number
+    >= 1, OverflowError for a multiplicity too large for a float.
     """
 
     def __init__(self, entries):
@@ -60,9 +46,8 @@ class Spectrum:
 
     @classmethod
     def _of(cls, d: np.ndarray, m: np.ndarray, counts=()) -> Spectrum:
-        """A spectrum of eigenvalues d and multiplicities m, float64 arrays
-        that pass ``_checked``'s rule, and not checked again; counts are the
-        multiplicities as ints, needed only where some m >= 2**53."""
+        """A spectrum of float64 arrays d and m that pass ``_checked``'s rule,
+        not checked again; counts, m as ints, are read only where some m >= 2**53."""
         spec = cls.__new__(cls)
         spec._hold(d, m, counts)
         return spec
@@ -74,8 +59,7 @@ class Spectrum:
 
     @property
     def entries(self) -> tuple[tuple[float, int], ...]:
-        """The (eigenvalue, multiplicity) pairs as floats and ints, built on
-        each read: about 88 bytes per entry while they are held."""
+        """The (eigenvalue, multiplicity) pairs as floats and ints, built on each read."""
         return tuple(zip(self._d.tolist(), self._counts()))
 
     def _counts(self):
@@ -105,9 +89,7 @@ class Spectrum:
         return sum(self._counts())
 
     def expand(self) -> np.ndarray:
-        """Eigenvalues repeated per multiplicity, one slot per mode,
-        read-only, built once on the first call: most spectra are only
-        solved, from ``arrays()``, and many have too many modes to expand."""
+        """Eigenvalues repeated per multiplicity, read-only, built on the first call."""
         return self._expanded
 
     @cached_property
@@ -122,11 +104,9 @@ class Spectrum:
 
 
 def _checked(entries: tuple) -> tuple[np.ndarray, np.ndarray, list]:
-    """The eigenvalues and multiplicities of the (eigenvalue, multiplicity)
-    pairs as float64 arrays, and the multiplicities as ints, after one check
-    over the arrays: every eigenvalue positive and finite, every
-    multiplicity a whole number >= 1.  A bad spectrum raises the error of
-    its first bad entry, the eigenvalue's before the multiplicity's."""
+    """The eigenvalues and multiplicities of the pairs as float64 arrays, and
+    the multiplicities as ints, checked as ``Spectrum`` says: a bad entry
+    raises its eigenvalue's error before its multiplicity's."""
     error = None
     try:
         d = np.array([float(d) for d, _ in entries])
@@ -136,12 +116,14 @@ def _checked(entries: tuple) -> tuple[np.ndarray, np.ndarray, list]:
             return d, m, counts
     except (TypeError, ValueError, ArithmeticError) as exc:
         error = exc
-    # A bad entry: the scalar checks, which the array check agrees with,
-    # raise at the first one.  Past them, the conversion failed only on a
-    # multiplicity too large for a float.
-    for d, m in entries:
-        check_real(d, "eigenvalues")
-        check_count(m, "multiplicity", 1)
+    # The scalar checks raise at the first bad entry; past them, only a
+    # multiplicity too large for a float failed.
+    for entry in entries:
+        if np.shape(entry) != (2,):
+            raise ValueError(f"a spectrum entry must be an (eigenvalue, multiplicity) pair, "
+                             f"got {entry!r}")
+        check_real(entry[0], "eigenvalues")
+        check_count(entry[1], "multiplicity", 1)
     raise error
 
 
@@ -155,26 +137,29 @@ class SctResult:
 
 
 def solve_sct(spec: Spectrum, n, ridge) -> SctResult:
-    """Solve the SCT fixed point and its closed-form ridge derivative.
+    """The SCT and its ridge derivative: floats for scalar n and ridge, else
+    arrays of their broadcast shape, each pair with the bits of its own
+    scalar solve.
 
-    n and ridge broadcast together (see the module docstring); every
-    entry is checked: ridge positive and finite, n >= 1.  Per pair:
-    bisection on the guaranteed bracket [ridge, ridge + trace/n] with a
-    Newton step whenever it stays inside the bracket; the residual of the
-    returned root satisfies |g(theta)| <= 1e-12 * (ridge + trace/n).  A
-    bracket end ridge + trace/n that overflows float64 raises
-    NumericalError before the first iteration; a pair that does not
-    converge within 200 iterations raises ArithmeticError.
+    Newton steps inside the bracket [ridge, ridge + trace/n], else
+    bisection, until |g(theta)| <= 1e-12 * (ridge + trace/n).  Raises
+    ValueError unless every ridge is positive and finite and every n finite
+    and >= 1, NumericalError when ridge + trace/n overflows float64, and
+    ArithmeticError for a pair not converged within 200 iterations.
     """
     ridge, n = np.asarray(ridge, dtype=float), np.asarray(n, dtype=float)
     scalar = ridge.ndim == n.ndim == 0
     bad = ridge[~((ridge > 0) & (ridge < math.inf))]
     if bad.size:
         check_ridge(bad[0])  # raises, naming the first bad ridge
-    bad = n[~(n >= 1)]
+    bad = n[~((n >= 1) & (n < math.inf))]
     if bad.size:
-        raise ValueError(f"sample count must be >= 1, got {bad[0]:g}")
-    shape = np.broadcast_shapes(n.shape, ridge.shape)
+        raise ValueError(f"sample count must be finite and >= 1, got {bad[0]:g}")
+    try:
+        shape = np.broadcast_shapes(n.shape, ridge.shape)
+    except ValueError:
+        raise ValueError(f"sample counts of shape {n.shape} and ridges of shape "
+                         f"{ridge.shape} do not broadcast together") from None
     ridge = np.broadcast_to(ridge, shape).ravel()
     n = np.broadcast_to(n, shape).ravel()
     with np.errstate(over="ignore"):
@@ -231,13 +216,9 @@ def _newton_bisection(d, m, n, ridge, hi):
 
 
 def sct_from_gram(s: GramSpectrum, ridge: float) -> SctResult:
-    """Estimate the SCT and its derivative from Gram eigenvalues alone.
-
-    theta = 1/m(-ridge) and theta' = m'(-ridge)/m(-ridge)^2; the bounds
-    theta >= ridge and theta' >= 1 hold exactly for this estimator.
-    Where either is not representable in float64 (ridges near the ends of
-    the float range on a rank-deficient Gram), raises NumericalError
-    naming it and the ridge.
+    """theta = 1/m(-ridge) and theta' = m'(-ridge)/m(-ridge)^2 from Gram
+    eigenvalues; theta >= ridge and theta' >= 1.  Raises ValueError for a
+    bad ridge and NumericalError naming a value float64 cannot represent.
     """
     ridge = check_ridge(ridge)
     # An infinite m would make theta = 1/m a spurious 0.
@@ -248,7 +229,8 @@ def sct_from_gram(s: GramSpectrum, ridge: float) -> SctResult:
 
 
 def shell_multiplicity(dim: int, k: int) -> int:
-    """Number of degree-k modes for the squared-exponential kernel in dim inputs."""
+    """Number of degree-k modes for the squared-exponential kernel in dim
+    inputs; raises ValueError unless dim >= 1 and k >= 0 are whole numbers."""
     dim, k = check_count(dim, "dimension", 1), check_count(k, "degree", 0)
     if k == 0:
         return 1
@@ -260,16 +242,15 @@ def shell_multiplicity(dim: int, k: int) -> int:
 def rbf_gaussian_spectrum(
     dim: int, lengthscale: float, sigma: float, k_max: int
 ) -> Spectrum:
-    """Closed-form spectrum of the rbf kernel under N(0, sigma^2 I) inputs.
+    """Closed-form spectrum of the rbf kernel under N(0, sigma^2 I) inputs:
 
-    Distinct eigenvalues decay geometrically,
+        eig_k = (1 / (2 A sigma^2))^(dim/2) * B^k,  k = 0..k_max,
 
-        eig_k = (1 / (2 A sigma^2))^(dim/2) * B^k,
-
-    with A = 1/(4 sigma^2) + 1/lengthscale + c, B = 1/(A lengthscale) and
-    c = sqrt(1/(4 sigma^2) + 2/lengthscale) / (2 sigma); eig_k carries
-    multiplicity shell_multiplicity(dim, k).  Shells whose multiplicity
-    exceeds MULTIPLICITY_CAP are truncated with a warning.
+    with A = 1/(4 sigma^2) + 1/lengthscale + c, B = 1/(A lengthscale),
+    c = sqrt(1/(4 sigma^2) + 2/lengthscale) / (2 sigma) and multiplicity
+    shell_multiplicity(dim, k).  Shells from the first one above
+    MULTIPLICITY_CAP are dropped with a RuntimeWarning.  Raises ValueError
+    for a bad count or real.
     """
     dim, k_max = check_count(dim, "dimension", 1), check_count(k_max, "k_max", 0)
     lengthscale, sigma = check_real(lengthscale, "lengthscale"), check_real(sigma, "sigma")
@@ -295,7 +276,8 @@ def rbf_gaussian_spectrum(
 
 
 def power_law_spectrum(beta: float, count: int) -> Spectrum:
-    """Unit-multiplicity spectrum d_k = k^(-beta), k = 1..count, beta > 1."""
+    """Unit-multiplicity spectrum d_k = k^(-beta), k = 1..count; raises
+    ValueError unless beta > 1 is finite and count >= 1 a whole number."""
     beta, count = check_real(beta, "decay exponent", low=1), check_count(count, "count", 1)
     # Python's float power: np.power differs from it in the last bit of some
     # entries on AVX-512 CPUs.

@@ -1,22 +1,5 @@
-"""Eigenvalue view of the normalized Gram matrix.
-
-Ridge sweeps evaluate resolvent traces of (1/n) G at many ridges; one
-symmetric eigendecomposition turns each evaluation into an O(n) sum.
-The Stieltjes transform here is always evaluated on the negative real
-axis, i.e. m(-ridge) for ridge > 0.
-
-This module owns the checks every eigen view shares: ``check_gram``
-validates G (cross-validation and kernel alignment call it too),
-``GramSpectrum`` checks and clamps its eigenvalues,
-``check_real`` validates every real number the package is handed (a
-ridge through ``check_ridge``), ``check_labels`` validates labels,
-``check_count`` validates every count and index the package is handed,
-``at_ridge`` declares every quantity f(..., ridge) the package computes at
-a ridge (it checks the ridge, and the result must be finite), and
-``representable`` is the float64 guard it applies, called directly only
-for named intermediate values.  ``NumericalError`` is the one error for
-a quantity that float64 cannot represent and for a Gram matrix that is
-not positive semidefinite.
+"""The eigenvalue view of (1/n)G, its Stieltjes transform m(-ridge), and the
+input checks and float64 guard that the whole package shares.
 """
 
 from __future__ import annotations
@@ -34,23 +17,18 @@ EIGENVALUE_FLOOR = -1e-8
 
 
 class NumericalError(ValueError, ArithmeticError):
-    """A failed numerical computation: a Gram matrix that is not positive
-    semidefinite, or a score or threshold estimate that float64 cannot
-    represent.
-
-    A ValueError, as these failures were before, and an ArithmeticError,
-    so the CLI reports it as a numerical error (exit 4).
+    """A Gram matrix that is not positive semidefinite, or a quantity that
+    float64 cannot represent.  An ArithmeticError, so the CLI exits 4 on it.
     """
 
 
 class GramSpectrum:
-    """Eigenvalues of (1/n) G, ascending, as a read-only nonnegative array.
+    """Eigenvalues of (1/n) G, ascending, as a read-only nonnegative array,
+    and their number n.
 
-    The one eigen view of a Gram matrix, from a non-empty 1-D array
-    (ValueError otherwise).  Eigenvalues in [-1e-8, 0) are floating noise
-    on a PSD matrix and are clamped to zero; a minimum below -1e-8 (or
-    NaN) signals a broken kernel, and so does an infinite eigenvalue:
-    both raise NumericalError.  n is the number of eigenvalues.
+    Raises ValueError unless eigenvalues is a non-empty 1-D array, and
+    NumericalError for one below -1e-8, NaN or inf; those in [-1e-8, 0)
+    are clamped to zero.
     """
 
     def __init__(self, eigenvalues):
@@ -82,7 +60,7 @@ def check_real(value, what: str, low: float = 0.0, strict: bool = True) -> float
 
 
 def check_ridge(ridge: float) -> float:
-    """The ridge as a float; raises unless it is positive and finite."""
+    """The ridge as a float; raises ValueError unless it is positive and finite."""
     return check_real(ridge, "ridge")
 
 
@@ -108,9 +86,8 @@ def whole_number(value) -> int | None:
 
 def representable(name: str, ridge: float, compute):
     """compute() if all its entries are finite, else NumericalError naming
-    the quantity and the ridge.  NumPy float warnings are silenced, and an
-    ArithmeticError inside compute() (a float overflow, or an inner
-    quantity's NumericalError) counts as non-finite."""
+    the quantity and the ridge; an ArithmeticError inside compute() counts
+    as non-finite, and NumPy float warnings are silenced."""
     try:
         with np.errstate(all="ignore"):
             value = compute()
@@ -122,11 +99,9 @@ def representable(name: str, ridge: float, compute):
 
 
 def at_ridge(formula=None, *, name: str | None = None):
-    """``@at_ridge`` or ``@at_ridge(name=...)`` on a quantity formula(*x, ridge),
-    the ridge last and positional: the formula receives the float
-    ``check_ridge`` returns, and its result passes ``representable`` under
-    name (default: the formula's name), so an overflow near the ends of the
-    float64 range raises NumericalError."""
+    """``@at_ridge`` or ``@at_ridge(name=...)`` on formula(*x, ridge), the
+    ridge last and positional: the formula gets ``check_ridge(ridge)``, and
+    its result passes ``representable`` under name (default: its own)."""
     if formula is None:
         return functools.partial(at_ridge, name=name)
     label = name or formula.__name__
@@ -139,21 +114,13 @@ def at_ridge(formula=None, *, name: str | None = None):
     return quantity
 
 
-# Rows per tile of the symmetry scan: a 128 x n strip of differences
-# is 1 MB at n = 1000.
+# Rows per tile of the symmetry scan.
 _TILE_ROWS = 128
 
 
 def _max_asymmetry(G: np.ndarray) -> float:
-    """max |G - G.T| for a square float array; raises ValueError if any
-    entry is non-finite.
-
-    Scans the upper triangle in strips of _TILE_ROWS rows, comparing
-    G[i:i+t, i:] with G[i:, i:i+t].T in one reused t x n buffer, so it
-    allocates no n x n temporary.  The strips and their transposed
-    partners cover every entry, and |a - b| = |b - a| exactly, so the
-    maximum is that of the full scan.
-    """
+    """max |G - G.T| for a square float array, scanned in row strips with
+    no n x n temporary; raises ValueError if any entry is non-finite."""
     n = G.shape[0]
     scratch = np.empty((min(n, _TILE_ROWS), n))
     asymmetry = 0.0
@@ -167,19 +134,15 @@ def _max_asymmetry(G: np.ndarray) -> float:
 
 
 def check_gram(G, n: int | None = None) -> np.ndarray:
-    """G as a float array; raises ValueError unless it is finite, square,
-    symmetric and has n rows (default: its size).
-
-    A non-finite entry anywhere is reported before any asymmetry; the
-    asymmetry reported is the largest |G[i, j] - G[j, i]|.  The scan works
-    in row tiles (``_max_asymmetry``) and copies nothing when G is
-    already a float64 array.
+    """G as a float array, not copied when it is float64; raises ValueError
+    unless it is finite, square, symmetric within SYMMETRY_TOL and has n
+    rows, one per label (default: its size).  A non-finite entry is reported first.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
     if n is not None and n != G.shape[0]:
-        raise ValueError(f"sample count {n} does not match matrix size {G.shape[0]}")
+        raise ValueError(f"{n} labels but a {G.shape[0]} x {G.shape[0]} matrix")
     asymmetry = _max_asymmetry(G)
     if asymmetry > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asymmetry:.3e})")
@@ -187,9 +150,11 @@ def check_gram(G, n: int | None = None) -> np.ndarray:
 
 
 def check_labels(y, n: int | None = None) -> np.ndarray:
-    """The labels as a flat float vector; raises ValueError unless every
+    """The labels as a float vector; raises ValueError unless y is 1-D, every
     entry is finite and, when n is given, there are n of them."""
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"labels must be a 1-D array, got shape {y.shape}")
     if n is not None and y.shape[0] != n:
         raise ValueError(f"{n} points but {y.shape[0]} labels")
     if not np.all(np.isfinite(y)):
@@ -197,21 +162,31 @@ def check_labels(y, n: int | None = None) -> np.ndarray:
     return y
 
 
+def check_array(value, what: str, ndim: int, length: int | None = None) -> np.ndarray:
+    """value as a float array, not copied when it is float64; raises
+    ValueError naming what unless it has ndim dimensions, length entries
+    along the first when length is given, and finite entries."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"{what} must be a {ndim}-D array, got shape {a.shape}")
+    if length is not None and a.shape[0] != length:
+        raise ValueError(f"{what} must have {length} entries, got {a.shape[0]}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite entries in {what}")
+    return a
+
+
 def decompose(G) -> GramSpectrum:
     """Eigenvalues of G/n as a GramSpectrum, with ``np.linalg.eigvalsh``'s
-    bits.  G/n is written once, to a Fortran-order array that
-    ``lapack.eigvalsh`` decomposes in place; NumPy would hold G/n and its
-    own Fortran-order copy of it."""
+    bits.  Raises as ``check_gram`` and ``GramSpectrum`` do."""
     G = check_gram(G)
     return GramSpectrum(eigvalsh(np.divide(G, G.shape[0], out=np.empty(G.shape, order="F"))))
 
 
 def _decompose_in_place(G: np.ndarray) -> GramSpectrum:
-    """``decompose(G)`` for a caller that no longer reads G, with its bits:
-    G is divided by n in place and decomposed as ``G.T``, which holds the
-    bytes of decompose's Fortran-order G/n when G is exactly symmetric.  G
-    is not scanned: it must be a finite, exactly symmetric, C-contiguous
-    n x n float64 array with n >= 1, as ``gram_matrix`` makes it."""
+    """``decompose(G)``, with its bits, overwriting G, which is not scanned:
+    it must be a finite, exactly symmetric, C-contiguous n x n float64 array
+    with n >= 1, as ``gram_matrix`` makes it."""
     return GramSpectrum(eigvalsh(np.divide(G, G.shape[0], out=G).T))
 
 

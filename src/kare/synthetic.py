@@ -1,25 +1,10 @@
 """Gaussian observation model in the kernel eigenbasis, plus Monte Carlo oracles.
 
-A draw materializes the model directly in coefficient space: the n x M
-observation matrix O has iid standard normal entries (one column per
-expanded spectrum mode), the Gram matrix is O diag(d) O^T, and labels are
-O b + noise * e.  Risks are then exact sums over modes, no test sampling.
-
-The oracles and scores never form the n x n Gram.  With U = O diag(sqrt d),
-a draw pays one ``lapack.eigh`` (``np.linalg.eigh``'s bits, in the
-product's own buffer), of U^T U / n when n > M and of G/n = U U^T / n when
-n <= M (U^T U alone would amplify rounding in its null space); the product
-stays NumPy's.  By the push-through identity (U^T U / n + ridge I)^{-1} U^T =
-U^T B^{-1}, with B = (1/n)G + ridge I, every oracle at every ridge is a
-diagonal scaling in it, and the draw's ``spectrum`` (a GramSpectrum) and
-``scores`` (a RidgeScores) come from the same eigh.  A draw builds G only
-when ``.G`` is read, for the dense references.
-
-Reproducibility rules, independent of execution order and thread count:
-``sample_draws`` seeds trial t's draw with (seed, t), and ``sample_spectra``
-seeds trial t's Gram spectrum of size n with (seed, n, t).  Suites bayes
-(target (seed, t, 0), draw (seed, t, 1)) and identities (reference draws
-(seed, 100 + t)) keep their own loops; thm6 and kare also sample at seed + 1.
+A draw holds the n x M matrix O of iid standard normals (one column per
+expanded mode), so G = O diag(d) O^T and y = O b + noise * e, and risks are
+exact sums over modes.  With U = O diag(sqrt d) and B = (1/n)G + ridge I,
+one eigh of the smaller of U^T U / n and U U^T / n serves every oracle at
+every ridge, through (U^T U / n + ridge I)^{-1} U^T = U^T B^{-1}.
 """
 
 from __future__ import annotations
@@ -28,27 +13,34 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from .estimators import RidgeScores, TrueFunction, checked_modes
 from .kernels import KernelSpec, gram_matrix
 from .lapack import eigh
-from .spectral import (GramSpectrum, _decompose_in_place, at_ridge, check_count, check_real,
-                       check_ridge, representable, stieltjes)
+from .spectral import (GramSpectrum, _decompose_in_place, at_ridge, check_array, check_count,
+                       check_real, check_ridge, representable, stieltjes)
 from .sct import Spectrum, solve_sct
 
-# Expanded mode cap; multiplicities beyond this make direct sampling
-# intractable (use the classical input-space route instead).
+# Expanded mode cap of eigenbasis sampling.
 MAX_MODES = 5000
 
 
 @dataclass(frozen=True)
 class ObservationDraw:
-    """One sample (O, y) of the model with the expanded spectrum d it used."""
+    """One sample (O, y) of the model with the expanded spectrum d it used.
+
+    Raises ValueError naming the field unless O is a finite 2-D array and
+    d and y finite vectors of one entry per column and row of O.
+    """
 
     O: np.ndarray
     d: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "O", check_array(self.O, "O", 2))
+        object.__setattr__(self, "d", check_array(self.d, "d", 1, self.O.shape[1]))
+        object.__setattr__(self, "y", check_array(self.y, "y", 1, self.O.shape[0]))
 
     @cached_property
     def G(self) -> np.ndarray:
@@ -62,8 +54,8 @@ class ObservationDraw:
         U^T U / n = Q mu Q^T with L = diag(sqrt d) Q, R = U Q (n > M), or mu
         for U U^T / n = P mu P^T with L = diag(sqrt d) U^T P, R = P (n <= M),
         so that diag(d) O^T B^{-1} = L diag(1/(mu + ridge)) R^T at every ridge.
-        NumPy's syrk mirrors each product, so it is exactly symmetric and its
-        transpose, a Fortran-order view, is decomposed in place."""
+        NumPy's syrk makes each product exactly symmetric, so its transpose
+        is decomposed in place."""
         root = np.sqrt(self.d)
         U = self.O * root
         n, M = U.shape
@@ -80,10 +72,8 @@ class ObservationDraw:
 
     @cached_property
     def scores(self) -> RidgeScores:
-        """RidgeScores(G, y) on ``_eigh``'s spectrum and R.  For n > M the
-        columns of R = U Q are orthogonal only in exact arithmetic (one whose
-        mu is far below the largest leans on the larger ones), so a QR,
-        largest mu first, makes them orthonormal."""
+        """RidgeScores(G, y) on ``_eigh``'s spectrum and R; for n > M a QR,
+        largest mu first, makes the columns of R = U Q orthonormal in float64."""
         spectrum, _, R = self._eigh
         if R.shape[0] > R.shape[1]:
             R = np.linalg.qr(R[:, ::-1])[0][:, ::-1]
@@ -97,10 +87,8 @@ def _expanded(spec: Spectrum, f: TrueFunction | None, indices=()) -> tuple:
 
 
 def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
-    """One draw of (O, y); deterministic given the seed.
-
-    The draw keeps the expanded spectrum d; its Gram matrix G is built
-    only when ``.G`` is read, and no oracle reads it.
+    """One draw of (O, y), deterministic given the seed.  Raises ValueError
+    for a bad n, more than MAX_MODES modes, or an f of another mode count.
     """
     n = check_count(n, "sample count", 1)
     d, _ = _expanded(spec, f)
@@ -114,7 +102,7 @@ def draw(spec: Spectrum, f: TrueFunction, n: int, seed) -> ObservationDraw:
 def _reconstruct(dr: ObservationDraw, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """(d_k/n) O_k^T B^{-1} rhs for every mode k: the predictor coefficients
     for rhs = y, the operator entries A_kl for rhs = O_l.  Callers evaluate
-    it inside ``representable``, so a 1/(mu + ridge) that overflows raises."""
+    it inside ``representable``."""
     spectrum, L, R = dr._eigh
     mu = spectrum.eigenvalues[-L.shape[1]:]
     return (L * (1.0 / (mu + ridge))) @ (R.T @ rhs) / dr.y.shape[0]
@@ -128,10 +116,8 @@ def predictor_coeffs(dr: ObservationDraw, ridge: float) -> np.ndarray:
 
 @at_ridge(name="exact risk")
 def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
-    """sum_k (a_k - b_k)^2 + noise^2, computed exactly in the eigenbasis.
-
-    f must have one coefficient per mode of the draw.
-    """
+    """sum_k (a_k - b_k)^2 + noise^2, exact in the eigenbasis; raises
+    ValueError unless f has one coefficient per mode of the draw."""
     if f.coeffs.shape[0] != dr.d.shape[0]:
         raise ValueError(f"{f.coeffs.shape[0]} coefficients but the draw has "
                          f"{dr.d.shape[0]} modes")
@@ -141,8 +127,7 @@ def exact_risk(dr: ObservationDraw, f: TrueFunction, ridge: float) -> float:
 
 @at_ridge(name="train error")
 def empirical_train_error(dr: ObservationDraw, ridge: float) -> float:
-    """ridge^2/n * y^T ((1/n)G + ridge I)^{-2} y for this draw: the train
-    error of ``dr.scores``."""
+    """The train error ridge^2/n * y^T B^{-2} y of ``dr.scores``; raises as it does."""
     return dr.scores.train_error(ridge)
 
 
@@ -167,15 +152,15 @@ def sample_spectra(sampler, n: int, trials: int, seed: int) -> list:
 def mc_expected_risk(
     spec: Spectrum, f: TrueFunction, n: int, ridge: float, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Sample mean and standard error of exact_risk over independent draws."""
+    """Sample mean and standard error of exact_risk over ``sample_draws``;
+    raises as ``draw`` and ``exact_risk`` do, and for fewer than 2 trials."""
     mean, stderr = mean_and_stderr(
         sample_draws(spec, f, n, trials, seed, lambda dr: exact_risk(dr, f, ridge)))
     return float(mean), float(stderr)
 
 
 def _variance_stderr(samples: np.ndarray) -> float:
-    # Asymptotic standard error of the sample variance via the fourth
-    # central moment; no normality assumed.
+    # Asymptotic standard error of the sample variance from the fourth moment.
     n = samples.shape[0]
     centered = samples - samples.mean()
     s2 = float(centered @ centered) / (n - 1)
@@ -204,12 +189,10 @@ def mc_operator_moments(
     seed: int,
     k_indices: tuple[int, ...],
 ) -> OperatorMoments:
-    """Sample the entries A_kl = (d_k/n) O_k^T ((1/n)G + ridge I)^{-1} O_l.
-
-    Returns the means, with their standard errors, of the diagonal entry
-    at each of k_indices and of every ordered off-diagonal pair among
-    them, and the mean gap |1/theta - m(-ridge)| between the solved
-    threshold and the Gram Stieltjes transform.
+    """Monte Carlo means and standard errors of A_kl = (d_k/n) O_k^T B^{-1} O_l
+    at each diagonal of k_indices and each ordered pair among them, and the
+    mean |1/theta - m(-ridge)|.  Raises as ``draw`` and ``checked_modes``
+    do, and NumericalError for entries float64 cannot represent.
     """
     d, idx = _expanded(spec, None, k_indices)
     ridge = check_ridge(ridge)
@@ -248,7 +231,8 @@ def mc_coeff_stats(
     seed: int,
     k_indices: tuple[int, ...],
 ) -> CoeffStats:
-    """Sample the predictor coefficients a_k over independent draws."""
+    """Monte Carlo moments of the predictor coefficients a_k at k_indices;
+    raises as ``draw`` and ``checked_modes`` do."""
     idx = _expanded(spec, f, k_indices)[1]
     cols = np.array(idx, dtype=int)
     samples = np.array(sample_draws(spec, f, n, trials, seed,
@@ -260,13 +244,8 @@ def mc_coeff_stats(
 def rbf_gaussian_gram_spectrum(
     dim: int, lengthscale: float, sigma: float, n: int, seed
 ) -> GramSpectrum:
-    """Gram eigenvalues for the rbf kernel on n iid N(0, sigma^2 I) inputs.
-
-    The input-space route to a Gram sample: the matching population
-    spectrum (rbf_gaussian_spectrum) has shell multiplicities far beyond
-    MAX_MODES already at moderate dimension, so eigenbasis sampling is
-    not an option there.
-    """
+    """The GramSpectrum of the rbf kernel on n iid N(0, sigma^2 I) inputs,
+    sampled in input space, since rbf shells exceed MAX_MODES."""
     dim, n = check_count(dim, "dimension", 1), check_count(n, "sample count", 1)
     sigma = check_real(sigma, "sigma")
     X = sigma * np.random.default_rng(seed).standard_normal((n, dim))

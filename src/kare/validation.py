@@ -1,10 +1,6 @@
-"""Named validation suites: exact identities, threshold bounds, and the
-Monte Carlo agreement checks between closed-form risk predictions and
-brute-force simulation.
-
-Each suite returns a list of Check records; the CLI renders them as a
-machine-readable report and the acceptance tests assert them one by one.
-Tolerances are fixed here, not configurable.
+"""Named validation suites, each a list of Check records: exact identities,
+threshold bounds, and Monte Carlo agreement with the closed forms, at fixed
+tolerances.
 """
 
 from __future__ import annotations
@@ -13,17 +9,15 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import numpy.random  # NumPy loads it lazily, at the first draw otherwise
 
 from . import krr
 from .estimators import (
+    RidgeScores,
     TrueFunction,
     bayesian_risk,
-    kare,
     mean_predictor_coeffs,
     theoretical_risk,
     predictor_variance_component,
-    varrho,
 )
 from .kernels import FAMILIES, KernelSpec
 from .sct import power_law_spectrum, rbf_gaussian_spectrum, sct_from_gram, solve_sct, Spectrum
@@ -98,11 +92,12 @@ def suite_identities(seed: int) -> list[Check]:
         G = W @ W.T / (n + 2)
         y = rng.standard_normal(n)
         ridge = float(10 ** rng.uniform(-4, 0))
-        base_kare = kare(y, G, ridge)
-        base_varrho = varrho(y, G, ridge)
+        base = RidgeScores(G, y)
+        base_kare, base_varrho = base.kare(ridge), base.varrho(ridge)
         for alpha in (1e-2, 1e2):
-            worst = max(worst, _rel(kare(y, alpha * G, alpha * ridge), base_kare))
-            worst = max(worst, _rel(varrho(y, alpha * G, alpha * ridge), base_varrho))
+            scaled = RidgeScores(alpha * G, y)
+            worst = max(worst, _rel(scaled.kare(alpha * ridge), base_kare))
+            worst = max(worst, _rel(scaled.varrho(alpha * ridge), base_varrho))
     checks.append(_check(
         "kare/varrho rescaling invariance",
         worst <= 1e-10, f"worst relative gap {worst:.3e}",

@@ -524,6 +524,26 @@ def test_out_of_range_config_value_names_the_key(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
+# A line appended to _config's 13 lines, which set data.n on line 3, and the
+# message after "PATH:".
+_BAD_LINES = [
+    ("data.typ = synthetic", "14: unknown key 'data.typ'"),
+    ("data.n", "14: expected key = value"),
+    ("data.n = 30", "14: key 'data.n' is already set at line 3"),
+]
+
+
+@pytest.mark.parametrize("line, message", _BAD_LINES)
+def test_a_bad_config_line_names_its_number(tmp_path, capsys, line, message):
+    path = _config(tmp_path)
+    with open(path, "a") as handle:
+        handle.write(f"{line}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        parse_sweep_config(path)
+    assert main(["sweep", "--config", path]) == 1
+    assert capsys.readouterr().err == f"config error: {path}:{message}\n"
+
+
 @pytest.mark.parametrize("family", ["rbf", "laplacian", "l1exp"])
 def test_sweep_cv_risk_equals_cross_validation_risk(tmp_path, family):
     from kare.cli import _load_sweep_data

@@ -86,8 +86,9 @@ def test_csv_writer_cells_and_line_ends(tmp_path):
 
 def test_save_csv_writes_the_bytes_of_the_per_cell_writer(tmp_path):
     # save_csv formats each row in one pass; its text is write_csv's,
-    # cell by cell, down to the extreme and non-finite values.
-    X = np.array([[-0.0, 5e-324, 1e308], [-1e308, 3.0, np.inf], [np.nan, -np.inf, 1 / 3]])
+    # cell by cell, down to the extreme values (a Dataset holds no non-finite one).
+    X = np.array([[-0.0, 5e-324, 1e308], [-1e308, 3.0, 1.7976931348623157e308],
+                  [-5e-324, -2.2250738585072014e-308, 1 / 3]])
     y = np.array([2.0, -0.0, 1e-300])
     names = ["a,b", 'say "c"', "d"]
     fast, per_cell = tmp_path / "fast.csv", tmp_path / "cells.csv"

@@ -149,7 +149,7 @@ NON_FINITE_INPUTS = {
         "labels have non-finite"),
     "classical_alignment mismatched gram": (
         lambda: classical_alignment(np.ones(5), np.eye(4)),
-        "sample count 5 does not match matrix size 4"),
+        "^5 labels but a 4 x 4 matrix$"),
     "Spectrum infinite eigenvalue": (
         lambda: Spectrum(((np.inf, 1),)), "positive and finite"),
     "solve_sct nan sample count": (
@@ -542,7 +542,7 @@ def test_cross_validation_holds_at_most_two_fold_grams():
 
 
 def test_cross_validation_risks_rejects_a_mismatched_gram():
-    with pytest.raises(ValueError, match="sample count 5 does not match matrix size 4"):
+    with pytest.raises(ValueError, match="^5 labels but a 4 x 4 matrix$"):
         cross_validation_risks(np.eye(4), np.zeros(5), (0.1,), 2)
 
 

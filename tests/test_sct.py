@@ -142,8 +142,10 @@ def test_invalid_inputs():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^ridge must be positive and finite, got {bad}$"):
             solve_sct(spec, np.array([[10], [20]]), np.array([1e-2, bad, 1.0]))
-    with pytest.raises(ValueError, match="^sample count must be >= 1, got 0$"):
-        solve_sct(spec, np.array([10, 0, 20]), 1e-2)
+    for bad in (0.0, math.nan, math.inf):
+        message = f"^sample count must be finite and >= 1, got {bad:g}$"
+        with pytest.raises(ValueError, match=message):
+            solve_sct(spec, np.array([10, bad, 20]), 1e-2)
     with pytest.raises(ValueError):
         Spectrum(((0.0, 1),))
     with pytest.raises(ValueError):
@@ -391,7 +393,8 @@ REJECTED = {
     "zero multiplicity": ((1.0, 0), "multiplicity must be a whole number >= 1, got 0"),
     "fractional multiplicity": ((1.0, 2.5), "multiplicity must be a whole number >= 1, got 2.5"),
     "nan multiplicity": ((1.0, math.nan), "multiplicity must be a whole number >= 1, got nan"),
-    "three elements": ((1.0, 1, 2), "too many values to unpack (expected 2)"),
+    "three elements": ((1.0, 1, 2), "a spectrum entry must be an (eigenvalue, multiplicity) "
+                                    "pair, got (1.0, 1, 2)"),
 }
 
 

@@ -111,7 +111,7 @@ def test_non_finite_reported_before_asymmetry(bad):
 
 def test_sample_count_mismatch_rejected():
     # The label count must match the size of G.
-    with pytest.raises(ValueError, match="sample count 4 does not match matrix size 3"):
+    with pytest.raises(ValueError, match="^4 labels but a 3 x 3 matrix$"):
         RidgeScores(np.eye(3), np.ones(4))
 
 
